@@ -146,10 +146,16 @@ def postselected_means_gaussian(
     theta_A: Quadrature,
     theta_B: Quadrature,
     b: float,
+    mu_P: float = 0.0,
 ) -> tuple[float, float]:
     """Exact postselected device means (<Q>_b, <P>_b) for Gaussian particle and
-    pure device with zero mean position/momentum, coupling strength g, and
-    postselection on the particle quadrature theta_B at value b."""
+    pure device with zero mean position and mean momentum mu_P, coupling
+    strength g, and postselection on the particle quadrature theta_B at value b.
+
+    The coupling moves the particle by g mu_P (sin theta_A, -cos theta_A) on
+    average, and P is unchanged by it; the mu_P = 0 formulas are evaluated at
+    the shifted particle means and mu_P is added to <P>_b.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if delta_Q <= 0:
@@ -157,6 +163,8 @@ def postselected_means_gaussian(
     ca, sa = math.cos(theta_A.theta), math.sin(theta_A.theta)
     cb, sb = math.cos(theta_B.theta), math.sin(theta_B.theta)
     sd = math.sin(theta_B.theta - theta_A.theta)
+    mu_q = mu_q + g * mu_P * sa
+    mu_p = mu_p - g * mu_P * ca
     mu_A = mu_q * ca + mu_p * sa
 
     beta = g**2 * (1.0 + omega**2) * sigma**2 * sd**2 + delta_Q**2 * (
@@ -172,7 +180,7 @@ def postselected_means_gaussian(
     mu_B = mu_q * cb + mu_p * sb
     mean_Q = alpha / beta
     mean_P = g * (1.0 + omega**2) * sigma**2 * (mu_B - b) * sd / beta
-    return mean_Q, mean_P
+    return mean_Q, mean_P + mu_P
 
 
 def first_order_shifts(

@@ -333,11 +333,13 @@ def cmd_sweep(args) -> int:
                 config.theta_A,
                 config.theta_B,
                 config.b,
+                mu_P=config.mu_P,
             )
             wv = weak_value_gaussian(
                 config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
             )
-            fo_Q, fo_P = first_order_shifts(wv, config.g, delta_P, config.omega)
+            fo_Q, p_shift = first_order_shifts(wv, config.g, delta_P, config.omega)
+            fo_P = config.mu_P + p_shift
             margin = gaussian_regime_margin(
                 config.g, delta_P, config.sigma, config.theta_A, config.theta_B
             )

@@ -30,12 +30,12 @@ def report(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
-def closed_and_oracle(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b):
+def closed_and_oracle(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P):
     closed = ew.postselected_means_gaussian(
-        mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b
+        mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
     )
     joint = ew.tensor(
-        ew.make_particle(mu_q, mu_p, sigma), ew.make_pure_device(delta_Q, 0.0, omega)
+        ew.make_particle(mu_q, mu_p, sigma), ew.make_pure_device(delta_Q, mu_P, omega)
     )
     evolved = ew.apply_to_state(ew.coupling_map(g, theta_A), joint)
     oracle = ew.oracle_postselected_means(evolved, theta_B, b)
@@ -51,13 +51,14 @@ def test_criterion_1_oracle_equivalence():
             ((0.5, 1.0), (1.0, 0.5), (2.0, 2.0)),
             (-1.0, 0.0, 1.0),
             (-1.0, 0.0, 1.0),
+            (0.0, 0.6),  # device mean momentum mu_P
         )
     )
     assert len(grid) >= 200
     with report(1, "oracle equivalence"):
-        for g, ta, tb, (sigma, delta_Q), omega, b in grid:
+        for g, ta, tb, (sigma, delta_Q), omega, b, mu_P in grid:
             closed, oracle = closed_and_oracle(
-                0.3, -0.4, sigma, delta_Q, omega, g, Quadrature(ta), Quadrature(tb), b
+                0.3, -0.4, sigma, delta_Q, omega, g, Quadrature(ta), Quadrature(tb), b, mu_P
             )
             for x, y in zip(closed, oracle):
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
@@ -144,18 +145,24 @@ MC_CONFIGS = [
     (1.0, 0.0, 1.0, 1.0, 0.0, 0.15, 0.0, 3 * PI / 4, 0.7),
     (0.0, 0.0, 2.0, 0.8, -0.5, 0.35, 5 * PI / 8, PI / 8, -0.2),
 ]
+MC_CONFIGS_MU_P = [
+    # as MC_CONFIGS, then the device mean momentum mu_P
+    (0.0, 0.0, 1.0, 1.0, 0.5, 0.3, 0.0, HALF_PI, 1.0, 0.5),
+    (0.3, -0.4, 0.7, 1.5, 0.0, 0.2, 0.4, 1.3, 0.0, -0.8),
+]
 
 
 def test_criterion_5_monte_carlo_consistency():
-    with report(5, "Monte Carlo vs oracle, 12 configs"):
+    configs = [(*c, 0.0) for c in MC_CONFIGS] + MC_CONFIGS_MU_P
+    with report(5, "Monte Carlo vs oracle vs closed form, 14 configs, 2 with mu_P != 0"):
         z_fig2 = None
-        for i, (mu_q, mu_p, sigma, delta_Q, omega, g, ta, tb, b) in enumerate(MC_CONFIGS):
+        for i, (mu_q, mu_p, sigma, delta_Q, omega, g, ta, tb, b, mu_P) in enumerate(configs):
             config = ew.ExperimentConfig(
                 mu_q=mu_q,
                 mu_p=mu_p,
                 sigma=sigma,
                 delta_Q=delta_Q,
-                mu_P=0.0,
+                mu_P=mu_P,
                 omega=omega,
                 g=g,
                 theta_A=Quadrature(ta),
@@ -169,6 +176,11 @@ def test_criterion_5_monte_carlo_consistency():
             est = ew.run_weak_experiment(config)
             oracle = ew.oracle_estimate(config)
             windowed = ew.windowed_oracle(config)
+            closed = ew.postselected_means_gaussian(
+                mu_q, mu_p, sigma, delta_Q, omega, g, config.theta_A, config.theta_B, b, mu_P=mu_P
+            )
+            for x, y in zip(closed, oracle):
+                assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
             for mc, se, point, win in zip(
                 (est.mean_Q, est.mean_P, est.mean_A),
                 (est.se_Q, est.se_P, est.se_A),

@@ -219,19 +219,32 @@ class TestPostselectedMeansGaussian:
         assert closed[1] == pytest.approx(-0.1 / 1.01, abs=1e-12)
 
     @given(reals, reals, sigmas, st.floats(0.3, 3.0), st.floats(-2.0, 2.0),
-           st.floats(-1.5, 1.5), angles, angles, reals)
+           st.floats(-1.5, 1.5), angles, angles, reals, reals)
     @settings(max_examples=150, deadline=None)
     def test_matches_conditioning_oracle_everywhere(
-        self, mu_q, mu_p, sigma, delta_Q, omega, g, ta, tb, b
+        self, mu_q, mu_p, sigma, delta_Q, omega, g, ta, tb, b, mu_P
     ):
         theta_A, theta_B = Quadrature(ta), Quadrature(tb)
         closed = postselected_means_gaussian(
-            mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b
+            mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
         )
-        evolved = evolved_joint(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A)
+        evolved = evolved_joint(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, mu_P)
         oracle = oracle_postselected_means(evolved, theta_B, b)
         for x, y in zip(closed, oracle):
             assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
+
+
+    def test_device_mean_momentum(self):
+        # g=0.3, omega=0.5, theta_A=0, theta_B=pi/2, b=1, mu_P=0.5
+        theta_A, theta_B = Quadrature(0.0), Quadrature(HALF_PI)
+        args = (0.0, 0.0, 1.0, 1.0, 0.5, 0.3, theta_A, theta_B, 1.0)
+        closed = postselected_means_gaussian(*args, mu_P=0.5)
+        oracle = oracle_postselected_means(evolved_joint(*args[:7], mu_P=0.5), theta_B, 1.0)
+        assert closed == pytest.approx(oracle, abs=1e-12)
+        assert closed == pytest.approx((-0.3101123595505617, 0.1123595505617978), abs=1e-12)
+        # the nine positional arguments still mean mu_P = 0
+        assert postselected_means_gaussian(*args) == postselected_means_gaussian(*args, mu_P=0.0)
+        assert postselected_means_gaussian(*args)[1] == pytest.approx(-0.33707865168539325)
 
 
 class TestGaussianCondition:

@@ -1,9 +1,15 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from erlweak.cli import config_echo, main, parse_experiment
+from erlweak.montecarlo import oracle_estimate
 
 HALF_PI = math.pi / 2
 
@@ -139,6 +145,24 @@ class TestSweep:
         values = [abs(float(line.split(",")[idx])) for line in lines[1:]]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_device_mean_momentum_honoured(self, tmp_path):
+        doc = base_config(device={"mu_P": 0.5, "omega": 0.5})
+        doc["sweep"] = {"g": [0.3, 0.01]}
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        for row in rows:
+            config = parse_experiment(doc)
+            config = dataclasses.replace(config, g=float(row["g"]))
+            oracle_Q, oracle_P, _ = oracle_estimate(config)
+            assert float(row["exact_Q"]) == pytest.approx(oracle_Q, abs=1e-12)
+            assert float(row["exact_P"]) == pytest.approx(oracle_P, abs=1e-12)
+        # at weak coupling the first-order P prediction carries the mu_P offset
+        weak = rows[1]
+        assert float(weak["fo_P"]) == pytest.approx(0.5, abs=0.02)
+        assert abs(float(weak["residual_P"])) < 1e-4
+
     def test_empty_range_rejected(self, tmp_path, capsys):
         doc = base_config()
         doc["sweep"] = {"g": []}
@@ -187,3 +211,17 @@ class TestVerifyAndRoundTrip:
         echoed = config_echo(config)
         assert parse_experiment(echoed) == config
         assert config_echo(parse_experiment(echoed)) == echoed
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, erlweak.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

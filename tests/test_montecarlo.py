@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from erlweak import (
     joint_momentum_histogram,
     make_particle,
     oracle_estimate,
+    quadrature_moments,
     run_weak_experiment,
     sample_state,
     strong_measurement_correlation,
@@ -126,6 +128,133 @@ class TestRunWeakExperiment:
         assert est.epsilon == pytest.approx(config.resolved_epsilon())
         assert est.n_accepted <= est.n_samples
         assert 0.0 < est.acceptance_rate <= 1.0
+
+
+class TestEvolvedJointCache:
+    def test_built_once_and_read_only(self):
+        config = dataclasses.replace(BASE)
+        evolved = config.evolved_joint()
+        assert config.evolved_joint() is evolved
+        assert not evolved.mean.flags.writeable
+        assert not evolved.cov.flags.writeable
+        with pytest.raises(ValueError):
+            evolved.mean[0] = 1.0
+
+    def test_replace_gives_fresh_state(self):
+        before = BASE.evolved_joint()
+        config = dataclasses.replace(BASE, g=0.7)
+        after = config.evolved_joint()
+        assert after is not before
+        assert after.cov[2, 0] == pytest.approx(0.7)  # Q' = Q + g q
+        assert BASE.evolved_joint().cov[2, 0] == pytest.approx(0.1)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        fresh = dataclasses.replace(BASE)
+        BASE.evolved_joint()
+        assert fresh == BASE
+        assert hash(fresh) == hash(BASE)
+        assert dataclasses.replace(BASE, b=2.0) != BASE
+
+    def test_pickle_round_trip(self):
+        BASE.evolved_joint()
+        restored = pickle.loads(pickle.dumps(BASE))
+        assert restored == BASE
+        assert hash(restored) == hash(BASE)
+        evolved = restored.evolved_joint()
+        np.testing.assert_array_equal(evolved.mean, BASE.evolved_joint().mean)
+        np.testing.assert_array_equal(evolved.cov, BASE.evolved_joint().cov)
+        assert not evolved.cov.flags.writeable
+        assert oracle_estimate(restored) == oracle_estimate(BASE)
+
+
+def _mp_window(config, epsilon):
+    """50-digit (probability, windowed means (Q, P, A)) from the float
+    moments of the evolved joint, each tail evaluated on its own side."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    evolved = config.evolved_joint()
+    v = np.array([*config.theta_B.vector, 0.0, 0.0])
+    mean = [mp.mpf(float(x)) for x in evolved.mean]
+    cov = [[mp.mpf(float(x)) for x in row] for row in evolved.cov]
+    vm = [mp.mpf(float(x)) for x in v]
+
+    def dot(a, b):
+        return mp.fsum(x * y for x, y in zip(a, b))
+
+    cov_v = [dot(row, vm) for row in cov]
+    mean_B, var_B = dot(vm, mean), dot(vm, cov_v)
+    s = mp.sqrt(var_B)
+    lo = (mp.mpf(config.b) - mp.mpf(epsilon) - mean_B) / s
+    hi = (mp.mpf(config.b) + mp.mpf(epsilon) - mean_B) / s
+    if lo >= 0:
+        prob = (mp.erfc(lo / mp.sqrt(2)) - mp.erfc(hi / mp.sqrt(2))) / 2
+    elif hi <= 0:
+        prob = (mp.erfc(-hi / mp.sqrt(2)) - mp.erfc(-lo / mp.sqrt(2))) / 2
+    else:
+        prob = (mp.erf(hi / mp.sqrt(2)) - mp.erf(lo / mp.sqrt(2))) / 2
+    offset = s * (mp.npdf(lo) - mp.npdf(hi)) / prob
+    a = [mp.mpf(float(x)) for x in config.theta_A.vector]
+    rows = ([0, 0, 1, 0], [0, 0, 0, 1], [*a, 0, 0])
+    means = [dot(u, mean) + dot(u, cov_v) / var_B * offset for u in rows]
+    return prob, means
+
+
+class TestWindowTails:
+    CONFIG = dataclasses.replace(BASE, g=0.3, omega=0.5, mu_P=0.4, mu_q=0.2, theta_A=Quadrature(0.3))
+
+    def _at(self, z):
+        mean_B, var_B = quadrature_moments(self.CONFIG.evolved_joint(), 0, self.CONFIG.theta_B)
+        return dataclasses.replace(self.CONFIG, b=mean_B + z * math.sqrt(var_B)), math.sqrt(var_B)
+
+    @pytest.mark.parametrize("width", [1e-3, 0.05, 1.0, 4.0])
+    def test_matches_50_digit_reference(self, width):
+        # z = (b - mean_B) / std_B over both tails; width = epsilon / std_B
+        for z in np.linspace(-32.0, 32.0, 65):
+            config, std_B = self._at(float(z))
+            epsilon = width * std_B
+            ref_prob, ref_means = _mp_window(config, epsilon)
+            prob = acceptance_probability(config, epsilon)
+            assert prob > 0.0
+            assert abs(prob - ref_prob) <= 1e-10 * ref_prob, (z, width)
+            for x, r in zip(windowed_oracle(config, epsilon), ref_means):
+                assert math.isfinite(x)
+                assert abs(x - r) <= 1e-10 * max(1.0, abs(r)), (z, width)
+
+    def test_ten_sigma_postselection(self):
+        # g=0.3, omega=0.5, theta_A=0, theta_B=pi/2, b=5: about 10 std of B
+        config = dataclasses.replace(BASE, g=0.3, omega=0.5, b=5.0)
+        mean_B, var_B = quadrature_moments(config.evolved_joint(), 0, config.theta_B)
+        assert (config.b - mean_B) / math.sqrt(var_B) > 9.0
+        prob = acceptance_probability(config)
+        ref_prob, ref_means = _mp_window(config, config.resolved_epsilon())
+        assert 0.0 < prob < 1e-20
+        assert prob == pytest.approx(float(ref_prob), rel=1e-10)
+        means = windowed_oracle(config)
+        assert all(math.isfinite(x) for x in means)
+        assert means == pytest.approx([float(r) for r in ref_means], rel=1e-10, abs=1e-10)
+
+    def test_beyond_underflow_mean_stays_finite(self):
+        # the probability underflows past about 38 std; the mean does not
+        config, _ = self._at(60.0)
+        assert acceptance_probability(config) == 0.0
+        assert all(math.isfinite(x) for x in windowed_oracle(config))
+
+    @pytest.mark.parametrize("z", [0.3, -4.0, 12.0, -30.0])
+    def test_tends_to_point_oracle(self, z):
+        config, std_B = self._at(z)
+        point = oracle_estimate(config)
+        gaps = []
+        for width in (1e-2, 1e-3, 1e-4):
+            w = windowed_oracle(config, width * std_B)
+            gaps.append(max(abs(a - b) for a, b in zip(w, point)))
+        assert gaps[-1] <= 1e-8 * max(1.0, abs(z))
+        assert gaps[1] <= 0.02 * gaps[0]  # O(epsilon^2)
+
+    def test_empty_window_raises(self):
+        config = dataclasses.replace(BASE, b=1e20, epsilon=1.0)
+        with pytest.raises(InsufficientAcceptanceError):
+            windowed_oracle(config)
+        assert acceptance_probability(config) == 0.0
 
 
 class TestHistogram:
