@@ -190,10 +190,9 @@ def cmd_weakvalue(args) -> int:
     wv = weak_value_gaussian(
         config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
     )
-    delta_P = math.sqrt((1.0 + config.omega**2)) / (2.0 * config.delta_Q)
-    q_shift, p_shift = first_order_shifts(wv, config.g, delta_P, config.omega)
+    q_shift, p_shift = first_order_shifts(wv, config.g, config.delta_P, config.omega)
     margin = gaussian_regime_margin(
-        config.g, delta_P, config.sigma, config.theta_A, config.theta_B
+        config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
     )
     print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
     print(f"first_order q_shift={_fmt(q_shift)} p_shift={_fmt(p_shift)}")
@@ -322,7 +321,6 @@ def cmd_sweep(args) -> int:
                 theta_B=Quadrature(point.get("theta_B", base.theta_B.theta)),
                 b=point.get("b", base.b),
             )
-            delta_P = math.sqrt(1.0 + config.omega**2) / (2.0 * config.delta_Q)
             exact_Q, exact_P = postselected_means_gaussian(
                 config.mu_q,
                 config.mu_p,
@@ -338,10 +336,10 @@ def cmd_sweep(args) -> int:
             wv = weak_value_gaussian(
                 config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
             )
-            fo_Q, p_shift = first_order_shifts(wv, config.g, delta_P, config.omega)
+            fo_Q, p_shift = first_order_shifts(wv, config.g, config.delta_P, config.omega)
             fo_P = config.mu_P + p_shift
             margin = gaussian_regime_margin(
-                config.g, delta_P, config.sigma, config.theta_A, config.theta_B
+                config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
             )
             cells = [
                 _fmt(config.g),
@@ -452,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--mc", action="store_true", help="enable Monte Carlo in sweeps")
         p.add_argument("--quiet", action="store_true")
         p.set_defaults(func=func)
         return p
 
     add("weakvalue", cmd_weakvalue)
     add("simulate", cmd_simulate, needs_out=True)
-    add("sweep", cmd_sweep, needs_out=True)
+    sweep = add("sweep", cmd_sweep, needs_out=True)
+    sweep.add_argument("--mc", action="store_true", help="add Monte Carlo columns")
     add("verify", cmd_verify, needs_config=False)
     add("histogram", cmd_histogram, needs_out=True)
     return parser

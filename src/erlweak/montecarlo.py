@@ -2,8 +2,9 @@
 
 Sampling is chunked with one substream per chunk, keyed by (seed, chunk
 index), so the sample stream and every derived estimate are bit-identical
-regardless of how chunks would be partitioned across workers. Reductions run
-in fixed chunk order.
+regardless of how chunks would be partitioned across workers. Samplers reduce
+the chunks of one loop (`_chunks`) in fixed chunk order, so memory is
+O(chunk_size), not O(n_samples); only `sample_state` materialises n rows.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ class ExperimentConfig:
         shared between callers (its mean and cov are read-only)."""
         return self._evolved
 
+    @property
+    def delta_P(self) -> float:
+        """Momentum spread of the pure device: sqrt(1 + omega^2) / (2 delta_Q)."""
+        return math.sqrt(1.0 + self.omega**2) / (2.0 * self.delta_Q)
+
     def __getstate__(self):
         # the evolved state is a cache: pickles carry only the fields
         return {k: v for k, v in self.__dict__.items() if k != "_evolved"}
@@ -120,25 +126,28 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
-def sample_state(
-    state: GaussianState, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK
-) -> np.ndarray:
-    """Draw n i.i.d. points from a Gaussian state as an (n, 2*n_modes) array."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _chunks(state: GaussianState, n: int, seed: int, chunk_size: int):
+    """The one sampling loop: yield n i.i.d. points of a Gaussian state as
+    arrays of at most chunk_size rows, chunk k drawn from substream (seed, k).
+    The covariance is factored once, when the first chunk is asked for."""
+    if n < 1 or chunk_size < 1:
+        raise ValueError("n and chunk_size must be >= 1")
     try:
         lower = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not factorizable (degenerate state)") from exc
+    for k, start in enumerate(range(0, n, chunk_size)):
+        z = _chunk_rng(seed, k).standard_normal((min(chunk_size, n - start), state.mean.size))
+        yield state.mean + z @ lower.T
+
+
+def sample_state(
+    state: GaussianState, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK
+) -> np.ndarray:
+    """Draw n i.i.d. points from a Gaussian state as an (n, 2*n_modes) array."""
     out = np.empty((n, state.mean.size))
-    start = 0
-    chunk = 0
-    while start < n:
-        m = min(chunk_size, n - start)
-        z = _chunk_rng(seed, chunk).standard_normal((m, state.mean.size))
-        out[start : start + m] = state.mean + z @ lower.T
-        start += m
-        chunk += 1
+    for k, pts in enumerate(_chunks(state, n, seed, chunk_size)):
+        out[k * chunk_size : k * chunk_size + pts.shape[0]] = pts
     return out
 
 
@@ -158,22 +167,11 @@ def run_weak_experiment(
     Per-point repeatability (A and P unchanged by the coupling) is asserted
     on every chunk.
     """
-    joint = config.joint()
     smap = coupling_map(config.g, config.theta_A)
     epsilon = config.resolved_epsilon()
-    try:
-        lower = np.linalg.cholesky(joint.cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance is not factorizable (degenerate state)") from exc
-
     accepted: list[np.ndarray] = []
     n = config.n_samples
-    start = 0
-    chunk = 0
-    while start < n:
-        m = min(chunk_size, n - start)
-        z = _chunk_rng(config.seed, chunk).standard_normal((m, 4))
-        pts = joint.mean + z @ lower.T
+    for pts in _chunks(config.joint(), n, config.seed, chunk_size):
         evolved = apply_to_points(smap, pts)
 
         a_before = config.theta_A.value(pts[:, 0], pts[:, 1])
@@ -189,8 +187,6 @@ def run_weak_experiment(
         accepted.append(
             np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]])
         )
-        start += m
-        chunk += 1
 
     rows = np.concatenate(accepted, axis=0)
     n_acc = rows.shape[0]
@@ -313,6 +309,8 @@ def joint_momentum_histogram(
     (counts, p_edges, P_edges). Draws outside hist_range are not counted:
     the automatic box (+-5 std of each marginal) misses about 1.15e-6 of
     them, so the total equals n_samples only for a range that holds them all.
+    Counts are summed chunk by chunk, so memory is O(chunk_size), not
+    O(n_samples), and the result equals one histogram of all the draws.
     """
     if isinstance(bins, int):
         bins = (bins, bins)
@@ -322,16 +320,19 @@ def joint_momentum_histogram(
         (p_lo, p_hi), (P_lo, P_hi) = hist_range
         if not (p_lo < p_hi and P_lo < P_hi):
             raise ValueError("empty histogram range")
-    pts = sample_state(config.joint(), config.n_samples, config.seed, chunk_size)
-    evolved = apply_to_points(coupling_map(config.g, config.theta_A), pts)
     if hist_range is None:
         mu, cov = config.evolved_joint().mean, config.evolved_joint().cov
         half_p = 5.0 * math.sqrt(cov[1, 1])
         half_P = 5.0 * math.sqrt(cov[3, 3])
         hist_range = ((mu[1] - half_p, mu[1] + half_p), (mu[3] - half_P, mu[3] + half_P))
-    counts, p_edges, P_edges = np.histogram2d(
-        evolved[:, 1], evolved[:, 3], bins=bins, range=hist_range
-    )
+    smap = coupling_map(config.g, config.theta_A)
+    counts = np.zeros(bins)
+    for pts in _chunks(config.joint(), config.n_samples, config.seed, chunk_size):
+        evolved = apply_to_points(smap, pts)
+        part, p_edges, P_edges = np.histogram2d(
+            evolved[:, 1], evolved[:, 3], bins=bins, range=hist_range
+        )
+        counts += part  # whole numbers below 2**53: the float sum is exact
     return counts, p_edges, P_edges
 
 
@@ -355,18 +356,27 @@ def strong_measurement_correlation(
     """Sampled Pearson correlation between pointer position Q' and the
     particle observable A, for each device spread in a decreasing sequence.
 
-    Tends to 1 as delta_Q -> 0: the strong-measurement limit.
+    Tends to 1 as delta_Q -> 0: the strong-measurement limit. The centred
+    moments of each chunk's (A, Q') are merged in chunk order, so memory is
+    O(chunk_size), not O(n_samples).
     """
+    smap = coupling_map(config.g, config.theta_A)
     out = []
     for delta_Q in delta_Q_sequence:
         if delta_Q <= 0:
             raise ValueError("delta_Q must be positive")
         joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
-        pts = sample_state(joint, config.n_samples, config.seed, chunk_size)
-        evolved = apply_to_points(coupling_map(config.g, config.theta_A), pts)
-        a = config.theta_A.value(pts[:, 0], pts[:, 1])
-        q_dev = evolved[:, 2]
-        if a.std() == 0 or q_dev.std() == 0:
+        n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
+        for pts in _chunks(joint, config.n_samples, config.seed, chunk_size):
+            q_dev = apply_to_points(smap, pts)[:, 2]
+            aq = np.column_stack([config.theta_A.value(pts[:, 0], pts[:, 1]), q_dev])
+            m, chunk_mean = aq.shape[0], aq.mean(axis=0)
+            centred, delta = aq - chunk_mean, chunk_mean - mean
+            # merge the chunk's centred moments (Chan, Golub & LeVeque 1983)
+            scatter += centred.T @ centred + np.outer(delta, delta) * (n * m / (n + m))
+            n += m
+            mean += delta * (m / n)
+        if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):
             raise ValueError("degenerate variance in correlation estimate")
-        out.append(float(np.corrcoef(a, q_dev)[0, 1]))
+        out.append(float(np.clip(scatter[0, 1] / math.sqrt(scatter[0, 0] * scatter[1, 1]), -1, 1)))
     return out

@@ -111,6 +111,13 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "s1" / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_mc_flag_is_a_usage_error(self, tmp_path, capsys):
+        # --mc belongs to sweep alone
+        path = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--mc"]) == 2
+        assert "--mc" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_insufficient_acceptance_flagged(self, tmp_path):
         doc = base_config(
             postselection={"b": 50.0, "epsilon": 0.001}, sampling={"n_samples": 1000}

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,21 @@ import pytest
 from erlweak import (
     ExperimentConfig,
     InsufficientAcceptanceError,
+    PostselectedEstimate,
     Quadrature,
     acceptance_probability,
+    apply_to_points,
+    coupling_map,
     exact_strong_correlation,
     joint_momentum_histogram,
     make_particle,
+    make_pure_device,
     oracle_estimate,
     quadrature_moments,
     run_weak_experiment,
     sample_state,
     strong_measurement_correlation,
+    tensor,
     windowed_oracle,
 )
 
@@ -67,6 +73,11 @@ class TestSampling:
         flat = GaussianState([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             sample_state(flat, 10, seed=0)
+
+    def test_chunk_size_must_be_positive(self):
+        for chunk_size in (0, -5):
+            with pytest.raises(ValueError):
+                sample_state(make_particle(0.0, 0.0, 1.0), 10, seed=0, chunk_size=chunk_size)
 
 
 class TestRunWeakExperiment:
@@ -128,6 +139,12 @@ class TestRunWeakExperiment:
         assert est.epsilon == pytest.approx(config.resolved_epsilon())
         assert est.n_accepted <= est.n_samples
         assert 0.0 < est.acceptance_rate <= 1.0
+
+
+def test_delta_p_is_the_device_momentum_spread():
+    config = dataclasses.replace(BASE, delta_Q=0.7, omega=0.5)
+    assert config.delta_P == math.sqrt(1.0 + 0.5**2) / (2.0 * 0.7)
+    assert config.device().cov[1, 1] == pytest.approx(config.delta_P**2, rel=1e-14)
 
 
 class TestEvolvedJointCache:
@@ -327,3 +344,117 @@ class TestStrongMeasurement:
         config = dataclasses.replace(BASE, g=0.0, n_samples=100_000)
         (corr,) = strong_measurement_correlation([1.0], config)
         assert abs(corr) < 4.0 / math.sqrt(config.n_samples)
+
+
+class TestStreamingEngine:
+    """The histogram and the correlation reduce chunk by chunk; their results
+    must match the same reductions over the materialised sample."""
+
+    CONFIG = dataclasses.replace(
+        BASE, g=0.4, omega=0.5, mu_P=0.3, mu_q=0.2, theta_A=Quadrature(0.6), n_samples=25_500, seed=5
+    )
+    CHUNK = 1000  # n_samples is not a multiple of it
+
+    def _evolved_points(self, joint):
+        config = self.CONFIG
+        pts = sample_state(joint, config.n_samples, config.seed, self.CHUNK)
+        return pts, apply_to_points(coupling_map(config.g, config.theta_A), pts)
+
+    def _assert_histogram_matches(self, bins, hist_range):
+        config = self.CONFIG
+        _, evolved = self._evolved_points(config.joint())
+        ref = np.histogram2d(evolved[:, 1], evolved[:, 3], bins=bins, range=hist_range)
+        got = joint_momentum_histogram(config, bins, hist_range, chunk_size=self.CHUNK)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            np.testing.assert_array_equal(g, r)
+        return got[0]
+
+    def test_histogram_auto_box_is_bit_identical(self):
+        config = self.CONFIG
+        joint = config.evolved_joint()
+        half_p = 5.0 * math.sqrt(joint.cov[1, 1])
+        half_P = 5.0 * math.sqrt(joint.cov[3, 3])
+        box = (
+            (joint.mean[1] - half_p, joint.mean[1] + half_p),
+            (joint.mean[3] - half_P, joint.mean[3] + half_P),
+        )
+        self._assert_histogram_matches(21, box)
+        np.testing.assert_array_equal(
+            joint_momentum_histogram(config, 21, chunk_size=self.CHUNK)[0],
+            joint_momentum_histogram(config, 21, box, chunk_size=self.CHUNK)[0],
+        )
+
+    def test_histogram_clipping_range_is_bit_identical(self):
+        counts = self._assert_histogram_matches((13, 17), ((-0.3, 0.4), (-0.2, 0.25)))
+        assert 0 < counts.sum() < self.CONFIG.n_samples / 2
+
+    def test_correlation_matches_materialised_corrcoef(self):
+        # np.corrcoef needs every row at once; the streamed merge of chunk
+        # moments agrees with it to rounding (measured <= 5.3e-15)
+        config = self.CONFIG
+        for delta_Q in (3.0, 0.5, 0.02):
+            joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
+            pts, evolved = self._evolved_points(joint)
+            a = config.theta_A.value(pts[:, 0], pts[:, 1])
+            ref = np.corrcoef(a, evolved[:, 2])[0, 1]
+            (got,) = strong_measurement_correlation([delta_Q], config, chunk_size=self.CHUNK)
+            assert abs(got - ref) <= 1e-14, delta_Q
+
+    def test_experiment_pinned(self):
+        # recorded before the samplers shared one chunk loop
+        config = dataclasses.replace(
+            BASE, g=0.3, omega=0.5, mu_P=0.2, b=0.5, epsilon=0.25, n_samples=25_500, seed=7
+        )
+        assert run_weak_experiment(config, chunk_size=1000) == PostselectedEstimate(
+            mean_Q=-0.13185630613535507,
+            mean_P=0.019161912996883076,
+            mean_A=0.01207579236743413,
+            se_Q=0.013786919322274393,
+            se_P=0.007084849332174697,
+            se_A=0.013264508384711783,
+            n_accepted=5613,
+            n_samples=25500,
+            acceptance_rate=0.22011764705882353,
+            epsilon=0.25,
+        )
+        assert run_weak_experiment(config) == PostselectedEstimate(
+            mean_Q=-0.14040322315025053,
+            mean_P=0.024824575573117295,
+            mean_A=-0.0010937740338186597,
+            se_Q=0.0141711396333962,
+            se_P=0.0072604677462730005,
+            se_A=0.013491460866509567,
+            n_accepted=5429,
+            n_samples=25500,
+            acceptance_rate=0.21290196078431373,
+            epsilon=0.25,
+        )
+
+
+class TestBoundedMemory:
+    """tracemalloc sees numpy buffers: 2e6 rows of (q, p, Q, P) are 64 MB,
+    one chunk of 2**14 rows is 0.5 MB."""
+
+    CONFIG = dataclasses.replace(BASE, g=0.5, n_samples=2_000_000)
+    LIMIT = 16 * 2**20
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_histogram(self):
+        self.CONFIG.evolved_joint()
+        peak = self._peak(lambda: joint_momentum_histogram(self.CONFIG, 61, chunk_size=2**14))
+        assert peak < self.LIMIT
+
+    def test_strong_measurement_correlation(self):
+        peak = self._peak(
+            lambda: strong_measurement_correlation([0.5], self.CONFIG, chunk_size=2**14)
+        )
+        assert peak < self.LIMIT
