@@ -31,6 +31,7 @@ from .bounds import gaussian_regime_margin
 from .montecarlo import (
     ExperimentConfig,
     InsufficientAcceptanceError,
+    chunk_plan,
     joint_momentum_histogram,
     oracle_estimate,
     run_weak_experiment,
@@ -152,6 +153,13 @@ def write_manifest(
     return path
 
 
+def _run_record(n_samples: int, runs: int = 1) -> dict:
+    """The manifest's `run` block for `runs` sampler calls of n_samples each:
+    the processes that ran their chunks and the number of chunks."""
+    workers, chunks = chunk_plan(n_samples)
+    return {"workers": workers if runs else 0, "chunks": runs * chunks}
+
+
 def cmd_weakvalue(args) -> int:
     doc = load_document(args.config)
     if "discrete" in doc:
@@ -269,7 +277,11 @@ def cmd_simulate(args) -> int:
         cells = [_fmt(x) if isinstance(x, float) else str(x) for x in row]
         fh.write(",".join(cells + [error]) + "\n")
     manifest = write_manifest(
-        out_dir, config_echo(config), config.seed, [csv_path.name], {"oracle_comparison": dev}
+        out_dir,
+        config_echo(config),
+        config.seed,
+        [csv_path.name],
+        {"oracle_comparison": dev, "run": _run_record(config.n_samples)},
     )
     if not args.quiet:
         print(f"wrote {csv_path} and {manifest}")
@@ -364,7 +376,8 @@ def cmd_sweep(args) -> int:
                 except InsufficientAcceptanceError:
                     cells += ["nan"] * 4
             fh.write(",".join(cells) + "\n")
-    manifest = write_manifest(out_dir, doc, base.seed, [csv_path.name])
+    run = _run_record(base.n_samples, math.prod(map(len, axes.values())) if args.mc else 0)
+    manifest = write_manifest(out_dir, doc, base.seed, [csv_path.name], {"run": run})
     if not args.quiet:
         print(f"wrote {csv_path} and {manifest}")
     return 0
@@ -426,7 +439,9 @@ def cmd_histogram(args) -> int:
                     )
                     + "\n"
                 )
-    manifest = write_manifest(out_dir, config_echo(config), config.seed, [csv_path.name])
+    manifest = write_manifest(
+        out_dir, config_echo(config), config.seed, [csv_path.name], {"run": _run_record(config.n_samples)}
+    )
     if not args.quiet:
         print(f"wrote {csv_path} and {manifest}")
     return 0

@@ -2,16 +2,22 @@
 
 Sampling is chunked with one substream per chunk, keyed by (seed, chunk
 index), so the sample stream and every derived estimate are bit-identical
-regardless of how chunks would be partitioned across workers. Samplers reduce
-the chunks of one loop (`_chunks`) in fixed chunk order, so memory is
-O(chunk_size), not O(n_samples); only `sample_state` materialises n rows.
+however the chunks are spread over processes. Each sampler is a per-chunk
+function of (args, k, rows) plus a reduction of the chunk results in chunk
+order. `_map_chunks` runs the chunks on a persistent fork pool of `WORKERS`
+processes (the CPUs this process may use), or in this process where a pool
+cannot help or cannot be used. Inside a chunk, `_blocks` draws the substream
+in blocks of `BLOCK` rows, so memory is O(BLOCK) rows per worker; only
+`sample_state` materialises n rows.
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -28,6 +34,11 @@ from .states import (
 )
 
 DEFAULT_CHUNK = 1 << 18
+# Rows drawn at a time inside a chunk. Every (rows x 4) @ (4 x 4) product then
+# stays below OpenBLAS's threading threshold (M*N*K < 2**18), so pool workers
+# do not each start BLAS threads and oversubscribe the cores. Blocks drawn
+# from one Generator give the same stream and points as one draw per chunk.
+BLOCK = 1 << 13
 REPEATABILITY_TOL = 1e-12
 ADAPTIVE_EPSILON_FRACTION = 0.05
 _SQRT2 = math.sqrt(2.0)
@@ -122,32 +133,134 @@ class PostselectedEstimate:
     epsilon: float
 
 
+def _usable_cpus() -> int:
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        usable = os.cpu_count() or 1
+    return max(1, min(usable, os.cpu_count() or 1))
+
+
+WORKERS = _usable_cpus()  # size of the chunk pool; 1 runs every chunk in this process
+_pool = None  # the persistent fork pool, made on first use by _map_chunks
+_pool_owner = 0  # pid of the process that made it
+
+
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
-def _chunks(state: GaussianState, n: int, seed: int, chunk_size: int):
-    """The one sampling loop: yield n i.i.d. points of a Gaussian state as
-    arrays of at most chunk_size rows, chunk k drawn from substream (seed, k).
-    The covariance is factored once, when the first chunk is asked for."""
-    if n < 1 or chunk_size < 1:
-        raise ValueError("n and chunk_size must be >= 1")
+def _source(state: GaussianState, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(mean, Cholesky factor, seed): all a process needs to draw chunks of
+    a Gaussian state. Raises ValueError on a degenerate covariance."""
     try:
         lower = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not factorizable (degenerate state)") from exc
-    for k, start in enumerate(range(0, n, chunk_size)):
-        z = _chunk_rng(seed, k).standard_normal((min(chunk_size, n - start), state.mean.size))
-        yield state.mean + z @ lower.T
+    return state.mean, lower, seed
+
+
+def _blocks(source: tuple[np.ndarray, np.ndarray, int], k: int, rows: int):
+    """The one sampling loop: yield chunk k's `rows` i.i.d. points, drawn from
+    substream (seed, k) as arrays of at most BLOCK rows."""
+    mean, lower, seed = source
+    rng = _chunk_rng(seed, k)
+    for start in range(0, rows, BLOCK):
+        z = rng.standard_normal((min(BLOCK, rows - start), mean.size))
+        yield mean + z @ lower.T
+
+
+def _chunk_rows(n: int, chunk_size: int) -> list[tuple[int, int]]:
+    """(k, rows) of each chunk of n samples."""
+    if n < 1 or chunk_size < 1:
+        raise ValueError("n and chunk_size must be >= 1")
+    return [(k, min(chunk_size, n - start)) for k, start in enumerate(range(0, n, chunk_size))]
+
+
+def _pool_workers(n_chunks: int) -> int:
+    """Processes that run n_chunks chunks: the pool's, or 1 where they run in
+    this process. That is the case for one chunk or one CPU, without fork,
+    in a daemonic process (a pool worker cannot have children) and in a
+    forked copy of the pool's owner (the copy has no workers)."""
+    if n_chunks < 2 or WORKERS < 2:
+        return 1
+    import multiprocessing  # only here: importing it adds to every `import erlweak`
+
+    if (
+        multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or (_pool is not None and _pool_owner != os.getpid())
+    ):
+        return 1
+    return min(WORKERS, n_chunks)
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None and _pool_owner == os.getpid():
+        _pool.close()
+        _pool.join()
+        _pool = None
+
+
+def _star(task):
+    fn, args, k, rows = task
+    return fn(args, k, rows)
+
+
+def _map_chunks(fn, args, n: int, chunk_size: int):
+    """fn(args, k, rows) for each chunk k of n samples, in chunk order.
+
+    Chunks run on the persistent fork pool when `_pool_workers` allows, else
+    with plain `map`. Workers are forked, so they start with this process's
+    modules and need only the small `args` tuple; each returns a reduced
+    chunk, not its points.
+    """
+    tasks = [(fn, args, k, rows) for k, rows in _chunk_rows(n, chunk_size)]
+    if _pool_workers(len(tasks)) == 1:
+        return map(_star, tasks)
+    return _pooled(tasks)
+
+
+def _pooled(tasks):
+    """Yield the results of tasks run on the pool, in order. The pool is made
+    on first use and closed and joined at exit. An interrupt or error while
+    tasks are out terminates it instead: a worker killed by the interrupt
+    loses its task, and joining would wait for that task forever. The next
+    call makes a new pool."""
+    global _pool, _pool_owner
+    if _pool is None:
+        import multiprocessing
+
+        _pool = multiprocessing.get_context("fork").Pool(WORKERS)
+        _pool_owner = os.getpid()
+        atexit.register(_close_pool)
+    try:
+        yield from _pool.imap(_star, tasks)
+    except BaseException:
+        _pool.terminate()
+        _pool = None
+        raise
+
+
+def chunk_plan(n: int, chunk_size: int = DEFAULT_CHUNK) -> tuple[int, int]:
+    """(workers, chunks) with which the samplers run n samples."""
+    chunks = len(_chunk_rows(n, chunk_size))
+    return _pool_workers(chunks), chunks
 
 
 def sample_state(
     state: GaussianState, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK
 ) -> np.ndarray:
-    """Draw n i.i.d. points from a Gaussian state as an (n, 2*n_modes) array."""
+    """Draw n i.i.d. points from a Gaussian state as an (n, 2*n_modes) array.
+    Runs in this process: workers would only copy the points back."""
+    source = _source(state, seed)
     out = np.empty((n, state.mean.size))
-    for k, pts in enumerate(_chunks(state, n, seed, chunk_size)):
-        out[k * chunk_size : k * chunk_size + pts.shape[0]] = pts
+    start = 0
+    for k, rows in _chunk_rows(n, chunk_size):
+        for pts in _blocks(source, k, rows):
+            out[start : start + pts.shape[0]] = pts
+            start += pts.shape[0]
     return out
 
 
@@ -155,6 +268,28 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(values.size))
     return mean, se
+
+
+def _experiment_chunk(args, k: int, rows: int) -> np.ndarray:
+    """Chunk k of `run_weak_experiment`: its accepted (Q', P', A) rows, after
+    checking at every point that the coupling left A and P unchanged."""
+    source, smap, theta_A, theta_B, b, epsilon = args
+    accepted = []
+    for pts in _blocks(source, k, rows):
+        evolved = apply_to_points(smap, pts)
+
+        a_before = theta_A.value(pts[:, 0], pts[:, 1])
+        a_after = theta_A.value(evolved[:, 0], evolved[:, 1])
+        scale = np.maximum(1.0, np.abs(a_before))
+        if np.max(np.abs(a_after - a_before) / scale) > REPEATABILITY_TOL:
+            raise AssertionError("repeatability violated: A changed under coupling")
+        if not np.array_equal(evolved[:, 3], pts[:, 3]):
+            raise AssertionError("repeatability violated: P changed under coupling")
+
+        b_val = theta_B.value(evolved[:, 0], evolved[:, 1])
+        keep = np.abs(b_val - b) <= epsilon
+        accepted.append(np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]]))
+    return np.concatenate(accepted, axis=0)
 
 
 def run_weak_experiment(
@@ -165,30 +300,20 @@ def run_weak_experiment(
     Q', P' and A(q', p') with normal-theory standard errors.
 
     Per-point repeatability (A and P unchanged by the coupling) is asserted
-    on every chunk.
+    on every sampled point. Chunks run in parallel (see `_map_chunks`); their
+    accepted rows are joined in chunk order before the means are taken.
     """
-    smap = coupling_map(config.g, config.theta_A)
     epsilon = config.resolved_epsilon()
-    accepted: list[np.ndarray] = []
     n = config.n_samples
-    for pts in _chunks(config.joint(), n, config.seed, chunk_size):
-        evolved = apply_to_points(smap, pts)
-
-        a_before = config.theta_A.value(pts[:, 0], pts[:, 1])
-        a_after = config.theta_A.value(evolved[:, 0], evolved[:, 1])
-        scale = np.maximum(1.0, np.abs(a_before))
-        if np.max(np.abs(a_after - a_before) / scale) > REPEATABILITY_TOL:
-            raise AssertionError("repeatability violated: A changed under coupling")
-        if not np.array_equal(evolved[:, 3], pts[:, 3]):
-            raise AssertionError("repeatability violated: P changed under coupling")
-
-        b_val = config.theta_B.value(evolved[:, 0], evolved[:, 1])
-        keep = np.abs(b_val - config.b) <= epsilon
-        accepted.append(
-            np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]])
-        )
-
-    rows = np.concatenate(accepted, axis=0)
+    args = (
+        _source(config.joint(), config.seed),
+        coupling_map(config.g, config.theta_A),
+        config.theta_A,
+        config.theta_B,
+        config.b,
+        epsilon,
+    )
+    rows = np.concatenate(list(_map_chunks(_experiment_chunk, args, n, chunk_size)), axis=0)
     n_acc = rows.shape[0]
     rate = n_acc / n
     if n_acc < 2:
@@ -309,8 +434,9 @@ def joint_momentum_histogram(
     (counts, p_edges, P_edges). Draws outside hist_range are not counted:
     the automatic box (+-5 std of each marginal) misses about 1.15e-6 of
     them, so the total equals n_samples only for a range that holds them all.
-    Counts are summed chunk by chunk, so memory is O(chunk_size), not
-    O(n_samples), and the result equals one histogram of all the draws.
+    Counts are summed chunk by chunk, in parallel (see `_map_chunks`), so
+    memory is O(BLOCK) rows per worker, not O(n_samples), and the result
+    equals one histogram of all the draws.
     """
     if isinstance(bins, int):
         bins = (bins, bins)
@@ -325,15 +451,27 @@ def joint_momentum_histogram(
         half_p = 5.0 * math.sqrt(cov[1, 1])
         half_P = 5.0 * math.sqrt(cov[3, 3])
         hist_range = ((mu[1] - half_p, mu[1] + half_p), (mu[3] - half_P, mu[3] + half_P))
-    smap = coupling_map(config.g, config.theta_A)
-    counts = np.zeros(bins)
-    for pts in _chunks(config.joint(), config.n_samples, config.seed, chunk_size):
-        evolved = apply_to_points(smap, pts)
-        part, p_edges, P_edges = np.histogram2d(
-            evolved[:, 1], evolved[:, 3], bins=bins, range=hist_range
-        )
+    empty = np.empty(0)
+    counts, p_edges, P_edges = np.histogram2d(empty, empty, bins=bins, range=hist_range)
+    args = (
+        _source(config.joint(), config.seed),
+        coupling_map(config.g, config.theta_A),
+        bins,
+        hist_range,
+    )
+    for part in _map_chunks(_histogram_chunk, args, config.n_samples, chunk_size):
         counts += part  # whole numbers below 2**53: the float sum is exact
     return counts, p_edges, P_edges
+
+
+def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
+    """Chunk k of `joint_momentum_histogram`: its (p', P) counts."""
+    source, smap, bins, hist_range = args
+    counts = np.zeros(bins)
+    for pts in _blocks(source, k, rows):
+        evolved = apply_to_points(smap, pts)
+        counts += np.histogram2d(evolved[:, 1], evolved[:, 3], bins=bins, range=hist_range)[0]
+    return counts
 
 
 def exact_strong_correlation(
@@ -357,8 +495,9 @@ def strong_measurement_correlation(
     particle observable A, for each device spread in a decreasing sequence.
 
     Tends to 1 as delta_Q -> 0: the strong-measurement limit. The centred
-    moments of each chunk's (A, Q') are merged in chunk order, so memory is
-    O(chunk_size), not O(n_samples).
+    moments of each chunk's (A, Q') are computed in parallel (see
+    `_map_chunks`) and merged in chunk order, so memory is O(chunk_size),
+    not O(n_samples).
     """
     smap = coupling_map(config.g, config.theta_A)
     out = []
@@ -366,17 +505,33 @@ def strong_measurement_correlation(
         if delta_Q <= 0:
             raise ValueError("delta_Q must be positive")
         joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
+        args = (_source(joint, config.seed), smap, config.theta_A)
         n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
-        for pts in _chunks(joint, config.n_samples, config.seed, chunk_size):
-            q_dev = apply_to_points(smap, pts)[:, 2]
-            aq = np.column_stack([config.theta_A.value(pts[:, 0], pts[:, 1]), q_dev])
-            m, chunk_mean = aq.shape[0], aq.mean(axis=0)
-            centred, delta = aq - chunk_mean, chunk_mean - mean
+        for m, chunk_mean, chunk_scatter in _map_chunks(
+            _correlation_chunk, args, config.n_samples, chunk_size
+        ):
+            delta = chunk_mean - mean
             # merge the chunk's centred moments (Chan, Golub & LeVeque 1983)
-            scatter += centred.T @ centred + np.outer(delta, delta) * (n * m / (n + m))
+            scatter += chunk_scatter + np.outer(delta, delta) * (n * m / (n + m))
             n += m
             mean += delta * (m / n)
         if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):
             raise ValueError("degenerate variance in correlation estimate")
         out.append(float(np.clip(scatter[0, 1] / math.sqrt(scatter[0, 0] * scatter[1, 1]), -1, 1)))
     return out
+
+
+def _correlation_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Chunk k of `strong_measurement_correlation`: (rows, mean, centred
+    scatter matrix) of its (A, Q'), computed over the whole chunk."""
+    source, smap, theta_A = args
+    aq = np.empty((rows, 2))
+    start = 0
+    for pts in _blocks(source, k, rows):
+        stop = start + pts.shape[0]
+        aq[start:stop, 0] = theta_A.value(pts[:, 0], pts[:, 1])
+        aq[start:stop, 1] = apply_to_points(smap, pts)[:, 2]
+        start = stop
+    mean = aq.mean(axis=0)
+    centred = aq - mean
+    return rows, mean, centred.T @ centred

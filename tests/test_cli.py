@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from erlweak import montecarlo
 from erlweak.cli import config_echo, main, parse_experiment
 from erlweak.montecarlo import oracle_estimate
 
@@ -218,6 +219,49 @@ class TestVerifyAndRoundTrip:
         echoed = config_echo(config)
         assert parse_experiment(echoed) == config
         assert config_echo(parse_experiment(echoed)) == echoed
+
+
+class TestWorkerIndependence:
+    """Data CSVs do not depend on how many processes run the chunks."""
+
+    # three chunks of DEFAULT_CHUNK rows, the last one partial, and n is not
+    # a multiple of the block size either
+    N = 2 * montecarlo.DEFAULT_CHUNK + 12_345
+
+    def _run(self, tmp_path, name, argv, doc):
+        path = write_config(tmp_path, doc, f"{name}.json")
+        out = tmp_path / name
+        assert main([*argv, "--config", path, "--out", str(out), "--quiet"]) == 0
+        csvs = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+        return csvs, json.loads((out / "manifest.json").read_text())["run"]
+
+    def test_csvs_identical_with_one_worker_and_with_the_pool(self, tmp_path, monkeypatch):
+        assert self.N % montecarlo.BLOCK
+        doc = base_config(
+            coupling={"g": 0.3, "theta_A": 0.2},
+            device={"omega": 0.5, "mu_P": 0.3},
+            postselection={"b": 0.5, "epsilon": 0.2},
+            sampling={"n_samples": self.N},
+        )
+        commands = {
+            "simulate": (["simulate"], doc),
+            "sweep": (["sweep", "--mc"], {**doc, "sweep": {"b": [0.5, 1.0]}}),
+            "histogram": (["histogram"], {**doc, "histogram": {"bins": 17}}),
+        }
+        pooled = {name: self._run(tmp_path, f"pool-{name}", *cmd) for name, cmd in commands.items()}
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)
+        serial = {name: self._run(tmp_path, f"one-{name}", *cmd) for name, cmd in commands.items()}
+        for name in commands:
+            (pooled_csvs, pooled_run), (serial_csvs, serial_run) = pooled[name], serial[name]
+            assert pooled_csvs and pooled_csvs == serial_csvs, name
+            chunks = 3 * (2 if name == "sweep" else 1)
+            assert serial_run == {"workers": 1, "chunks": chunks}
+            assert pooled_run == {"workers": min(montecarlo._usable_cpus(), 3), "chunks": chunks}
+
+    def test_closed_form_sweep_runs_no_chunks(self, tmp_path):
+        doc = base_config()
+        doc["sweep"] = {"g": [0.1, 0.2]}
+        assert self._run(tmp_path, "closed", ["sweep"], doc)[1] == {"workers": 0, "chunks": 0}
 
 
 def test_import_loads_no_scipy():

@@ -1,7 +1,13 @@
 import dataclasses
 import math
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from erlweak import (
     tensor,
     windowed_oracle,
 )
+from erlweak import montecarlo
 
 HALF_PI = math.pi / 2
 
@@ -75,9 +82,121 @@ class TestSampling:
             sample_state(flat, 10, seed=0)
 
     def test_chunk_size_must_be_positive(self):
+        config = dataclasses.replace(BASE, n_samples=10)
         for chunk_size in (0, -5):
             with pytest.raises(ValueError):
                 sample_state(make_particle(0.0, 0.0, 1.0), 10, seed=0, chunk_size=chunk_size)
+            with pytest.raises(ValueError):
+                run_weak_experiment(config, chunk_size=chunk_size)
+            with pytest.raises(ValueError):
+                joint_momentum_histogram(config, 5, chunk_size=chunk_size)
+            with pytest.raises(ValueError):
+                strong_measurement_correlation([1.0], config, chunk_size=chunk_size)
+
+
+class TestBlocks:
+    """Inside a chunk, points are drawn in blocks of BLOCK rows from the
+    chunk's one Generator; they equal one draw of the whole chunk."""
+
+    @pytest.mark.parametrize(
+        "rows", [1000, montecarlo.BLOCK, 20_000, montecarlo.DEFAULT_CHUNK]
+    )
+    def test_blocks_equal_one_draw_per_chunk(self, rows):
+        state = dataclasses.replace(BASE, omega=0.5, mu_P=0.3, mu_q=0.2, g=0.4).evolved_joint()
+        lower = np.linalg.cholesky(state.cov)
+        blocks = list(montecarlo._blocks(montecarlo._source(state, 11), 3, rows))
+        assert max(b.shape[0] for b in blocks) <= montecarlo.BLOCK
+        z = montecarlo._chunk_rng(11, 3).standard_normal((rows, 4))
+        np.testing.assert_array_equal(np.concatenate(blocks), state.mean + z @ lower.T)
+
+    def test_one_sampling_loop(self):
+        src = Path(montecarlo.__file__).parent
+        calls = sum(f.read_text().count("standard_normal") for f in src.glob("*.py"))
+        assert calls == 1
+
+
+class TestChunkPool:
+    def test_degenerate_covariance_raises_before_dispatch(self, monkeypatch):
+        from erlweak import GaussianState
+
+        flat = GaussianState(np.zeros(4), np.diag([1.0, 0.0, 1.0, 1.0]))
+
+        def no_dispatch(*args):
+            raise AssertionError("chunks dispatched")
+
+        monkeypatch.setattr(montecarlo, "_map_chunks", no_dispatch)
+        monkeypatch.setattr(ExperimentConfig, "joint", lambda self: flat)
+        monkeypatch.setattr(montecarlo, "tensor", lambda *states: flat)
+        config = dataclasses.replace(BASE, epsilon=0.1, n_samples=10 * montecarlo.BLOCK)
+        chunk = montecarlo.BLOCK
+        with pytest.raises(ValueError, match="degenerate"):
+            run_weak_experiment(config, chunk_size=chunk)
+        with pytest.raises(ValueError, match="degenerate"):
+            joint_momentum_histogram(config, 5, ((-1.0, 1.0), (-1.0, 1.0)), chunk_size=chunk)
+        with pytest.raises(ValueError, match="degenerate"):
+            strong_measurement_correlation([1.0], config, chunk_size=chunk)
+
+    RUN = (
+        "import dataclasses, os, erlweak.montecarlo as mc\n"
+        "from erlweak import ExperimentConfig, Quadrature\n"
+        "c = ExperimentConfig(0, 0, 1, 1, 0, 0, 0.1, Quadrature(0), Quadrature(1.5708), 1.0, 0.2, 50_000, 3)\n"
+        "first = mc.run_weak_experiment(c, chunk_size=10_000)\n"
+    )
+
+    @staticmethod
+    def _env():
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def _python(self, code):
+        return subprocess.run(
+            [sys.executable, "-c", code], env=self._env(), capture_output=True, text=True, timeout=120
+        )
+
+    def test_fresh_interpreter_exits_cleanly(self):
+        # the pool is closed and joined at exit: nothing may print from a finaliser
+        done = self._python(self.RUN + "assert first.n_accepted > 2 and mc.chunk_plan(50_000, 10_000)[1] == 5\n")
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_forked_copy_of_the_owner_runs_in_process(self):
+        # a fork of the pool's owner has no workers: it runs its chunks itself
+        code = self.RUN + (
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    same = mc.run_weak_experiment(c, chunk_size=10_000) == first\n"
+            "    os._exit(0 if same and mc.chunk_plan(50_000, 10_000)[0] == 1 else 1)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+            "assert mc.chunk_plan(50_000, 10_000)[0] == min(mc.WORKERS, 5)\n"
+        )
+        done = self._python(code)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_interrupt_while_chunks_run_does_not_hang_exit(self):
+        # Ctrl-C reaches the workers too; a pool that lost their tasks must
+        # not be joined at exit
+        code = self.RUN + (
+            "print('ready', flush=True)\n"
+            "mc.run_weak_experiment(dataclasses.replace(c, epsilon=0.01, n_samples=200_000_000))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=self._env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline() == "ready\n"
+            time.sleep(0.5)
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            proc.stdout.close()
+        assert proc.returncode in (0, -signal.SIGINT)
 
 
 class TestRunWeakExperiment:
@@ -438,6 +557,11 @@ class TestBoundedMemory:
 
     CONFIG = dataclasses.replace(BASE, g=0.5, n_samples=2_000_000)
     LIMIT = 16 * 2**20
+
+    @pytest.fixture(autouse=True)
+    def _one_worker(self, monkeypatch):
+        # tracemalloc sees this process only: chunks must not go to workers
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)
 
     @staticmethod
     def _peak(fn):
