@@ -48,14 +48,40 @@ def _fmt(x: float) -> str:
     return f"{0.0 if x == 0 else x:.17g}"
 
 
+def _cells(values) -> list[str]:
+    """CSV cells: floats through `_fmt`, anything else through str."""
+    return [_fmt(x) if isinstance(x, float) else str(x) for x in values]
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write a data CSV: the header, then one line per row of str cells.
+    Rows may come from a generator: each line is written as its row arrives."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _number(value, field: str, what: str = "a number") -> float:
+    """value as a finite float, else a ConfigError naming the field. JSON's
+    NaN and Infinity parse as floats, and an integer may not fit in one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{field}' must be {what}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"field '{field}' must be finite")
+    return value
+
+
 def _require(section: dict, section_name: str, field: str, kind):
     if field not in section:
         raise ConfigError(f"missing field '{section_name}.{field}'")
     value = section[field]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field '{section_name}.{field}' must be a number")
-        return float(value)
+        return _number(value, f"{section_name}.{field}")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"field '{section_name}.{field}' must be an integer")
@@ -93,9 +119,7 @@ def parse_experiment(doc: dict, seed_override: int | None = None) -> ExperimentC
     sampling = _section(doc, "sampling")
     epsilon = post.get("epsilon")
     if epsilon is not None:
-        if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-            raise ConfigError("field 'postselection.epsilon' must be a number or null")
-        epsilon = float(epsilon)
+        epsilon = _number(epsilon, "postselection.epsilon", "a number or null")
     seed = seed_override if seed_override is not None else _require(sampling, "sampling", "seed", int)
     try:
         return ExperimentConfig(
@@ -272,10 +296,7 @@ def cmd_simulate(args) -> int:
         dev = {"acceptance_rate": exc.acceptance_rate, "epsilon": epsilon}
 
     csv_path = out_dir / "simulate.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(SIMULATE_HEADER + "\n")
-        cells = [_fmt(x) if isinstance(x, float) else str(x) for x in row]
-        fh.write(",".join(cells + [error]) + "\n")
+    _write_csv(csv_path, SIMULATE_HEADER, [_cells(row + [error])])
     manifest = write_manifest(
         out_dir,
         config_echo(config),
@@ -296,6 +317,69 @@ SWEEP_HEADER = (
 )
 
 
+def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool):
+    """One row per grid point of the sweep, made as it is asked for, so
+    `sweep --mc` writes each point's line before sampling the next."""
+    names = list(axes)
+    for combo in itertools.product(*(axes[k] for k in names)):
+        point = dict(zip(names, combo))
+        delta_Q = point.get("delta_Q", base.delta_Q)
+        if "delta_P" in point:
+            # pure device at this omega: delta_Q fixed by delta_P
+            delta_Q = math.sqrt(1.0 + base.omega**2) / (2.0 * point["delta_P"])
+        config = dataclasses.replace(
+            base,
+            g=point.get("g", base.g),
+            delta_Q=delta_Q,
+            theta_A=Quadrature(point.get("theta_A", base.theta_A.theta)),
+            theta_B=Quadrature(point.get("theta_B", base.theta_B.theta)),
+            b=point.get("b", base.b),
+        )
+        exact_Q, exact_P = postselected_means_gaussian(
+            config.mu_q,
+            config.mu_p,
+            config.sigma,
+            config.delta_Q,
+            config.omega,
+            config.g,
+            config.theta_A,
+            config.theta_B,
+            config.b,
+            mu_P=config.mu_P,
+        )
+        wv = weak_value_gaussian(
+            config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
+        )
+        fo_Q, p_shift = first_order_shifts(wv, config.g, config.delta_P, config.omega)
+        fo_P = config.mu_P + p_shift
+        margin = gaussian_regime_margin(
+            config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
+        )
+        row = [
+            config.g,
+            config.delta_Q,
+            config.omega,
+            config.theta_A.theta,
+            config.theta_B.theta,
+            config.b,
+            exact_Q,
+            exact_P,
+            fo_Q,
+            fo_P,
+            exact_Q - fo_Q,
+            exact_P - fo_P,
+            margin.ratio,
+            margin.classification,
+        ]
+        if mc:
+            try:
+                est = run_weak_experiment(config)
+                row += [est.mean_Q, est.se_Q, est.mean_P, est.se_P]
+            except InsufficientAcceptanceError:
+                row += ["nan"] * 4
+        yield _cells(row)
+
+
 def cmd_sweep(args) -> int:
     doc = load_document(args.config)
     base = parse_experiment(doc, args.seed)
@@ -306,7 +390,7 @@ def cmd_sweep(args) -> int:
             values = sweep[key]
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"field 'sweep.{key}' must be a nonempty list")
-            axes[key] = [float(v) for v in values]
+            axes[key] = [_number(v, f"sweep.{key}") for v in values]
     if not axes:
         raise ConfigError(f"section 'sweep' must list at least one of {SWEEP_KEYS}")
     if "delta_Q" in axes and "delta_P" in axes:
@@ -316,66 +400,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     header = SWEEP_HEADER + (",mc_Q,mc_se_Q,mc_P,mc_se_P" if args.mc else "")
-    names = list(axes)
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for combo in itertools.product(*(axes[k] for k in names)):
-            point = dict(zip(names, combo))
-            delta_Q = point.get("delta_Q", base.delta_Q)
-            if "delta_P" in point:
-                # pure device at this omega: delta_Q fixed by delta_P
-                delta_Q = math.sqrt(1.0 + base.omega**2) / (2.0 * point["delta_P"])
-            config = dataclasses.replace(
-                base,
-                g=point.get("g", base.g),
-                delta_Q=delta_Q,
-                theta_A=Quadrature(point.get("theta_A", base.theta_A.theta)),
-                theta_B=Quadrature(point.get("theta_B", base.theta_B.theta)),
-                b=point.get("b", base.b),
-            )
-            exact_Q, exact_P = postselected_means_gaussian(
-                config.mu_q,
-                config.mu_p,
-                config.sigma,
-                config.delta_Q,
-                config.omega,
-                config.g,
-                config.theta_A,
-                config.theta_B,
-                config.b,
-                mu_P=config.mu_P,
-            )
-            wv = weak_value_gaussian(
-                config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
-            )
-            fo_Q, p_shift = first_order_shifts(wv, config.g, config.delta_P, config.omega)
-            fo_P = config.mu_P + p_shift
-            margin = gaussian_regime_margin(
-                config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
-            )
-            cells = [
-                _fmt(config.g),
-                _fmt(config.delta_Q),
-                _fmt(config.omega),
-                _fmt(config.theta_A.theta),
-                _fmt(config.theta_B.theta),
-                _fmt(config.b),
-                _fmt(exact_Q),
-                _fmt(exact_P),
-                _fmt(fo_Q),
-                _fmt(fo_P),
-                _fmt(exact_Q - fo_Q),
-                _fmt(exact_P - fo_P),
-                _fmt(margin.ratio),
-                margin.classification,
-            ]
-            if args.mc:
-                try:
-                    est = run_weak_experiment(config)
-                    cells += [_fmt(est.mean_Q), _fmt(est.se_Q), _fmt(est.mean_P), _fmt(est.se_P)]
-                except InsufficientAcceptanceError:
-                    cells += ["nan"] * 4
-            fh.write(",".join(cells) + "\n")
+    _write_csv(csv_path, header, _sweep_rows(base, axes, args.mc))
     run = _run_record(base.n_samples, math.prod(map(len, axes.values())) if args.mc else 0)
     manifest = write_manifest(out_dir, doc, base.seed, [csv_path.name], {"run": run})
     if not args.quiet:
@@ -415,7 +440,10 @@ def cmd_histogram(args) -> int:
             rng = hist.get(key)
             if not isinstance(rng, list) or len(rng) != 2:
                 raise ConfigError(f"field 'histogram.{key}' must be [lo, hi]")
-        hist_range = (tuple(map(float, hist["p_range"])), tuple(map(float, hist["P_range"])))
+        hist_range = tuple(
+            tuple(_number(v, f"histogram.{key}") for v in hist[key])
+            for key in ("p_range", "P_range")
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -423,22 +451,17 @@ def cmd_histogram(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     csv_path = out_dir / "histogram.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(HISTOGRAM_HEADER + "\n")
-        for i in range(counts.shape[0]):
-            for j in range(counts.shape[1]):
-                fh.write(
-                    ",".join(
-                        [
-                            _fmt(float(p_edges[i])),
-                            _fmt(float(p_edges[i + 1])),
-                            _fmt(float(P_edges[j])),
-                            _fmt(float(P_edges[j + 1])),
-                            str(int(counts[i, j])),
-                        ]
-                    )
-                    + "\n"
-                )
+    # each edge formatted once: a "lo,hi" cell per bin of p' and of P
+    p_bins, P_bins = (
+        [f"{lo},{hi}" for lo, hi in itertools.pairwise(_cells(edges.tolist()))]
+        for edges in (p_edges, P_edges)
+    )
+    rows = (
+        (p_bin, P_bin, str(n))
+        for p_bin, row in zip(p_bins, counts)
+        for P_bin, n in zip(P_bins, row.astype(int).tolist())
+    )
+    _write_csv(csv_path, HISTOGRAM_HEADER, rows)
     manifest = write_manifest(
         out_dir, config_echo(config), config.seed, [csv_path.name], {"run": _run_record(config.n_samples)}
     )

@@ -7,8 +7,11 @@ function of (args, k, rows) plus a reduction of the chunk results in chunk
 order. `_map_chunks` runs the chunks on a persistent fork pool of `WORKERS`
 processes (the CPUs this process may use), or in this process where a pool
 cannot help or cannot be used. Inside a chunk, `_blocks` draws the substream
-in blocks of `BLOCK` rows, so memory is O(BLOCK) rows per worker; only
-`sample_state` materialises n rows.
+in blocks of `BLOCK` rows into two buffers that every block of the chunk
+reuses, so memory is O(BLOCK) rows per worker and a yielded block is valid
+only until the next one; only `sample_state` materialises n rows. The
+histogram bins each block by an arithmetic index corrected against the edges
+(`_bin_index`), with counts equal to `np.histogram2d`'s exactly.
 """
 
 from __future__ import annotations
@@ -162,12 +165,24 @@ def _source(state: GaussianState, seed: int) -> tuple[np.ndarray, np.ndarray, in
 
 def _blocks(source: tuple[np.ndarray, np.ndarray, int], k: int, rows: int):
     """The one sampling loop: yield chunk k's `rows` i.i.d. points, drawn from
-    substream (seed, k) as arrays of at most BLOCK rows."""
+    substream (seed, k) as arrays of at most BLOCK rows.
+
+    Every block is drawn into the same two buffers, so a yielded block is a
+    view that is valid only until the next one: copy what must outlive it.
+    The mean is added one column at a time in place, which gives the same
+    sums as `mean + z @ lower.T`.
+    """
     mean, lower, seed = source
     rng = _chunk_rng(seed, k)
+    z = np.empty((min(BLOCK, rows), mean.size))
+    pts = np.empty_like(z)
     for start in range(0, rows, BLOCK):
-        z = rng.standard_normal((min(BLOCK, rows - start), mean.size))
-        yield mean + z @ lower.T
+        m = min(BLOCK, rows - start)
+        rng.standard_normal(out=z[:m])
+        np.matmul(z[:m], lower.T, out=pts[:m])
+        for j, mu in enumerate(mean):
+            pts[:m, j] += mu
+        yield pts[:m]
 
 
 def _chunk_rows(n: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -287,8 +302,11 @@ def _experiment_chunk(args, k: int, rows: int) -> np.ndarray:
             raise AssertionError("repeatability violated: P changed under coupling")
 
         b_val = theta_B.value(evolved[:, 0], evolved[:, 1])
-        keep = np.abs(b_val - b) <= epsilon
-        accepted.append(np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]]))
+        keep = np.flatnonzero(np.abs(b_val - b) <= epsilon)
+        kept = np.empty((keep.size, 3))
+        kept[:, :2] = evolved[keep, 2:]
+        kept[:, 2] = a_after[keep]
+        accepted.append(kept)
     return np.concatenate(accepted, axis=0)
 
 
@@ -431,12 +449,15 @@ def joint_momentum_histogram(
     """2D histogram of (particle momentum after coupling, device momentum).
 
     Postselection settings in the config are ignored. Returns
-    (counts, p_edges, P_edges). Draws outside hist_range are not counted:
-    the automatic box (+-5 std of each marginal) misses about 1.15e-6 of
-    them, so the total equals n_samples only for a range that holds them all.
-    Counts are summed chunk by chunk, in parallel (see `_map_chunks`), so
-    memory is O(BLOCK) rows per worker, not O(n_samples), and the result
-    equals one histogram of all the draws.
+    (counts, p_edges, P_edges), exactly as `np.histogram2d` of all the draws
+    with this `bins` and `hist_range` returns them. Draws outside hist_range
+    are not counted: the automatic box (+-5 std of each marginal) misses
+    about 1.15e-6 of them, so the total equals n_samples only for a range
+    that holds them all. Counts are summed chunk by chunk, in parallel (see
+    `_map_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples);
+    each block is binned by `_bin_index`, not by a binary search. Raises
+    ValueError for bins < 2, an empty or non-finite range, or a range too
+    narrow for strictly increasing edges.
     """
     if isinstance(bins, int):
         bins = (bins, bins)
@@ -444,6 +465,8 @@ def joint_momentum_histogram(
         raise ValueError("bins must be >= 2 in each dimension")
     if hist_range is not None:
         (p_lo, p_hi), (P_lo, P_hi) = hist_range
+        if not all(map(math.isfinite, (p_lo, p_hi, P_lo, P_hi))):
+            raise ValueError("histogram range must be finite")
         if not (p_lo < p_hi and P_lo < P_hi):
             raise ValueError("empty histogram range")
     if hist_range is None:
@@ -452,26 +475,69 @@ def joint_momentum_histogram(
         half_P = 5.0 * math.sqrt(cov[3, 3])
         hist_range = ((mu[1] - half_p, mu[1] + half_p), (mu[3] - half_P, mu[3] + half_P))
     empty = np.empty(0)
-    counts, p_edges, P_edges = np.histogram2d(empty, empty, bins=bins, range=hist_range)
+    with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows: checked below
+        counts, p_edges, P_edges = np.histogram2d(empty, empty, bins=bins, range=hist_range)
+    for edges in (p_edges, P_edges):
+        if not np.isfinite(edges).all():
+            raise ValueError("histogram edges must be finite")
+        if not (np.diff(edges) > 0).all():
+            raise ValueError("histogram range too narrow: edges must be strictly increasing")
     args = (
         _source(config.joint(), config.seed),
         coupling_map(config.g, config.theta_A),
-        bins,
-        hist_range,
+        p_edges,
+        P_edges,
     )
     for part in _map_chunks(_histogram_chunk, args, config.n_samples, chunk_size):
         counts += part  # whole numbers below 2**53: the float sum is exact
     return counts, p_edges, P_edges
 
 
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """`np.histogram`'s bin index of each x: searchsorted(edges, x, "right"),
+    less 1 where x equals the last edge. So 1..n are the bins (the last one
+    closed), 0 is below the first edge and n + 1 above the last edge or nan.
+
+    edges are n + 1 finite, non-decreasing values. The arithmetic index
+    (x - lo) * n / (hi - lo) is only a first guess. Each pass then moves an
+    index down where x is below its lower edge and up where x is at or above
+    its upper edge, until none moves (usually after one pass), so the result
+    is exact however the edges were rounded. In `guarded`, index j runs from
+    guarded[j] to guarded[j + 1]: index 0 from -inf, index n up to
+    nextafter(hi, inf), which closes the last bin, and index n + 1 up to nan,
+    which no x reaches.
+    """
+    n = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    guarded = np.concatenate(([-np.inf], edges[:-1], [np.nextafter(hi, np.inf), np.nan]))
+    upper = guarded[1:]  # upper[j] == guarded[j + 1]
+    with np.errstate(all="ignore"):  # overflow or 0 * inf: a guess of 0 or n + 1
+        guess = x - lo
+        guess *= n / (hi - lo)
+    guess += 1.0
+    np.fmin(guess, n + 1.0, out=guess)  # nan -> n + 1
+    np.fmax(guess, 0.0, out=guess)
+    j = guess.astype(np.intp)
+    while True:
+        up = x >= upper[j]
+        down = x < guarded[j]
+        if not (up.any() or down.any()):
+            return j
+        j += up
+        j -= down
+
+
 def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
-    """Chunk k of `joint_momentum_histogram`: its (p', P) counts."""
-    source, smap, bins, hist_range = args
-    counts = np.zeros(bins)
+    """Chunk k of `joint_momentum_histogram`: its (p', P) counts, binned as
+    `np.histogram2d` bins them (see `_bin_index`)."""
+    source, smap, p_edges, P_edges = args
+    width = P_edges.size + 1  # bins of P plus one below and one above
+    counts = np.zeros((p_edges.size + 1) * width, dtype=np.int64)
     for pts in _blocks(source, k, rows):
-        evolved = apply_to_points(smap, pts)
-        counts += np.histogram2d(evolved[:, 1], evolved[:, 3], bins=bins, range=hist_range)[0]
-    return counts
+        p, P = apply_to_points(smap, pts)[:, 1::2].T.copy()  # contiguous p', P'
+        flat = _bin_index(p, p_edges) * width + _bin_index(P, P_edges)
+        counts += np.bincount(flat, minlength=counts.size)
+    return counts.reshape(-1, width)[1:-1, 1:-1]
 
 
 def exact_strong_correlation(

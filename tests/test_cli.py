@@ -206,6 +206,49 @@ class TestHistogramCommand:
         assert main(["histogram", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+class TestNonFiniteNumbers:
+    """JSON's NaN and Infinity parse as floats; every command rejects them as
+    a config error naming the field, before any output is written."""
+
+    def _rejects(self, tmp_path, capsys, command, doc, field):
+        argv = [command, "--config", write_config(tmp_path, doc)]
+        if command != "weakvalue":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+
+    def test_weakvalue(self, tmp_path, capsys):
+        doc = base_config(postselection={"b": math.nan})
+        self._rejects(tmp_path, capsys, "weakvalue", doc, "postselection.b")
+
+    def test_simulate(self, tmp_path, capsys):
+        doc = base_config(postselection={"epsilon": math.inf})
+        self._rejects(tmp_path, capsys, "simulate", doc, "postselection.epsilon")
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep(self, tmp_path, capsys):
+        doc = base_config(particle={"sigma": 10**400})  # an integer beyond the float range
+        self._rejects(tmp_path, capsys, "sweep", doc, "particle.sigma")
+        doc = base_config()
+        doc["sweep"] = {"g": [0.1, -math.inf]}
+        self._rejects(tmp_path, capsys, "sweep", doc, "sweep.g")
+
+    def test_histogram(self, tmp_path, capsys):
+        doc = base_config()
+        doc["histogram"] = {"bins": 11, "p_range": [-5, 5], "P_range": [math.nan, 3]}
+        self._rejects(tmp_path, capsys, "histogram", doc, "histogram.P_range")
+
+    def test_histogram_range_whose_edges_overflow(self, tmp_path, capsys):
+        # finite bounds whose span overflows: the edges would be nan and inf
+        doc = base_config()
+        doc["histogram"] = {"bins": 11, "p_range": [-1e308, 1e308], "P_range": [-3, 3]}
+        out = tmp_path / "o"
+        assert main(["histogram", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "histogram.csv").exists()
+
+
 class TestVerifyAndRoundTrip:
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0

@@ -104,10 +104,31 @@ class TestBlocks:
     def test_blocks_equal_one_draw_per_chunk(self, rows):
         state = dataclasses.replace(BASE, omega=0.5, mu_P=0.3, mu_q=0.2, g=0.4).evolved_joint()
         lower = np.linalg.cholesky(state.cov)
-        blocks = list(montecarlo._blocks(montecarlo._source(state, 11), 3, rows))
+        blocks = [b.copy() for b in montecarlo._blocks(montecarlo._source(state, 11), 3, rows)]
         assert max(b.shape[0] for b in blocks) <= montecarlo.BLOCK
         z = montecarlo._chunk_rng(11, 3).standard_normal((rows, 4))
         np.testing.assert_array_equal(np.concatenate(blocks), state.mean + z @ lower.T)
+
+    def test_consumers_copy_out_of_the_reused_buffer(self):
+        # one chunk of several blocks: sample_state and the correlation must
+        # take each block's values before the next block overwrites them
+        config = dataclasses.replace(BASE, g=0.4, mu_P=0.3, theta_A=Quadrature(0.6), seed=9)
+        joint = config.joint()
+        rows = 3 * montecarlo.BLOCK + 123
+        lower = np.linalg.cholesky(joint.cov)
+        z = montecarlo._chunk_rng(config.seed, 0).standard_normal((rows, 4))
+        pts = joint.mean + z @ lower.T
+        np.testing.assert_array_equal(sample_state(joint, rows, config.seed, chunk_size=rows), pts)
+
+        smap = coupling_map(config.g, config.theta_A)
+        args = (montecarlo._source(joint, config.seed), smap, config.theta_A)
+        m, mean, scatter = montecarlo._correlation_chunk(args, 0, rows)
+        a = config.theta_A.value(pts[:, 0], pts[:, 1])
+        aq = np.column_stack([a, apply_to_points(smap, pts)[:, 2]])
+        centred = aq - aq.mean(axis=0)
+        assert m == rows
+        np.testing.assert_allclose(mean, aq.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(scatter, centred.T @ centred, rtol=1e-12)
 
     def test_one_sampling_loop(self):
         src = Path(montecarlo.__file__).parent
@@ -440,6 +461,91 @@ class TestHistogram:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             joint_momentum_histogram(BASE, bins=10, hist_range=((1.0, 1.0), (0.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "hist_range",
+        [
+            ((-1e308, 1e308), (0.0, 1.0)),  # finite bounds, the span overflows
+            ((0.0, math.inf), (0.0, 1.0)),
+            ((0.0, 1.0), (math.nan, 1.0)),
+            ((0.0, 1.0), (1.0, 1.0 + 1e-15)),  # too narrow for 10 distinct edges
+        ],
+    )
+    def test_non_finite_or_collapsed_edges_rejected(self, hist_range):
+        with pytest.raises(ValueError, match="finite|strictly increasing"):
+            joint_momentum_histogram(BASE, bins=10, hist_range=hist_range)
+
+
+class TestBinIndex:
+    """`_bin_index` is the bin index np.histogram2d takes from a binary
+    search: searchsorted(edges, x, "right"), one less on the last edge."""
+
+    @staticmethod
+    def _assert_matches_searchsorted(edges, x):
+        expected = np.searchsorted(edges, x, "right") - (x == edges[-1])
+        np.testing.assert_array_equal(montecarlo._bin_index(x, edges), expected)
+
+    @staticmethod
+    def _probes(edges, rng, n=2000):
+        # every edge, its neighbours on both sides, nan, +-inf and a spread
+        # of points over and around the range
+        lo, hi = edges[0], edges[-1]
+        spread = rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2, n)
+        neighbours = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        return np.concatenate([edges, *neighbours, [np.nan, np.inf, -np.inf], spread])
+
+    @pytest.mark.parametrize("bins", [2, 7, 61, 1000])
+    @pytest.mark.parametrize("span", [5e-323, 1e-310, 1e-300, 1e-12, 1.0, 3e7, 1e300])
+    def test_matches_searchsorted(self, bins, span):
+        rng = np.random.default_rng(bins)
+        lo = rng.uniform(-2.0, 1.0) * span
+        hi = lo + span
+        uniform = np.linspace(lo, hi, bins + 1)  # as np.histogram2d makes them
+        scattered = np.sort(np.concatenate([[lo, hi], rng.uniform(lo, hi, bins - 1)]))
+        repeated = scattered.copy()
+        repeats = rng.choice(bins, size=max(1, bins // 4))
+        repeated[repeats + 1] = repeated[repeats]
+        repeated[1], repeated[-2] = repeated[0], repeated[-1]  # repeats at both ends
+        for edges in (uniform, scattered, np.sort(repeated), np.full(bins + 1, lo)):
+            self._assert_matches_searchsorted(edges, self._probes(edges, rng))
+
+    def test_subnormal_range_needs_more_than_one_correction(self):
+        # the edges of (0, 5e-323) in 7 bins are rounded to whole multiples
+        # of the smallest subnormal, far from the arithmetic index
+        edges = np.histogram2d(np.empty(0), np.empty(0), bins=7, range=((0, 5e-323),) * 2)[1]
+        assert len(np.unique(edges)) == len(edges)
+        x = self._probes(edges, np.random.default_rng(0))
+        self._assert_matches_searchsorted(edges, x)
+        with np.errstate(all="ignore"):
+            guess = np.clip(np.nan_to_num((x - edges[0]) / (edges[-1] - edges[0]) * 7), 0, 6)
+        inside = (x >= edges[0]) & (x <= edges[-1])
+        exact = np.searchsorted(edges, x, "right") - 1 - (x == edges[-1])
+        assert np.max(np.abs(guess.astype(int) - exact)[inside]) > 1
+
+    def test_histogram_equals_histogram2d_on_edge_values(self, monkeypatch):
+        bins, hist_range = (13, 7), ((-0.3, 0.4), (0.0, 5e-323))
+        _, p_edges, P_edges = np.histogram2d(np.empty(0), np.empty(0), bins=bins, range=hist_range)
+        rng = np.random.default_rng(3)
+        n = 5000
+        sample = np.zeros((n, 4))
+        sample[:, 1] = rng.choice(self._probes(p_edges, rng), n)
+        sample[:, 3] = rng.choice(self._probes(P_edges, rng), n)
+
+        def blocks(source, k, rows):  # chunks of 2000 rows in blocks of 700
+            start = 2000 * k
+            for s in range(start, start + rows, 700):
+                yield sample[s : min(s + 700, start + rows)]
+
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)
+        monkeypatch.setattr(montecarlo, "_blocks", blocks)
+        monkeypatch.setattr(montecarlo, "apply_to_points", lambda smap, pts: pts)
+        config = dataclasses.replace(BASE, n_samples=n)
+        got = joint_momentum_histogram(config, bins, hist_range, chunk_size=2000)
+        ref = np.histogram2d(sample[:, 1], sample[:, 3], bins=bins, range=hist_range)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            np.testing.assert_array_equal(g, r)
+        assert 0 < got[0].sum() < n
 
 
 class TestStrongMeasurement:
