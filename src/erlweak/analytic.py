@@ -209,7 +209,7 @@ def gaussian_condition(
     gain = joint.cov @ v / s
     mean = joint.mean + gain * (b - v @ joint.mean)
     cov = joint.cov - np.outer(gain, v @ joint.cov)
-    return GaussianState(mean, 0.5 * (cov + cov.T))
+    return GaussianState._derived(mean, 0.5 * (cov + cov.T))
 
 
 def conditional_expectation_A(

@@ -189,29 +189,31 @@ def cmd_weakvalue(args) -> int:
     if "discrete" in doc:
         disc = _section(doc, "discrete")
 
-        def as_complex(name):
+        def entries(name):
             raw = _require(disc, "discrete", name, None)
             if not isinstance(raw, list) or not raw:
                 raise ConfigError(f"field 'discrete.{name}' must be a nonempty list")
-            out = []
-            for item in raw:
-                if isinstance(item, (int, float)) and not isinstance(item, bool):
-                    out.append(complex(item))
-                elif isinstance(item, list) and len(item) == 2:
-                    out.append(complex(item[0], item[1]))
-                else:
-                    raise ConfigError(
-                        f"entries of 'discrete.{name}' must be numbers or [re, im] pairs"
-                    )
-            return out
+            return [(f"discrete.{name}[{i}]", item) for i, item in enumerate(raw)]
 
-        try:
-            inp = DiscreteSpectrumInput(
-                tuple(as_complex("amplitudes")),
-                tuple(as_complex("overlaps")),
-                tuple(float(x) for x in _require(disc, "discrete", "eigenvalues", None)),
+        def as_complex(name):
+            out = []
+            for field, item in entries(name):
+                if isinstance(item, list) and len(item) == 2:
+                    real, imag = (_number(part, f"{field}[{j}]") for j, part in enumerate(item))
+                    out.append(complex(real, imag))
+                else:
+                    out.append(complex(_number(item, field, "a number or an [re, im] pair")))
+            return tuple(out)
+
+        amplitudes, overlaps = as_complex("amplitudes"), as_complex("overlaps")
+        eigenvalues = tuple(_number(item, field) for field, item in entries("eigenvalues"))
+        if not len(amplitudes) == len(overlaps) == len(eigenvalues):
+            raise ConfigError(
+                "fields 'discrete.amplitudes', 'discrete.overlaps' and "
+                "'discrete.eigenvalues' must have equal lengths"
             )
-            wv = weak_value_discrete(inp)
+        try:
+            wv = weak_value_discrete(DiscreteSpectrumInput(amplitudes, overlaps, eigenvalues))
         except DegeneratePostselectionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -15,6 +15,8 @@ import numpy as np
 from .states import GaussianState, Quadrature, symplectic_form
 
 SYMPLECTIC_TOL = 1e-12
+_FORM = symplectic_form(2)
+_FORM.setflags(write=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,8 +42,7 @@ class SymplecticMap:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("matrix must be 4x4")
-        form = symplectic_form(2)
-        if np.max(np.abs(m.T @ form @ m - form)) > SYMPLECTIC_TOL:
+        if np.max(np.abs(m.T @ _FORM @ m - _FORM)) > SYMPLECTIC_TOL:
             raise ValueError("matrix is not symplectic")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -74,7 +75,7 @@ def apply_to_state(smap: SymplecticMap, joint: GaussianState) -> GaussianState:
         raise ValueError(f"expected a 2-mode joint state, got {joint.n_modes} modes")
     m = smap.matrix
     cov = m @ joint.cov @ m.T
-    return GaussianState(m @ joint.mean, 0.5 * (cov + cov.T))
+    return GaussianState._derived(m @ joint.mean, 0.5 * (cov + cov.T))
 
 
 def apply_to_point(smap: SymplecticMap, pt: PhasePoint) -> PhasePoint:

@@ -51,6 +51,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # exponent, and erfc underflows near x = 38.
 _MILLS_CF_FROM = 8.0
 _MILLS_CF_TERMS = 20  # converged to an ulp for x >= 8
+# read-out vectors of the device's Q and P in the joint (q, p, Q, P) coordinates
+_DEVICE_Q = quadrature_vector(2, 1, Quadrature(0.0))
+_DEVICE_P = quadrature_vector(2, 1, Quadrature(math.pi / 2))
+_DEVICE_Q.setflags(write=False)
+_DEVICE_P.setflags(write=False)
 
 
 class InsufficientAcceptanceError(RuntimeError):
@@ -98,13 +103,15 @@ class ExperimentConfig:
         return tensor(self.particle(), self.device())
 
     @functools.cached_property
-    def _evolved(self) -> GaussianState:
-        return apply_to_state(coupling_map(self.g, self.theta_A), self.joint())
+    def _evolved(self) -> tuple[GaussianState, float, float]:
+        """(evolved joint state, mean of B, variance of B), built once."""
+        evolved = apply_to_state(coupling_map(self.g, self.theta_A), self.joint())
+        return evolved, *quadrature_moments(evolved, 0, self.theta_B)
 
     def evolved_joint(self) -> GaussianState:
         """The joint state after the coupling, built once per config and
         shared between callers (its mean and cov are read-only)."""
-        return self._evolved
+        return self._evolved[0]
 
     @property
     def delta_P(self) -> float:
@@ -112,14 +119,13 @@ class ExperimentConfig:
         return math.sqrt(1.0 + self.omega**2) / (2.0 * self.delta_Q)
 
     def __getstate__(self):
-        # the evolved state is a cache: pickles carry only the fields
+        # the evolved state and B's moments are a cache: pickles carry only the fields
         return {k: v for k, v in self.__dict__.items() if k != "_evolved"}
 
     def resolved_epsilon(self) -> float:
         if self.epsilon is not None:
             return self.epsilon
-        _, var_B = quadrature_moments(self.evolved_joint(), 0, self.theta_B)
-        return ADAPTIVE_EPSILON_FRACTION * math.sqrt(var_B)
+        return ADAPTIVE_EPSILON_FRACTION * math.sqrt(self._evolved[2])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -392,14 +398,12 @@ def _normal_window(lo: float, hi: float) -> tuple[float, float]:
     return prob, _pdf(lo) * drop / prob
 
 
-def _b_window(
-    evolved: GaussianState, config: ExperimentConfig, epsilon: float | None
-) -> tuple[float, float, float]:
+def _b_window(config: ExperimentConfig, epsilon: float | None) -> tuple[float, float, float]:
     """(probability, E[B | window] - mean of B, variance of B) for the
     postselection window |B - b| <= epsilon under the evolved state."""
     if epsilon is None:
         epsilon = config.resolved_epsilon()
-    mu_B, var_B = quadrature_moments(evolved, 0, config.theta_B)
+    _, mu_B, var_B = config._evolved
     s = math.sqrt(var_B)
     prob, shift = _normal_window((config.b - epsilon - mu_B) / s, (config.b + epsilon - mu_B) / s)
     return prob, s * shift, var_B
@@ -417,17 +421,12 @@ def windowed_oracle(
     window lies; raises only for a window that is empty in double precision.
     """
     evolved = config.evolved_joint()
-    prob, offset, var_B = _b_window(evolved, config, epsilon)
+    prob, offset, var_B = _b_window(config, epsilon)
     if not math.isfinite(offset):
         raise InsufficientAcceptanceError(prob)
     v = quadrature_vector(2, 0, config.theta_B)
     results = []
-    vectors = [
-        quadrature_vector(2, 1, Quadrature(0.0)),  # device Q
-        quadrature_vector(2, 1, Quadrature(math.pi / 2)),  # device P
-        quadrature_vector(2, 0, config.theta_A),  # particle A
-    ]
-    for u in vectors:
+    for u in (_DEVICE_Q, _DEVICE_P, quadrature_vector(2, 0, config.theta_A)):
         slope = float(u @ evolved.cov @ v) / var_B
         results.append(float(u @ evolved.mean) + slope * offset)
     return tuple(results)
@@ -437,7 +436,7 @@ def acceptance_probability(config: ExperimentConfig, epsilon: float | None = Non
     """Exact probability of the postselection window under the evolved state.
     Keeps its relative accuracy in the tails until it underflows (about
     38 std of B from the mean)."""
-    return _b_window(config.evolved_joint(), config, epsilon)[0]
+    return _b_window(config, epsilon)[0]
 
 
 def joint_momentum_histogram(

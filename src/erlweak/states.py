@@ -4,6 +4,13 @@ Coordinates are dimensionless (hbar = 1) and ordered (q1, p1, q2, p2, ...).
 Covariances use the standard statistical convention Cov[x_i, x_j]; the
 restriction check works with gamma = 2*cov internally, so the factor of two
 never leaks into sampling or conditioning code.
+
+States are validated where they enter: the public `GaussianState(...)`
+constructor, and so `make_particle` and `make_pure_device`, check shape,
+symmetry and positive semidefiniteness. Tensor products, marginals, evolution
+under a symplectic map and Gaussian conditioning are exact images of
+validated states; they are built by `GaussianState._derived` and not
+checked again.
 """
 
 from __future__ import annotations
@@ -55,7 +62,14 @@ class RestrictionResult(NamedTuple):
 
 @dataclasses.dataclass(frozen=True)
 class GaussianState:
-    """Gaussian Liouville distribution: mean vector and covariance matrix."""
+    """Gaussian Liouville distribution: mean vector and covariance matrix.
+
+    Construction validates the input: an even, nonzero mean length, a
+    matching square covariance, symmetric to SYMMETRY_TOL and positive
+    semidefinite to PSD_TOL. Both arrays are stored as read-only copies.
+    States derived from validated ones inside this package (tensor
+    products, marginals, evolution, conditioning) skip the check.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -79,6 +93,18 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def _derived(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """A state computed exactly from validated states: freshly made float
+        arrays `mean` (1-d) and `cov` (square, symmetric), which become
+        read-only and are stored as they are, without `__post_init__`."""
+        state = object.__new__(cls)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(state, "mean", mean)
+        object.__setattr__(state, "cov", cov)
+        return state
+
     @property
     def n_modes(self) -> int:
         return self.mean.size // 2
@@ -92,7 +118,7 @@ class GaussianState:
         if not 0 <= mode < self.n_modes:
             raise IndexError(f"mode {mode} out of range for {self.n_modes} modes")
         sl = slice(2 * mode, 2 * mode + 2)
-        return GaussianState(self.mean[sl], self.cov[sl, sl])
+        return GaussianState._derived(self.mean[sl].copy(), self.cov[sl, sl].copy())
 
 
 def make_particle(mu_q: float, mu_p: float, sigma: float) -> GaussianState:
@@ -148,7 +174,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov = np.zeros((n, n))
     cov[: a.mean.size, : a.mean.size] = a.cov
     cov[a.mean.size :, a.mean.size :] = b.cov
-    return GaussianState(np.concatenate([a.mean, b.mean]), cov)
+    return GaussianState._derived(np.concatenate([a.mean, b.mean]), cov)
 
 
 def quadrature_vector(n_modes: int, mode: int, quad: Quadrature) -> np.ndarray:

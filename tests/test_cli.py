@@ -66,6 +66,37 @@ class TestWeakvalue:
         assert float(fields["re"]) == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
         assert float(fields["im"]) == pytest.approx(-math.sin(math.pi / 4), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "discrete, field",
+        [
+            ({"amplitudes": [math.nan, 0.5]}, "discrete.amplitudes[0]"),
+            ({"amplitudes": [[1.0, math.inf], 0.5]}, "discrete.amplitudes[0][1]"),
+            ({"amplitudes": [["a", 1.0], 0.5]}, "discrete.amplitudes[0][0]"),
+            ({"overlaps": [1.0, [0.5, 0.5, 0.5]]}, "discrete.overlaps[1]"),
+            ({"eigenvalues": [1.0, "x"]}, "discrete.eigenvalues[1]"),
+            ({"eigenvalues": [1.0, math.inf]}, "discrete.eigenvalues[1]"),
+            ({"eigenvalues": 7}, "discrete.eigenvalues"),
+            ({"eigenvalues": [1.0, -1.0, 0.0]}, "must have equal lengths"),
+        ],
+        ids=[
+            "nan-amplitude",
+            "infinite-imaginary-part",
+            "string-real-part",
+            "three-part-overlap",
+            "string-eigenvalue",
+            "infinite-eigenvalue",
+            "eigenvalues-not-a-list",
+            "unequal-lengths",
+        ],
+    )
+    def test_discrete_section_is_validated(self, tmp_path, capsys, discrete, field):
+        doc = {"discrete": {"amplitudes": [0.5, 0.5], "overlaps": [1.0, 1.0], "eigenvalues": [1.0, -1.0]}}
+        doc["discrete"].update(discrete)
+        assert main(["weakvalue", "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and field in captured.err
+
     def test_malformed_config_names_field(self, tmp_path, capsys):
         doc = base_config()
         del doc["particle"]["sigma"]
@@ -308,9 +339,14 @@ class TestWorkerIndependence:
 
 
 def test_import_loads_no_scipy():
+    # nor multiprocessing: the chunk pool imports it on first use, which keeps
+    # start-up short for the commands that never sample
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, erlweak.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, erlweak.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},

@@ -314,7 +314,11 @@ class TestEvolvedJointCache:
 
     def test_pickle_round_trip(self):
         BASE.evolved_joint()
+        acceptance_probability(BASE)
+        fields = {f.name for f in dataclasses.fields(BASE)}
+        assert set(BASE.__getstate__()) == fields  # the cache stays behind
         restored = pickle.loads(pickle.dumps(BASE))
+        assert set(vars(restored)) == fields
         assert restored == BASE
         assert hash(restored) == hash(BASE)
         evolved = restored.evolved_joint()
@@ -322,6 +326,100 @@ class TestEvolvedJointCache:
         np.testing.assert_array_equal(evolved.cov, BASE.evolved_joint().cov)
         assert not evolved.cov.flags.writeable
         assert oracle_estimate(restored) == oracle_estimate(BASE)
+        assert windowed_oracle(restored) == windowed_oracle(BASE)
+        assert acceptance_probability(restored) == acceptance_probability(BASE)
+        assert restored.resolved_epsilon() == BASE.resolved_epsilon()
+
+    def test_replace_gives_fresh_b_moments(self):
+        BASE.resolved_epsilon()
+        moved = dataclasses.replace(BASE, b=3.0)
+        turned = dataclasses.replace(BASE, theta_B=Quadrature(0.0))
+        for config in (moved, turned):
+            fresh = ExperimentConfig(**{f.name: getattr(config, f.name) for f in dataclasses.fields(config)})
+            assert acceptance_probability(config) == acceptance_probability(fresh)
+            assert windowed_oracle(config) == windowed_oracle(fresh)
+        assert acceptance_probability(moved) < acceptance_probability(BASE)
+        # theta_B = 0 reads B = q', which the coupling leaves at variance sigma^2 = 1
+        assert turned.resolved_epsilon() == 0.05
+        assert BASE.resolved_epsilon() == pytest.approx(0.05 * math.sqrt(0.25 + 0.1**2 * 0.25), rel=1e-12)
+
+
+# (config fields, (resolved epsilon, oracle_estimate, windowed_oracle,
+# acceptance_probability)), recorded before the B moments were cached with the
+# evolved state; b sits at 0, 0, 6, -6, 30 and -30 std of B
+PINNED_ORACLES = [
+    (
+        dict(mu_q=0.0, mu_p=0.0, sigma=1.0, delta_Q=1.0, mu_P=0.0, omega=0.0, g=0.1,
+             theta_A=0.0, theta_B=1.5707963267948966, b=0.0, epsilon=None),
+        (0.025124689052802227, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.039877611676744924),
+    ),
+    (
+        dict(mu_q=0.2, mu_p=-0.3, sigma=0.7, delta_Q=1.3, mu_P=0.6, omega=0.5, g=0.3,
+             theta_A=0.3, theta_B=1.9, b=-0.5284711882263959, epsilon=0.14487515336731832),
+        (
+            0.14487515336731832,
+            (0.0307233707480158, 0.6, 0.10241123582671936),
+            (0.030723370748015795, 0.6, 0.10241123582671936),
+            0.158519418878206,
+        ),
+    ),
+    (
+        dict(mu_q=-0.4, mu_p=0.1, sigma=1.6, delta_Q=0.8, mu_P=-0.9, omega=-1.2, g=0.8,
+             theta_A=2.5, theta_B=0.6, b=8.18628084506155, epsilon=None),
+        (
+            0.0761773908901738,
+            (-6.7135343031906105, 1.9416061843149612, -6.1558998978879655),
+            (-6.707722861832277, 1.9392530423904022, -6.150487248851994),
+            6.164832735780996e-10,
+        ),
+    ),
+    (
+        dict(mu_q=0.9, mu_p=0.5, sigma=0.4, delta_Q=2.2, mu_P=0.0, omega=1.1, g=1.4,
+             theta_A=4.0, theta_B=5.5, b=-5.952562895806585, epsilon=0.05197996274902936),
+        (
+            0.05197996274902936,
+            (-3.062822992783595, 0.9200490236288893, -5.354079126584409),
+            (-3.0614073757231473, 0.9192871284929193, -5.35044590967704),
+            6.164832735781108e-10,
+        ),
+    ),
+    (
+        dict(mu_q=0.1, mu_p=0.7, sigma=2.5, delta_Q=0.5, mu_P=0.4, omega=0.2, g=0.05,
+             theta_A=1.0, theta_B=2.0471975511965974, b=35.38872316944913, epsilon=None),
+        (
+            0.05804974396110697,
+            (-2.041860490633112, -0.7636568378397043, -38.59940820143204),
+            (-2.0403464225614596, -0.7628073469005708, -38.5707604764204),
+            2.0907827325413303e-197,
+        ),
+    ),
+    (
+        dict(mu_q=-0.6, mu_p=-0.8, sigma=1.1, delta_Q=1.7, mu_P=0.3, omega=-0.4, g=0.6,
+             theta_A=0.2, theta_B=4.4, b=-16.10046498893128, epsilon=0.2867171668177398),
+        (
+            0.2867171668177398,
+            (17.689982402399924, -2.4453272286374053, 20.36376872726183),
+            (17.40812787963168, -2.4026667509731023, 20.035722431211124),
+            1.439474552228721e-191,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("fields, expected", PINNED_ORACLES)
+def test_oracles_pinned(fields, expected):
+    config = ExperimentConfig(
+        **{**fields, "theta_A": Quadrature(fields["theta_A"]), "theta_B": Quadrature(fields["theta_B"])},
+        n_samples=1,
+        seed=0,
+    )
+    got = (
+        config.resolved_epsilon(),
+        oracle_estimate(config),
+        windowed_oracle(config),
+        acceptance_probability(config),
+    )
+    assert got == expected
 
 
 def _mp_window(config, epsilon):

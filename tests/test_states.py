@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlweak import (
+    ExperimentConfig,
     GaussianState,
     Quadrature,
     check_epistemic_restriction,
+    gaussian_condition,
     make_particle,
     make_pure_device,
     quadrature_moments,
@@ -64,6 +68,17 @@ class TestConstruction:
     def test_indefinite_cov_rejected(self):
         with pytest.raises(ValueError):
             GaussianState([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("mean", [[], [0.0], [0.0, 0.0, 0.0]])
+    def test_odd_or_empty_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="positive multiple of 2"):
+            GaussianState(mean, np.eye(len(mean)))
+
+    def test_cov_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            GaussianState([0.0, 0.0], np.eye(4))
+        with pytest.raises(ValueError, match="does not match"):
+            GaussianState([0.0, 0.0, 0.0, 0.0], np.eye(2))
 
     @given(means, means, sigmas)
     def test_pure_states_saturate(self, mu_q, mu_p, sigma):
@@ -160,3 +175,42 @@ class TestTensorAndMoments:
         cross = float(v1 @ state.cov @ v2)
         assert var1 >= 0.0
         assert var1 * var2 - cross**2 == pytest.approx(0.25, rel=1e-9)
+
+
+def _trusted_grid():
+    """Configs over every field: each (b - mean_B) / std_B out to 32, g = 0
+    and theta_A = theta_B (mod pi) included."""
+    for (mu_q, mu_p), (sigma, delta_Q), mu_P, omega, g, (theta_A, theta_B), z in itertools.product(
+        ((0.0, 0.0), (0.9, -0.6)),
+        ((0.3, 3.0), (3.0, 0.3), (1.0, 1.0)),
+        (0.0, 0.7),
+        (-1.5, 0.0, 1.5),
+        (0.0, 0.3, 1.5),
+        ((0.0, math.pi / 2), (0.4, 0.4 + math.pi), (2.0, 5.1)),
+        (-32.0, 0.0, 6.0, 32.0),
+    ):
+        config = ExperimentConfig(
+            mu_q, mu_p, sigma, delta_Q, mu_P, omega, g,
+            Quadrature(theta_A), Quadrature(theta_B), 0.0, None, 1, 0,
+        )
+        mean_B, var_B = quadrature_moments(config.evolved_joint(), 0, config.theta_B)
+        yield dataclasses.replace(config, b=mean_B + z * math.sqrt(var_B))
+
+
+def test_derived_states_pass_the_public_checks():
+    """Tensor products, evolution, conditioning and marginals skip the
+    validation; on a grid over every config field, each such state passes it
+    and equals its validated copy bit for bit."""
+    n = 0
+    for config in _trusted_grid():
+        joint, evolved = config.joint(), config.evolved_joint()
+        conditioned = gaussian_condition(evolved, 0, config.theta_B, config.b)
+        for state in (joint, evolved, conditioned):
+            for derived in (state, state.marginal(0), state.marginal(1)):
+                checked = GaussianState(derived.mean, derived.cov)
+                for got, want in ((derived.mean, checked.mean), (derived.cov, checked.cov)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), config
+                    assert not got.flags.writeable
+                n += 1
+    assert n == 9 * 1296
