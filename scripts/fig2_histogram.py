@@ -5,7 +5,8 @@ after the coupling and the device momentum. Slicing near p = b shows a
 device-momentum distribution with nonzero mean even though no individual
 device momentum changed.
 
-Writes histogram.csv plus a per-slice conditional-mean table to --out.
+Writes the per-slice table (slice centre, count, sampled and exact
+conditional mean of P) to the CSV file named by --out.
 """
 
 import argparse

@@ -6,7 +6,6 @@ from .analytic import (
     DiscreteSpectrumInput,
     SingularConditioningError,
     WeakValue,
-    conditional_expectation_A,
     first_order_shifts,
     gaussian_condition,
     oracle_postselected_means,
@@ -17,9 +16,7 @@ from .analytic import (
 )
 from .bounds import RegimeMargin, discrete_regime_margin, gaussian_regime_margin
 from .dynamics import (
-    PhasePoint,
     SymplecticMap,
-    apply_to_point,
     apply_to_points,
     apply_to_state,
     coupling_map,

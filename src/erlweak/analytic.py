@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import GaussianState, Quadrature, quadrature_moments, quadrature_vector
+from .states import GaussianState, Quadrature, quadrature_vector
 
 REALNESS_TOL = 1e-10
 
@@ -212,26 +212,15 @@ def gaussian_condition(
     return GaussianState._derived(mean, 0.5 * (cov + cov.T))
 
 
-def conditional_expectation_A(
-    joint_evolved: GaussianState,
-    theta_A: Quadrature,
-    theta_B: Quadrature,
-    b: float,
-) -> float:
-    """E[A of the particle | B of the particle = b] on an evolved joint state."""
-    conditioned = gaussian_condition(joint_evolved, 0, theta_B, b)
-    mean, _ = quadrature_moments(conditioned, 0, theta_A)
-    return mean
-
-
 def oracle_postselected_means(
-    joint_evolved: GaussianState, theta_B: Quadrature, b: float
-) -> tuple[float, float]:
-    """Device-mode means after conditioning the evolved joint on B = b.
+    joint_evolved: GaussianState, theta_A: Quadrature, theta_B: Quadrature, b: float
+) -> tuple[float, float, float]:
+    """Device means (Q, P) and the particle's mean of A, read off one
+    conditioning of the evolved joint on B = b.
 
     This is the first-principles route; the printed closed forms are
     validated against it.
     """
     conditioned = gaussian_condition(joint_evolved, 0, theta_B, b)
-    device = conditioned.marginal(1)
-    return float(device.mean[0]), float(device.mean[1])
+    mean_A = float(quadrature_vector(2, 0, theta_A) @ conditioned.mean)
+    return float(conditioned.mean[2]), float(conditioned.mean[3]), mean_A

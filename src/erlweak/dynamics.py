@@ -20,19 +20,6 @@ _FORM.setflags(write=False)
 
 
 @dataclasses.dataclass(frozen=True)
-class PhasePoint:
-    """Ontic state of the particle-device pair."""
-
-    q: float
-    p: float
-    Q: float
-    P: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.p, self.Q, self.P])
-
-
-@dataclasses.dataclass(frozen=True)
 class SymplecticMap:
     """Linear map on (q, p, Q, P) preserving the two-mode symplectic form."""
 
@@ -76,12 +63,6 @@ def apply_to_state(smap: SymplecticMap, joint: GaussianState) -> GaussianState:
     m = smap.matrix
     cov = m @ joint.cov @ m.T
     return GaussianState._derived(m @ joint.mean, 0.5 * (cov + cov.T))
-
-
-def apply_to_point(smap: SymplecticMap, pt: PhasePoint) -> PhasePoint:
-    """Exact image of a single phase point."""
-    q, p, Q, P = smap.matrix @ pt.as_array()
-    return PhasePoint(q, p, Q, P)
 
 
 def apply_to_points(smap: SymplecticMap, pts: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .analytic import gaussian_condition
+from .analytic import oracle_postselected_means
 from .dynamics import apply_to_points, apply_to_state, coupling_map
 from .states import (
     GaussianState,
@@ -353,9 +353,9 @@ def run_weak_experiment(
 def oracle_estimate(config: ExperimentConfig) -> tuple[float, float, float]:
     """Point-conditioned (epsilon -> 0) oracle values (Q, P, A) for a config,
     read off one conditioning of the evolved joint."""
-    conditioned = gaussian_condition(config.evolved_joint(), 0, config.theta_B, config.b)
-    mean_A = float(quadrature_vector(2, 0, config.theta_A) @ conditioned.mean)
-    return float(conditioned.mean[2]), float(conditioned.mean[3]), mean_A
+    return oracle_postselected_means(
+        config.evolved_joint(), config.theta_A, config.theta_B, config.b
+    )
 
 
 def _pdf(x: float) -> float:

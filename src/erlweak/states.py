@@ -109,10 +109,6 @@ class GaussianState:
     def n_modes(self) -> int:
         return self.mean.size // 2
 
-    @property
-    def restricted(self) -> bool:
-        return check_epistemic_restriction(self).status != "violated"
-
     def marginal(self, mode: int) -> "GaussianState":
         """Single-mode marginal."""
         if not 0 <= mode < self.n_modes:

@@ -1,7 +1,22 @@
-"""Self-verification suites: oracle equivalence of the printed closed forms,
-weak-limit laws, and the exact per-point invariants of the coupling map.
+"""Self-verification suites: the one definition of acceptance criteria 1, 2,
+3 and 6. `erlweak verify` runs them all, and tests/test_acceptance.py calls
+the same functions.
 
-These run the same checks the test suite pins down, packaged for the CLI.
+- oracle equivalence (criterion 1): the printed closed-form device means
+  against exact Gaussian conditioning of the evolved joint state, on the
+  1944-tuple product of the axes below (every argument of the closed form
+  but the particle mean, with mu_P = 0 and mu_P != 0);
+- weak-coupling order (criterion 2): the residuals against the first-order
+  shifts shrink at least as g^2.5 as g is halved;
+- delta_P limit (criterion 3): as delta_P is halved, <Q>_b -> g Re[A_W] and
+  <P>_b -> 0, monotonically;
+- repeatability (criterion 6): coupling maps spread over (g, theta_A) are
+  symplectic and leave A and P of phase points spread over a box unchanged.
+
+The suite parameters are the module constants; no suite takes an argument.
+The repeatability suite spreads its maps and points by a low-discrepancy
+sequence, not a random generator, so `erlweak verify` never imports
+numpy.random (about 5 MB of resident memory).
 """
 
 from __future__ import annotations
@@ -18,10 +33,39 @@ from .analytic import (
     postselected_means_gaussian,
     weak_value_gaussian,
 )
-from .dynamics import apply_to_state, coupling_map
+from .dynamics import apply_to_points, apply_to_state, coupling_map
 from .states import Quadrature, make_particle, make_pure_device, symplectic_form, tensor
 
 PI = math.pi
+
+# criterion 1: relative tolerance on a grid over these axes
+ORACLE_TOLERANCE = 1e-9
+PARTICLE_MEAN = (0.3, -0.4)
+SPREADS = ((0.5, 1.0), (1.0, 0.5), (2.0, 2.0))  # (sigma, delta_Q)
+OMEGAS = (-1.0, 0.0, 1.0)
+DEVICE_MEAN_MOMENTA = (0.0, 0.6)  # mu_P
+COUPLINGS = (0.01, 0.1, 0.5, 1.0)
+THETA_AS = (0.0, PI / 8, 5 * PI / 8)
+THETA_BS = (PI / 8, PI / 2, 7 * PI / 8)
+POSTSELECTIONS = (-1.0, 0.0, 1.0)  # b
+
+# criterion 2: residual order under halving of g; a residual sequence wholly
+# below CONVERGED is identically zero and has no order
+HALVED_COUPLINGS = (0.2, 0.1, 0.05, 0.025)
+MIN_ORDER = 2.5
+CONVERGED = 1e-15
+
+# criterion 3: final deviation below LIMIT_TOLERANCE * LIMIT_G
+LIMIT_G = 0.05
+LIMIT_TOLERANCE = 1e-4
+N_HALVINGS = 5
+
+# criterion 6: N_MAPS maps with |g| <= 2, each checked for symplecticity,
+# the first N_POINTS // BATCH of them on a batch of points in [-3, 3)^4 each
+REPEATABILITY_TOLERANCE = 1e-12
+N_MAPS = 256
+N_POINTS = 100_000
+BATCH = 10_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,81 +80,40 @@ class SuiteResult:
         return self.max_deviation <= self.tolerance
 
 
-def oracle_grid() -> list[dict]:
-    """Parameter grid (>= 200 tuples) for the closed-form vs conditioning check."""
-    grid = []
-    for g, theta_A, theta_B, scale, omega, b in itertools.product(
-        (0.01, 0.1, 0.5, 1.0),
-        (0.0, PI / 8, 5 * PI / 8),
-        (PI / 8, PI / 2, 7 * PI / 8),
-        ((0.5, 1.0), (1.0, 0.5), (2.0, 2.0)),
-        (-1.0, 0.0, 1.0),
-        (-1.0, 0.0, 1.0),
-    ):
-        sigma, delta_Q = scale
-        grid.append(
-            dict(
-                mu_q=0.3,
-                mu_p=-0.4,
-                sigma=sigma,
-                delta_Q=delta_Q,
-                omega=omega,
-                g=g,
-                theta_A=theta_A,
-                theta_B=theta_B,
-                b=b,
-            )
-        )
-    return grid
-
-
-def closed_form_vs_oracle(params: dict) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Evaluate the printed alpha/beta means and the conditioning route."""
-    theta_A = Quadrature(params["theta_A"])
-    theta_B = Quadrature(params["theta_B"])
-    closed = postselected_means_gaussian(
-        params["mu_q"],
-        params["mu_p"],
-        params["sigma"],
-        params["delta_Q"],
-        params["omega"],
-        params["g"],
-        theta_A,
-        theta_B,
-        params["b"],
-    )
-    joint = tensor(
-        make_particle(params["mu_q"], params["mu_p"], params["sigma"]),
-        make_pure_device(params["delta_Q"], 0.0, params["omega"]),
-    )
-    evolved = apply_to_state(coupling_map(params["g"], theta_A), joint)
-    oracle = oracle_postselected_means(evolved, theta_B, params["b"])
-    return closed, oracle
-
-
-def run_oracle_equivalence(tolerance: float = 1e-9) -> SuiteResult:
-    """Closed-form postselected means vs first-principles Gaussian conditioning."""
+def run_oracle_equivalence() -> SuiteResult:
+    """Closed-form postselected means vs first-principles Gaussian conditioning.
+    Each joint state is built once per (sigma, delta_Q, omega, mu_P), evolved
+    once per (g, theta_A) and conditioned once per (theta_B, b)."""
+    mu_q, mu_p = PARTICLE_MEAN
+    theta_Bs = [Quadrature(theta) for theta in THETA_BS]
     max_dev = 0.0
-    grid = oracle_grid()
-    for params in grid:
-        closed, oracle = closed_form_vs_oracle(params)
-        for a, b in zip(closed, oracle):
-            dev = abs(a - b) / max(1.0, abs(a), abs(b))
-            max_dev = max(max_dev, dev)
-    return SuiteResult("oracle-equivalence", max_dev, tolerance, len(grid))
+    n = 0
+    for (sigma, delta_Q), omega, mu_P in itertools.product(SPREADS, OMEGAS, DEVICE_MEAN_MOMENTA):
+        joint = tensor(make_particle(mu_q, mu_p, sigma), make_pure_device(delta_Q, mu_P, omega))
+        for g, theta in itertools.product(COUPLINGS, THETA_AS):
+            theta_A = Quadrature(theta)
+            evolved = apply_to_state(coupling_map(g, theta_A), joint)
+            for theta_B, b in itertools.product(theta_Bs, POSTSELECTIONS):
+                closed = postselected_means_gaussian(
+                    mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
+                )
+                oracle = oracle_postselected_means(evolved, theta_A, theta_B, b)
+                for x, y in zip(closed, oracle):
+                    max_dev = max(max_dev, abs(x - y) / max(1.0, abs(x), abs(y)))
+                n += 1
+    return SuiteResult("oracle-equivalence", max_dev, ORACLE_TOLERANCE, n)
 
 
-def run_delta_p_limit(
-    g: float = 0.05, tolerance: float = 1e-4, n_halvings: int = 5
-) -> SuiteResult:
+def run_delta_p_limit() -> SuiteResult:
     """As delta_P is halved (pure device, omega = 0), mean_Q -> g*Re[A_W] and
-    mean_P -> 0, monotonically; final deviation must be below tolerance * g."""
-    mu_q, mu_p, sigma, b = 0.3, -0.2, 1.0, 0.0
+    mean_P -> 0, monotonically; the final deviation must be below
+    LIMIT_TOLERANCE * g."""
+    mu_q, mu_p, sigma, b, g = 0.3, -0.2, 1.0, 0.0, LIMIT_G
     theta_A, theta_B = Quadrature(0.3), Quadrature(0.7)
     wv = weak_value_gaussian(mu_q, mu_p, sigma, theta_A, theta_B, b)
     devs_q, devs_p = [], []
     delta_P = 0.4
-    for _ in range(n_halvings):
+    for _ in range(N_HALVINGS):
         delta_Q = 1.0 / (2.0 * delta_P)
         mean_Q, mean_P = postselected_means_gaussian(
             mu_q, mu_p, sigma, delta_Q, 0.0, g, theta_A, theta_B, b
@@ -121,85 +124,65 @@ def run_delta_p_limit(
     monotone = all(a > b for a, b in zip(devs_q, devs_q[1:])) and all(
         a > b for a, b in zip(devs_p, devs_p[1:])
     )
-    final_dev = max(devs_q[-1], devs_p[-1]) / g
-    if not monotone:
-        final_dev = math.inf
-    return SuiteResult("delta_P-limit", final_dev, tolerance, 2 * n_halvings)
+    final_dev = max(devs_q[-1], devs_p[-1]) / g if monotone else math.inf
+    return SuiteResult("delta_P-limit", final_dev, LIMIT_TOLERANCE, 2 * N_HALVINGS)
 
 
-def weak_coupling_orders(
-    omega: float, g_values=(0.2, 0.1, 0.05, 0.025)
-) -> tuple[list[float], list[float]]:
-    """Estimated convergence orders of the residuals
-    mean_Q - (g Re + g omega Im) and mean_P - 2 g delta_P^2 Im under halving
-    of g. Residuals identically below 1e-15 are skipped (already converged)."""
+def run_weak_coupling_order() -> SuiteResult:
+    """Residuals mean_Q - (g Re + g omega Im) and mean_P - 2 g delta_P^2 Im
+    must shrink with order >= MIN_ORDER in g (neglected terms are cubic).
+    The deviation reported is how far the worst order falls short of it."""
     sigma, delta_Q, b = 1.0, 1.0, 1.0
     theta_A, theta_B = Quadrature(0.0), Quadrature(PI / 2)
-    delta_P2 = (1.0 + omega**2) / (4.0 * delta_Q**2)
     wv = weak_value_gaussian(0.0, 0.0, sigma, theta_A, theta_B, b)
-    res_q, res_p = [], []
-    for g in g_values:
-        mean_Q, mean_P = postselected_means_gaussian(
-            0.0, 0.0, sigma, delta_Q, omega, g, theta_A, theta_B, b
-        )
-        fo_q, fo_p = first_order_shifts(wv, g, math.sqrt(delta_P2), omega)
-        res_q.append(abs(mean_Q - fo_q))
-        res_p.append(abs(mean_P - fo_p))
-
-    def orders(res):
-        out = []
-        for r1, r2 in zip(res, res[1:]):
-            if r1 < 1e-15 and r2 < 1e-15:
-                continue
-            out.append(math.log2(r1 / r2))
-        return out
-
-    return orders(res_q), orders(res_p)
-
-
-def run_weak_coupling_order(tolerance_order: float = 2.5) -> SuiteResult:
-    """Residuals against the first-order shifts must shrink with order >= 2.5
-    in g (neglected terms are cubic)."""
-    worst = math.inf
-    n = 0
+    orders = []
     for omega in (0.0, 1.0):
-        oq, op = weak_coupling_orders(omega)
-        for order in oq + op:
-            worst = min(worst, order)
-            n += 1
-    # report deviation = how far below the required order we fell (0 if above)
-    dev = max(0.0, tolerance_order - worst)
-    return SuiteResult("weak-coupling-order", dev, 0.0, n)
+        delta_P = math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+        residuals = []
+        for g in HALVED_COUPLINGS:
+            exact = postselected_means_gaussian(
+                0.0, 0.0, sigma, delta_Q, omega, g, theta_A, theta_B, b
+            )
+            first = first_order_shifts(wv, g, delta_P, omega)
+            residuals.append([abs(e - f) for e, f in zip(exact, first)])
+        for sequence in zip(*residuals):  # Q, then P
+            if max(sequence) < CONVERGED:
+                continue
+            orders += [math.log2(r1 / r2) for r1, r2 in zip(sequence, sequence[1:])]
+    dev = max(0.0, MIN_ORDER - min(orders))
+    return SuiteResult("weak-coupling-order", dev, 0.0, len(orders))
 
 
-def run_repeatability(n_points: int = 100_000, seed: int = 7) -> SuiteResult:
-    """Per-point invariants over random (g, theta_A, point) triples:
-    A unchanged, P unchanged, map symplectic. Tolerance 1e-12."""
-    rng = np.random.default_rng(seed)
+def _spread(n: int, dim: int, start: int = 0) -> np.ndarray:
+    """Rows start .. start + n - 1 of the additive-recurrence sequence
+    frac(1/2 + k alpha) in [0, 1)^dim, with alpha_j = phi^-j for the root
+    phi > 1 of phi^(dim + 1) = phi + 1: evenly spread for every n."""
+    phi = 2.0
+    for _ in range(40):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    k = np.arange(start, start + n, dtype=float)[:, None]
+    return (0.5 + k * phi ** -np.arange(1.0, dim + 1)) % 1.0
+
+
+def run_repeatability() -> SuiteResult:
+    """Over coupling maps spread over (g, theta_A) in [-2, 2) x [0, 2 pi):
+    each map is symplectic, and A and P of phase points are unchanged by it."""
     form = symplectic_form(2)
     max_dev = 0.0
-    # map-level symplecticity over a modest set of (g, theta) pairs
-    for _ in range(256):
-        g = rng.uniform(-2.0, 2.0)
-        theta = rng.uniform(0.0, 2.0 * PI)
-        m = coupling_map(g, Quadrature(theta)).matrix
+    for k, (u, v) in enumerate(_spread(N_MAPS, 2)):
+        quad = Quadrature(2.0 * PI * v)
+        smap = coupling_map(4.0 * u - 2.0, quad)
+        m = smap.matrix
         max_dev = max(max_dev, float(np.max(np.abs(m.T @ form @ m - form))))
-    # point-level repeatability, vectorized in batches
-    remaining = n_points
-    while remaining > 0:
-        batch = min(remaining, 10_000)
-        g = rng.uniform(-2.0, 2.0)
-        theta = rng.uniform(0.0, 2.0 * PI)
-        m = coupling_map(g, Quadrature(theta)).matrix
-        pts = rng.normal(size=(batch, 4))
-        evolved = pts @ m.T
-        c, s = math.cos(theta), math.sin(theta)
-        a_before = c * pts[:, 0] + s * pts[:, 1]
-        a_after = c * evolved[:, 0] + s * evolved[:, 1]
-        max_dev = max(max_dev, float(np.max(np.abs(a_after - a_before))))
-        max_dev = max(max_dev, float(np.max(np.abs(evolved[:, 3] - pts[:, 3]))))
-        remaining -= batch
-    return SuiteResult("repeatability-symplecticity", max_dev, 1e-12, n_points + 256)
+        if k * BATCH < N_POINTS:
+            pts = 6.0 * _spread(BATCH, 4, k * BATCH) - 3.0
+            evolved = apply_to_points(smap, pts)
+            a_shift = quad.value(evolved[:, 0], evolved[:, 1]) - quad.value(pts[:, 0], pts[:, 1])
+            max_dev = max(max_dev, float(np.max(np.abs(a_shift))))
+            max_dev = max(max_dev, float(np.max(np.abs(evolved[:, 3] - pts[:, 3]))))
+    return SuiteResult(
+        "repeatability-symplecticity", max_dev, REPEATABILITY_TOLERANCE, N_MAPS + N_POINTS
+    )
 
 
 def run_all() -> list[SuiteResult]:

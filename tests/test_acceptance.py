@@ -6,15 +6,13 @@ report lines.
 
 import cmath
 import contextlib
-import dataclasses
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 import erlweak as ew
-from erlweak import Quadrature
+from erlweak import Quadrature, verify
 
 HALF_PI = math.pi / 2
 PI = math.pi
@@ -30,83 +28,24 @@ def report(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS")
 
 
-def closed_and_oracle(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P):
-    closed = ew.postselected_means_gaussian(
-        mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
-    )
-    joint = ew.tensor(
-        ew.make_particle(mu_q, mu_p, sigma), ew.make_pure_device(delta_Q, mu_P, omega)
-    )
-    evolved = ew.apply_to_state(ew.coupling_map(g, theta_A), joint)
-    oracle = ew.oracle_postselected_means(evolved, theta_B, b)
-    return closed, oracle
+def check(result, n_checks):
+    assert result.passed, result
+    assert result.n_checks == n_checks
 
 
 def test_criterion_1_oracle_equivalence():
-    grid = list(
-        itertools.product(
-            (0.01, 0.1, 0.5, 1.0),
-            (0.0, PI / 8, 5 * PI / 8),
-            (PI / 8, HALF_PI, 7 * PI / 8),
-            ((0.5, 1.0), (1.0, 0.5), (2.0, 2.0)),
-            (-1.0, 0.0, 1.0),
-            (-1.0, 0.0, 1.0),
-            (0.0, 0.6),  # device mean momentum mu_P
-        )
-    )
-    assert len(grid) >= 200
-    with report(1, "oracle equivalence"):
-        for g, ta, tb, (sigma, delta_Q), omega, b, mu_P in grid:
-            closed, oracle = closed_and_oracle(
-                0.3, -0.4, sigma, delta_Q, omega, g, Quadrature(ta), Quadrature(tb), b, mu_P
-            )
-            for x, y in zip(closed, oracle):
-                assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
+    with report(1, "oracle equivalence, 1944 tuples, mu_P in {0, 0.6}"):
+        check(verify.run_oracle_equivalence(), 1944)
 
 
 def test_criterion_2_weak_coupling_order():
-    g_values = (0.2, 0.1, 0.05, 0.025)
-    theta_A, theta_B = Quadrature(0.0), Quadrature(HALF_PI)
     with report(2, "weak-coupling residual order >= 2.5"):
-        for omega in (0.0, 1.0):
-            delta_P = math.sqrt(1.0 + omega**2) / 2.0  # delta_Q = 1
-            wv = ew.weak_value_gaussian(0.0, 0.0, 1.0, theta_A, theta_B, 1.0)
-            res_q, res_p = [], []
-            for g in g_values:
-                mean_Q, mean_P = ew.postselected_means_gaussian(
-                    0.0, 0.0, 1.0, 1.0, omega, g, theta_A, theta_B, 1.0
-                )
-                fo_Q, fo_P = ew.first_order_shifts(wv, g, delta_P, omega)
-                res_q.append(abs(mean_Q - fo_Q))
-                res_p.append(abs(mean_P - fo_P))
-            for residuals in (res_q, res_p):
-                if max(residuals) < 1e-14:
-                    continue  # identically zero residual: already converged
-                orders = [
-                    math.log2(r1 / r2) for r1, r2 in zip(residuals, residuals[1:])
-                ]
-                assert min(orders) >= 2.5
+        check(verify.run_weak_coupling_order(), 9)
 
 
 def test_criterion_3_delta_p_limit():
-    mu_q, mu_p, sigma, b, g = 0.3, -0.2, 1.0, 0.0, 0.05
-    theta_A, theta_B = Quadrature(0.3), Quadrature(0.7)
-    wv = ew.weak_value_gaussian(mu_q, mu_p, sigma, theta_A, theta_B, b)
     with report(3, "delta_P -> 0 limit"):
-        devs_q, devs_p = [], []
-        delta_P = 0.4
-        while delta_P >= 0.025 - 1e-12:
-            delta_Q = 1.0 / (2.0 * delta_P)
-            mean_Q, mean_P = ew.postselected_means_gaussian(
-                mu_q, mu_p, sigma, delta_Q, 0.0, g, theta_A, theta_B, b
-            )
-            devs_q.append(abs(mean_Q - g * wv.re))
-            devs_p.append(abs(mean_P))
-            delta_P /= 2.0
-        assert all(a > b for a, b in zip(devs_q, devs_q[1:]))
-        assert all(a > b for a, b in zip(devs_p, devs_p[1:]))
-        assert devs_q[-1] <= 1e-4 * g
-        assert devs_p[-1] <= 1e-4 * g
+        check(verify.run_delta_p_limit(), 10)
 
 
 def test_criterion_4_conditional_expectation():
@@ -126,7 +65,7 @@ def test_criterion_4_conditional_expectation():
                 ew.make_pure_device(delta_Q, 0.0, 0.0),
             )
             evolved = ew.apply_to_state(ew.coupling_map(g, theta_A), joint)
-            result = ew.conditional_expectation_A(evolved, theta_A, theta_B, b)
+            result = ew.oracle_postselected_means(evolved, theta_A, theta_B, b)[2]
             assert abs(result - wv.re) <= 1e-3 * abs(wv.re)
 
 
@@ -196,23 +135,8 @@ def test_criterion_5_monte_carlo_consistency():
 
 
 def test_criterion_6_repeatability_and_symplecticity():
-    rng = np.random.default_rng(77)
-    form = ew.symplectic_form(2)
-    n = 100_000
     with report(6, "repeatability and symplecticity at 1e-12"):
-        batch = 10_000
-        for _ in range(n // batch):
-            g = rng.uniform(-2.0, 2.0)
-            theta = rng.uniform(0.0, 2.0 * PI)
-            m = ew.coupling_map(g, Quadrature(theta)).matrix
-            assert np.max(np.abs(m.T @ form @ m - form)) <= 1e-12
-            pts = rng.normal(size=(batch, 4))
-            evolved = pts @ m.T
-            c, s = math.cos(theta), math.sin(theta)
-            a_before = c * pts[:, 0] + s * pts[:, 1]
-            a_after = c * evolved[:, 0] + s * evolved[:, 1]
-            assert np.max(np.abs(a_after - a_before)) <= 1e-12
-            assert np.max(np.abs(evolved[:, 3] - pts[:, 3])) <= 1e-12
+        check(verify.run_repeatability(), 100_256)
 
 
 def test_criterion_7_strong_measurement_limit():

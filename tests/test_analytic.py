@@ -13,7 +13,6 @@ from erlweak import (
     SingularConditioningError,
     WeakValue,
     apply_to_state,
-    conditional_expectation_A,
     coupling_map,
     first_order_shifts,
     gaussian_condition,
@@ -213,7 +212,7 @@ class TestPostselectedMeansGaussian:
             0.0, 0.0, 1.0, 1.0, 0.0, 0.1, theta_A, theta_B, 1.0
         )
         evolved = evolved_joint(0.0, 0.0, 1.0, 1.0, 0.0, 0.1, theta_A)
-        oracle = oracle_postselected_means(evolved, theta_B, 1.0)
+        oracle = oracle_postselected_means(evolved, theta_A, theta_B, 1.0)
         assert closed[0] == pytest.approx(oracle[0], abs=1e-10)
         assert closed[1] == pytest.approx(oracle[1], abs=1e-10)
         assert closed[1] == pytest.approx(-0.1 / 1.01, abs=1e-12)
@@ -229,7 +228,7 @@ class TestPostselectedMeansGaussian:
             mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
         )
         evolved = evolved_joint(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, mu_P)
-        oracle = oracle_postselected_means(evolved, theta_B, b)
+        oracle = oracle_postselected_means(evolved, theta_A, theta_B, b)
         for x, y in zip(closed, oracle):
             assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
@@ -239,8 +238,9 @@ class TestPostselectedMeansGaussian:
         theta_A, theta_B = Quadrature(0.0), Quadrature(HALF_PI)
         args = (0.0, 0.0, 1.0, 1.0, 0.5, 0.3, theta_A, theta_B, 1.0)
         closed = postselected_means_gaussian(*args, mu_P=0.5)
-        oracle = oracle_postselected_means(evolved_joint(*args[:7], mu_P=0.5), theta_B, 1.0)
-        assert closed == pytest.approx(oracle, abs=1e-12)
+        evolved = evolved_joint(*args[:7], mu_P=0.5)
+        oracle = oracle_postselected_means(evolved, theta_A, theta_B, 1.0)
+        assert closed == pytest.approx(oracle[:2], abs=1e-12)
         assert closed == pytest.approx((-0.3101123595505617, 0.1123595505617978), abs=1e-12)
         # the nine positional arguments still mean mu_P = 0
         assert postselected_means_gaussian(*args) == postselected_means_gaussian(*args, mu_P=0.0)
@@ -289,16 +289,15 @@ class TestConditionalExpectation:
     def test_conditioning_quadrature_on_itself(self):
         theta = Quadrature(0.4)
         evolved = evolved_joint(0.3, -0.1, 1.1, 1.0, 0.0, 1e-8, theta)
-        assert conditional_expectation_A(evolved, theta, theta, 0.9) == pytest.approx(
-            0.9, abs=1e-6
-        )
+        _, _, mean_A = oracle_postselected_means(evolved, theta, theta, 0.9)
+        assert mean_A == pytest.approx(0.9, abs=1e-6)
 
     def test_zero_innovation_returns_mean_of_A(self):
         theta_A, theta_B = Quadrature(0.4), Quadrature(1.2)
         evolved = evolved_joint(0.3, -0.1, 1.1, 1.0, 0.2, 0.3, theta_A)
         mean_B, _ = quadrature_moments(evolved, 0, theta_B)
         mean_A, _ = quadrature_moments(evolved, 0, theta_A)
-        result = conditional_expectation_A(evolved, theta_A, theta_B, mean_B)
+        _, _, result = oracle_postselected_means(evolved, theta_A, theta_B, mean_B)
         assert result == pytest.approx(mean_A, abs=1e-12)
 
     def test_converges_to_real_weak_value_as_delta_p_shrinks(self):
@@ -309,7 +308,7 @@ class TestConditionalExpectation:
         for delta_P in (0.2, 0.1, 0.05, 0.025):
             delta_Q = 1.0 / (2.0 * delta_P)
             evolved = evolved_joint(mu_q, mu_p, sigma, delta_Q, 0.0, g, theta_A)
-            result = conditional_expectation_A(evolved, theta_A, theta_B, b)
+            _, _, result = oracle_postselected_means(evolved, theta_A, theta_B, b)
             deviations.append(abs(result - wv.re))
         assert all(a > b for a, b in zip(deviations, deviations[1:]))
         assert deviations[-1] <= 1e-3 * abs(wv.re)

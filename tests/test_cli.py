@@ -238,8 +238,9 @@ class TestHistogramCommand:
 
 
 class TestNonFiniteNumbers:
-    """JSON's NaN and Infinity parse as floats; every command rejects them as
-    a config error naming the field, before any output is written."""
+    """JSON's NaN and Infinity parse as floats; every command rejects them,
+    and spreads (sigma, delta_Q, delta_P) that are not positive, as a config
+    error naming the field, before any output is written."""
 
     def _rejects(self, tmp_path, capsys, command, doc, field):
         argv = [command, "--config", write_config(tmp_path, doc)]
@@ -264,6 +265,27 @@ class TestNonFiniteNumbers:
         doc = base_config()
         doc["sweep"] = {"g": [0.1, -math.inf]}
         self._rejects(tmp_path, capsys, "sweep", doc, "sweep.g")
+
+    @pytest.mark.parametrize(
+        "command, section, field, value",
+        [
+            ("weakvalue", "device", "delta_Q", 0),
+            ("weakvalue", "particle", "sigma", -1.0),
+            ("simulate", "device", "delta_Q", -0.5),
+            ("sweep", "particle", "sigma", 0.0),
+        ],
+    )
+    def test_non_positive_spread(self, tmp_path, capsys, command, section, field, value):
+        doc = base_config(**{section: {field: value}})
+        self._rejects(tmp_path, capsys, command, doc, f"{section}.{field}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("delta_P", 0.0), ("delta_Q", -1.0)])
+    def test_non_positive_sweep_spread(self, tmp_path, capsys, key, value):
+        doc = base_config()
+        doc["sweep"] = {key: [0.5, value]}
+        self._rejects(tmp_path, capsys, "sweep", doc, f"sweep.{key}")
+        assert not (tmp_path / "o").exists()
 
     def test_histogram(self, tmp_path, capsys):
         doc = base_config()
