@@ -76,13 +76,6 @@ def _number(value, field: str, what: str = "a number") -> float:
     return value
 
 
-def _positive(value: float, field: str) -> float:
-    """value, else a ConfigError naming the field if it is not > 0."""
-    if not value > 0.0:
-        raise ConfigError(f"field '{field}' must be positive")
-    return value
-
-
 def _require(section: dict, section_name: str, field: str, kind):
     if field not in section:
         raise ConfigError(f"missing field '{section_name}.{field}'")
@@ -132,8 +125,8 @@ def parse_experiment(doc: dict, seed_override: int | None = None) -> ExperimentC
         return ExperimentConfig(
             mu_q=_require(particle, "particle", "mu_q", float),
             mu_p=_require(particle, "particle", "mu_p", float),
-            sigma=_positive(_require(particle, "particle", "sigma", float), "particle.sigma"),
-            delta_Q=_positive(_require(device, "device", "delta_Q", float), "device.delta_Q"),
+            sigma=_require(particle, "particle", "sigma", float),
+            delta_Q=_require(device, "device", "delta_Q", float),
             mu_P=_require(device, "device", "mu_P", float),
             omega=_require(device, "device", "omega", float),
             g=_require(coupling, "coupling", "g", float),
@@ -400,8 +393,8 @@ def cmd_sweep(args) -> int:
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"field 'sweep.{key}' must be a nonempty list")
             axes[key] = [_number(v, f"sweep.{key}") for v in values]
-            if key in ("delta_Q", "delta_P"):
-                axes[key] = [_positive(v, f"sweep.{key}") for v in axes[key]]
+            if key in ("delta_Q", "delta_P") and not all(v > 0.0 for v in axes[key]):
+                raise ConfigError(f"field 'sweep.{key}' must be positive")
     if not axes:
         raise ConfigError(f"section 'sweep' must list at least one of {SWEEP_KEYS}")
     if "delta_Q" in axes and "delta_P" in axes:

@@ -86,6 +86,10 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError("particle.sigma must be positive")
+        if not self.delta_Q > 0:
+            raise ValueError("device.delta_Q must be positive")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.n_samples < 1:

@@ -136,7 +136,7 @@ def test_criterion_5_monte_carlo_consistency():
 
 def test_criterion_6_repeatability_and_symplecticity():
     with report(6, "repeatability and symplecticity at 1e-12"):
-        check(verify.run_repeatability(), 100_256)
+        check(verify.run_repeatability(), 160_256)
 
 
 def test_criterion_7_strong_measurement_limit():

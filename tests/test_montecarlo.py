@@ -287,6 +287,12 @@ def test_delta_p_is_the_device_momentum_spread():
     assert config.device().cov[1, 1] == pytest.approx(config.delta_P**2, rel=1e-14)
 
 
+@pytest.mark.parametrize("field, value", [("sigma", 0.0), ("sigma", -1.0), ("delta_Q", 0.0)])
+def test_non_positive_spread_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        dataclasses.replace(BASE, **{field: value})
+
+
 class TestEvolvedJointCache:
     def test_built_once_and_read_only(self):
         config = dataclasses.replace(BASE)
