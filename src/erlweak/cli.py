@@ -15,8 +15,11 @@ import datetime
 import itertools
 import json
 import math
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analytic import (
@@ -31,6 +34,7 @@ from .bounds import gaussian_regime_margin
 from .montecarlo import (
     ExperimentConfig,
     InsufficientAcceptanceError,
+    acceptance_probability,
     chunk_plan,
     joint_momentum_histogram,
     oracle_estimate,
@@ -179,9 +183,15 @@ def write_manifest(
 
 def _run_record(n_samples: int, runs: int = 1) -> dict:
     """The manifest's `run` block for `runs` sampler calls of n_samples each:
-    the processes that ran their chunks and the number of chunks."""
+    the processes that ran their chunks, the number of chunks, and the
+    Python and numpy versions."""
     workers, chunks = chunk_plan(n_samples)
-    return {"workers": workers if runs else 0, "chunks": runs * chunks}
+    return {
+        "workers": workers if runs else 0,
+        "chunks": runs * chunks,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def cmd_weakvalue(args) -> int:
@@ -250,6 +260,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle_Q, oracle_P, oracle_A = oracle_estimate(config)
     epsilon = config.resolved_epsilon()
+    exact_acceptance = acceptance_probability(config, epsilon)
     error = ""
     status = 0
     try:
@@ -278,6 +289,7 @@ def cmd_simulate(args) -> int:
             ),
             "epsilon": est.epsilon,
             "acceptance_rate": est.acceptance_rate,
+            "acceptance_probability": exact_acceptance,
         }
     except InsufficientAcceptanceError as exc:
         error = "insufficient_acceptance"
@@ -295,7 +307,11 @@ def cmd_simulate(args) -> int:
             oracle_P,
             oracle_A,
         ]
-        dev = {"acceptance_rate": exc.acceptance_rate, "epsilon": epsilon}
+        dev = {
+            "acceptance_rate": exc.acceptance_rate,
+            "acceptance_probability": exact_acceptance,
+            "epsilon": epsilon,
+        }
 
     csv_path = out_dir / "simulate.csv"
     _write_csv(csv_path, SIMULATE_HEADER, [_cells(row + [error])])

@@ -6,12 +6,22 @@ however the chunks are spread over processes. Each sampler is a per-chunk
 function of (args, k, rows) plus a reduction of the chunk results in chunk
 order. `_map_chunks` runs the chunks on a persistent fork pool of `WORKERS`
 processes (the CPUs this process may use), or in this process where a pool
-cannot help or cannot be used. Inside a chunk, `_blocks` draws the substream
-in blocks of `BLOCK` rows into two buffers that every block of the chunk
-reuses, so memory is O(BLOCK) rows per worker and a yielded block is valid
-only until the next one; only `sample_state` materialises n rows. The
-histogram bins each block by an arithmetic index corrected against the edges
-(`_bin_index`), with counts equal to `np.histogram2d`'s exactly.
+cannot help or cannot be used.
+
+Inside a chunk, `_blocks` draws the substream in blocks of `BLOCK` rows z of
+standard normals and yields offset + z @ F, for a C-contiguous factor F that
+each sampler builds once per call from the Cholesky factor L of the joint
+state (see `_source`). `sample_state` and the rejection sampler take the
+points themselves (F = L^T); the rejection sampler then evolves, checks and
+windows every point in block buffers. The histogram and the correlation
+draw only the two coordinates they read, (p', P') and (A, Q'): with R their
+2 x 4 read-out, which holds the coupling's rows, F = (R L)^T, and blocks
+are laid out one coordinate per row. Every block of a chunk reuses the
+same buffers, so memory is O(BLOCK) rows per worker and a yielded block is
+valid only until the next one; only `sample_state` materialises n rows. The
+histogram bins each block by an arithmetic index corrected against the
+edges (`_bin_index`), with counts equal to `np.histogram2d`'s exactly, and
+counts a buffer of at least `BLOCK` flat cell indices at a time.
 """
 
 from __future__ import annotations
@@ -37,10 +47,11 @@ from .states import (
 )
 
 DEFAULT_CHUNK = 1 << 18
-# Rows drawn at a time inside a chunk. Every (rows x 4) @ (4 x 4) product then
-# stays below OpenBLAS's threading threshold (M*N*K < 2**18), so pool workers
-# do not each start BLAS threads and oversubscribe the cores. Blocks drawn
-# from one Generator give the same stream and points as one draw per chunk.
+# Rows drawn at a time inside a chunk. Every product of a block with a 4 x 4
+# or 4 x 2 factor then stays below OpenBLAS's threading threshold
+# (M*N*K < 2**18), so pool workers do not each start BLAS threads and
+# oversubscribe the cores. Blocks drawn from one Generator give the same
+# stream and points as one draw per chunk.
 BLOCK = 1 << 13
 REPEATABILITY_TOL = 1e-12
 ADAPTIVE_EPSILON_FRACTION = 0.05
@@ -51,6 +62,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # exponent, and erfc underflows near x = 38.
 _MILLS_CF_FROM = 8.0
 _MILLS_CF_TERMS = 20  # converged to an ulp for x >= 8
+# Windows with h (|c| + 1) at most this (h the half-width, c the centre, in
+# std of B) are summed as a series: there the Mills-ratio difference cancels
+# and loses about 1e-16 |c| / h relative. Four terms reach 1e-18 there.
+_NARROW_WINDOW = 0.05
+_NARROW_TERMS = 4
 # read-out vectors of the device's Q and P in the joint (q, p, Q, P) coordinates
 _DEVICE_Q = quadrature_vector(2, 1, Quadrature(0.0))
 _DEVICE_P = quadrature_vector(2, 1, Quadrature(math.pi / 2))
@@ -163,36 +179,50 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
-def _source(state: GaussianState, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(mean, Cholesky factor, seed): all a process needs to draw chunks of
-    a Gaussian state. Raises ValueError on a degenerate covariance."""
+def _source(
+    state: GaussianState, seed: int, readout: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """(offset, factor, seed, by_coordinate): all a process needs to draw
+    chunks of a Gaussian state with `_blocks`. L is the Cholesky factor of
+    the covariance. Without `readout`, the blocks are the points themselves,
+    rows of mean + z @ L^T (factor L^T, as a C-contiguous copy). With a
+    (d, 2*n_modes) `readout` matrix R they are the read-out coordinates
+    R mean + R L z, folded into one product per block (offset R mean as a
+    column, factor R L) and laid out (d, rows), so each coordinate is
+    contiguous. Raises ValueError on a degenerate covariance."""
     try:
         lower = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not factorizable (degenerate state)") from exc
-    return state.mean, lower, seed
+    if readout is None:
+        return state.mean, np.ascontiguousarray(lower.T), seed, False
+    return (readout @ state.mean)[:, None], readout @ lower, seed, True
 
 
-def _blocks(source: tuple[np.ndarray, np.ndarray, int], k: int, rows: int):
-    """The one sampling loop: yield chunk k's `rows` i.i.d. points, drawn from
-    substream (seed, k) as arrays of at most BLOCK rows.
+def _blocks(source: tuple[np.ndarray, np.ndarray, int, bool], k: int, rows: int):
+    """The one sampling loop: yield chunk k's `rows` i.i.d. draws from
+    substream (seed, k), at most BLOCK at a time: offset + z @ factor, as
+    (draws, d) arrays, or offset + factor @ z^T, as (d, draws) arrays when
+    the source is by coordinate (see `_source`). z holds one row of
+    standard normals per draw, drawn in one call per block.
 
     Every block is drawn into the same two buffers, so a yielded block is a
     view that is valid only until the next one: copy what must outlive it.
-    The mean is added one column at a time in place, which gives the same
-    sums as `mean + z @ lower.T`.
     """
-    mean, lower, seed = source
+    offset, factor, seed, by_coordinate = source
+    d, width = factor.shape if by_coordinate else factor.shape[::-1]
     rng = _chunk_rng(seed, k)
-    z = np.empty((min(BLOCK, rows), mean.size))
-    pts = np.empty_like(z)
+    z = np.empty((min(BLOCK, rows), width))
+    buf = np.empty(z.shape[0] * d)
     for start in range(0, rows, BLOCK):
         m = min(BLOCK, rows - start)
         rng.standard_normal(out=z[:m])
-        np.matmul(z[:m], lower.T, out=pts[:m])
-        for j, mu in enumerate(mean):
-            pts[:m, j] += mu
-        yield pts[:m]
+        if by_coordinate:
+            out = np.matmul(factor, z[:m].T, out=buf[: d * m].reshape(d, m))
+        else:
+            out = np.matmul(z[:m], factor, out=buf[: d * m].reshape(m, d))
+        out += offset
+        yield out
 
 
 def _chunk_rows(n: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -295,24 +325,45 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def _quadrature_into(
+    quad: Quadrature, q: np.ndarray, p: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """quad.value(q, p) written into `out`, rounded as quad.value rounds it;
+    `work` is scratch of the same shape."""
+    np.multiply(q, math.cos(quad.theta), out=out)
+    np.multiply(p, math.sin(quad.theta), out=work)
+    return np.add(out, work, out=out)
+
+
 def _experiment_chunk(args, k: int, rows: int) -> np.ndarray:
     """Chunk k of `run_weak_experiment`: its accepted (Q', P', A) rows, after
-    checking at every point that the coupling left A and P unchanged."""
+    checking at every point that the coupling left A and P unchanged. Each
+    block is evolved, checked and windowed in buffers the chunk allocates
+    once."""
     source, smap, theta_A, theta_B, b, epsilon = args
+    size = min(BLOCK, rows)
+    evolved_buf = np.empty((size, 4))
+    a_before_buf, a_after_buf, b_buf, work_buf = np.empty((4, size))
+    same_buf = np.empty(size, dtype=bool)
     accepted = []
     for pts in _blocks(source, k, rows):
-        evolved = apply_to_points(smap, pts)
+        m = pts.shape[0]
+        evolved = apply_to_points(smap, pts, out=evolved_buf[:m])
+        work = work_buf[:m]
+        a_before = _quadrature_into(theta_A, pts[:, 0], pts[:, 1], a_before_buf[:m], work)
+        a_after = _quadrature_into(theta_A, evolved[:, 0], evolved[:, 1], a_after_buf[:m], work)
 
-        a_before = theta_A.value(pts[:, 0], pts[:, 1])
-        a_after = theta_A.value(evolved[:, 0], evolved[:, 1])
-        scale = np.maximum(1.0, np.abs(a_before))
-        if np.max(np.abs(a_after - a_before) / scale) > REPEATABILITY_TOL:
+        # max |A' - A| / max(1, |A|) over the block, as one expression would round it
+        scale = np.maximum(np.abs(a_before, out=b_buf[:m]), 1.0, out=b_buf[:m])
+        shift = np.abs(np.subtract(a_after, a_before, out=work), out=work)
+        if np.max(np.divide(shift, scale, out=work)) > REPEATABILITY_TOL:
             raise AssertionError("repeatability violated: A changed under coupling")
-        if not np.array_equal(evolved[:, 3], pts[:, 3]):
+        if not np.equal(evolved[:, 3], pts[:, 3], out=same_buf[:m]).all():
             raise AssertionError("repeatability violated: P changed under coupling")
 
-        b_val = theta_B.value(evolved[:, 0], evolved[:, 1])
-        keep = np.flatnonzero(np.abs(b_val - b) <= epsilon)
+        b_val = _quadrature_into(theta_B, evolved[:, 0], evolved[:, 1], b_buf[:m], work)
+        distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
+        keep = np.flatnonzero(distance <= epsilon)
         kept = np.empty((keep.size, 3))
         kept[:, :2] = evolved[keep, 2:]
         kept[:, 2] = a_after[keep]
@@ -376,30 +427,48 @@ def _mills(x: float) -> float:
     return 1.0 / t
 
 
-def _normal_window(lo: float, hi: float) -> tuple[float, float]:
-    """(P(lo <= Z <= hi), E[Z | lo <= Z <= hi]) for a standard normal Z.
+def _normal_window(centre: float, half_width: float) -> tuple[float, float]:
+    """(P(|Z - c| <= h), E[Z | |Z - c| <= h]) for a standard normal Z, a
+    window centre c and a half-width h > 0.
 
-    Windows are reflected so that their centre is >= 0. A window that
-    straddles 0 adds two erf terms of the same sign; one in the upper tail
-    factors out pdf(lo) through the Mills ratio, so cdf(hi) - cdf(lo) never
-    cancels, and the mean stays finite where the probability underflows. The
-    mean's numerator pdf(lo) - pdf(hi) comes from expm1. On narrow windows
-    the relative error grows as about 1e-15 / (hi - lo): the Mills-ratio
-    difference cancels, as do lo and hi themselves when computed from b and
-    epsilon. The mean is nan when the window is empty in double precision.
+    Windows are reflected so that c >= 0. A window that straddles 0, with
+    lo = c - h and hi = c + h, adds two erf terms of the same sign. A narrow
+    window, h (c + 1) <= _NARROW_WINDOW, is summed as a series about c,
+
+        P = 2 h pdf(c) S,  S = sum_k He_2k(c) h^2k / (2k + 1)!,
+        E = exp(-h^2 / 2) sinh(h c) / (h S),
+
+    (He the probabilists' Hermite polynomials), so no two nearby values are
+    subtracted. Any other window lies in the upper tail and factors out
+    pdf(lo) through the Mills ratio, so cdf(hi) - cdf(lo) never cancels. The
+    mean's numerator pdf(lo) - pdf(hi) comes from expm1 and stays finite
+    where the probability underflows. The mean is nan when lo and hi round
+    to one value: the window is empty in double precision.
     """
-    if lo + hi < 0.0:
-        prob, mean = _normal_window(-hi, -lo)
+    if centre < 0.0:
+        prob, mean = _normal_window(-centre, half_width)
         return prob, -mean
-    exponent = -0.5 * (hi - lo) * (hi + lo)  # log(pdf(hi) / pdf(lo))
+    c, h = centre, half_width
+    lo, hi = c - h, c + h
+    if not lo < hi:
+        return 0.0, math.nan
+    exponent = -2.0 * h * c  # log(pdf(hi) / pdf(lo))
     drop = -math.expm1(exponent)  # 1 - pdf(hi) / pdf(lo)
-    if lo >= 0.0:
-        tail = _mills(lo) - math.exp(exponent) * _mills(hi)
-        if not tail > 0.0:
-            return 0.0, math.nan
-        return _pdf(lo) * tail, drop / tail
-    prob = 0.5 * (math.erf(hi / _SQRT2) + math.erf(-lo / _SQRT2))
-    return prob, _pdf(lo) * drop / prob
+    if lo < 0.0:
+        prob = 0.5 * (math.erf(hi / _SQRT2) + math.erf(-lo / _SQRT2))
+        return prob, _pdf(lo) * drop / prob
+    if h * (c + 1.0) <= _NARROW_WINDOW:
+        h2 = h * h
+        he_prev, he = 1.0, c  # He_(n-2), He_(n-1)
+        total, coef = 1.0, 1.0  # S so far, h^n / (n + 1)!
+        for n in range(2, 2 * _NARROW_TERMS + 1, 2):
+            he_n = c * he - (n - 1) * he_prev
+            he_prev, he = he_n, c * he_n - n * he
+            coef *= h2 / (n * (n + 1))
+            total += he_n * coef
+        return 2.0 * h * _pdf(c) * total, math.exp(-0.5 * h2) * math.sinh(h * c) / (h * total)
+    tail = _mills(lo) - math.exp(exponent) * _mills(hi)
+    return _pdf(lo) * tail, drop / tail
 
 
 def _b_window(config: ExperimentConfig, epsilon: float | None) -> tuple[float, float, float]:
@@ -409,7 +478,7 @@ def _b_window(config: ExperimentConfig, epsilon: float | None) -> tuple[float, f
         epsilon = config.resolved_epsilon()
     _, mu_B, var_B = config._evolved
     s = math.sqrt(var_B)
-    prob, shift = _normal_window((config.b - epsilon - mu_B) / s, (config.b + epsilon - mu_B) / s)
+    prob, shift = _normal_window((config.b - mu_B) / s, epsilon / s)
     return prob, s * shift, var_B
 
 
@@ -485,12 +554,9 @@ def joint_momentum_histogram(
             raise ValueError("histogram edges must be finite")
         if not (np.diff(edges) > 0).all():
             raise ValueError("histogram range too narrow: edges must be strictly increasing")
-    args = (
-        _source(config.joint(), config.seed),
-        coupling_map(config.g, config.theta_A),
-        p_edges,
-        P_edges,
-    )
+    # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
+    readout = coupling_map(config.g, config.theta_A).matrix[1::2]
+    args = (_source(config.joint(), config.seed, readout), p_edges, P_edges)
     for part in _map_chunks(_histogram_chunk, args, config.n_samples, chunk_size):
         counts += part  # whole numbers below 2**53: the float sum is exact
     return counts, p_edges, P_edges
@@ -531,15 +597,26 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
-    """Chunk k of `joint_momentum_histogram`: its (p', P) counts, binned as
-    `np.histogram2d` bins them (see `_bin_index`)."""
-    source, smap, p_edges, P_edges = args
+    """Chunk k of `joint_momentum_histogram`: its (p', P') counts, binned as
+    `np.histogram2d` bins them (see `_bin_index`). Flat cell indices are
+    gathered in a buffer of max(BLOCK, cells) entries and counted by one
+    `bincount` each time it fills, so the O(cells) cost of a count is paid
+    once per at least `cells` draws."""
+    source, p_edges, P_edges = args
     width = P_edges.size + 1  # bins of P plus one below and one above
-    counts = np.zeros((p_edges.size + 1) * width, dtype=np.int64)
-    for pts in _blocks(source, k, rows):
-        p, P = apply_to_points(smap, pts)[:, 1::2].T.copy()  # contiguous p', P'
-        flat = _bin_index(p, p_edges) * width + _bin_index(P, P_edges)
-        counts += np.bincount(flat, minlength=counts.size)
+    cells = (p_edges.size + 1) * width
+    counts = np.zeros(cells, dtype=np.int64)
+    flat = np.empty(min(rows, max(BLOCK, cells)), dtype=np.intp)
+    filled = 0
+    for p, P in _blocks(source, k, rows):
+        if filled + p.size > flat.size:
+            counts += np.bincount(flat[:filled], minlength=cells)
+            filled = 0
+        index = flat[filled : filled + p.size]
+        np.multiply(_bin_index(p, p_edges), width, out=index)
+        index += _bin_index(P, P_edges)
+        filled += p.size
+    counts += np.bincount(flat[:filled], minlength=cells)
     return counts.reshape(-1, width)[1:-1, 1:-1]
 
 
@@ -568,16 +645,18 @@ def strong_measurement_correlation(
     `_map_chunks`) and merged in chunk order, so memory is O(chunk_size),
     not O(n_samples).
     """
-    smap = coupling_map(config.g, config.theta_A)
+    # (A, Q'): the quadrature A and row 2 of the coupling map, folded into the draw
+    q_row = coupling_map(config.g, config.theta_A).matrix[2]
+    readout = np.array([[*config.theta_A.vector, 0.0, 0.0], q_row])
     out = []
     for delta_Q in delta_Q_sequence:
         if delta_Q <= 0:
             raise ValueError("delta_Q must be positive")
         joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
-        args = (_source(joint, config.seed), smap, config.theta_A)
+        source = _source(joint, config.seed, readout)
         n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
         for m, chunk_mean, chunk_scatter in _map_chunks(
-            _correlation_chunk, args, config.n_samples, chunk_size
+            _correlation_chunk, source, config.n_samples, chunk_size
         ):
             delta = chunk_mean - mean
             # merge the chunk's centred moments (Chan, Golub & LeVeque 1983)
@@ -590,17 +669,15 @@ def strong_measurement_correlation(
     return out
 
 
-def _correlation_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _correlation_chunk(source, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Chunk k of `strong_measurement_correlation`: (rows, mean, centred
     scatter matrix) of its (A, Q'), computed over the whole chunk."""
-    source, smap, theta_A = args
-    aq = np.empty((rows, 2))
+    aq = np.empty((2, rows))
     start = 0
-    for pts in _blocks(source, k, rows):
-        stop = start + pts.shape[0]
-        aq[start:stop, 0] = theta_A.value(pts[:, 0], pts[:, 1])
-        aq[start:stop, 1] = apply_to_points(smap, pts)[:, 2]
+    for block in _blocks(source, k, rows):
+        stop = start + block.shape[1]
+        aq[:, start:stop] = block
         start = stop
-    mean = aq.mean(axis=0)
-    centred = aq - mean
-    return rows, mean, centred.T @ centred
+    mean = aq.mean(axis=1)
+    centred = aq - mean[:, None]
+    return rows, mean, centred @ centred.T

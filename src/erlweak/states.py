@@ -66,9 +66,11 @@ class GaussianState:
 
     Construction validates the input: an even, nonzero mean length, a
     matching square covariance, symmetric to SYMMETRY_TOL and positive
-    semidefinite to PSD_TOL. Both arrays are stored as read-only copies.
-    States derived from validated ones inside this package (tensor
-    products, marginals, evolution, conditioning) skip the check.
+    semidefinite to PSD_TOL, both relative to the covariance's largest
+    eigenvalue (rounding in a covariance grows with its entries). Both
+    arrays are stored as read-only copies. States derived from validated
+    ones inside this package (tensor products, marginals, evolution,
+    conditioning) skip the check.
     """
 
     mean: np.ndarray
@@ -83,11 +85,12 @@ class GaussianState:
             raise ValueError(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
             )
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        eigvals = np.linalg.eigvalsh(cov)  # ascending, from the lower triangle
+        scale = max(eigvals[-1], 0.0)
+        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
             raise ValueError("cov is not symmetric")
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals.min() < -PSD_TOL:
-            raise ValueError(f"cov is not positive semidefinite (min eig {eigvals.min():g})")
+        if eigvals[0] < -PSD_TOL * scale:
+            raise ValueError(f"cov is not positive semidefinite (min eig {eigvals[0]:g})")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

@@ -2,17 +2,20 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from erlweak import montecarlo
 from erlweak.cli import config_echo, main, parse_experiment
-from erlweak.montecarlo import oracle_estimate
+from erlweak.montecarlo import acceptance_probability, oracle_estimate
 
 HALF_PI = math.pi / 2
+VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def base_config(**overrides):
@@ -136,6 +139,27 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["seed"] == 7
         assert "simulate.csv" in manifest["outputs"]
+
+    def test_manifest_records_exact_acceptance_and_versions(self, tmp_path):
+        doc = base_config(postselection={"epsilon": 0.1}, sampling={"n_samples": 200_000})
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        comparison = manifest["oracle_comparison"]
+        prob = acceptance_probability(parse_experiment(doc))
+        assert comparison["acceptance_probability"] == prob
+        assert abs(comparison["acceptance_rate"] - prob) <= 4.0 * math.sqrt(prob * (1 - prob) / 200_000)
+        assert manifest["run"]["python"] == platform.python_version()
+        assert manifest["run"]["numpy"] == np.__version__
+
+        # an empty window: no accepted samples, the exact probability still recorded
+        far = base_config(postselection={"b": 40.0, "epsilon": 0.01}, sampling={"n_samples": 1_000})
+        path = write_config(tmp_path, far, "far.json")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "f"), "--quiet"]) == 1
+        manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        assert manifest["oracle_comparison"]["acceptance_rate"] == 0.0
+        assert 0.0 <= manifest["oracle_comparison"]["acceptance_probability"] < 1e-300
+        assert {"python", "numpy"} <= manifest["run"].keys()
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -351,13 +375,13 @@ class TestWorkerIndependence:
             (pooled_csvs, pooled_run), (serial_csvs, serial_run) = pooled[name], serial[name]
             assert pooled_csvs and pooled_csvs == serial_csvs, name
             chunks = 3 * (2 if name == "sweep" else 1)
-            assert serial_run == {"workers": 1, "chunks": chunks}
-            assert pooled_run == {"workers": min(montecarlo._usable_cpus(), 3), "chunks": chunks}
+            assert serial_run == {"workers": 1, "chunks": chunks, **VERSIONS}
+            assert pooled_run == {"workers": min(montecarlo._usable_cpus(), 3), "chunks": chunks, **VERSIONS}
 
     def test_closed_form_sweep_runs_no_chunks(self, tmp_path):
         doc = base_config()
         doc["sweep"] = {"g": [0.1, 0.2]}
-        assert self._run(tmp_path, "closed", ["sweep"], doc)[1] == {"workers": 0, "chunks": 0}
+        assert self._run(tmp_path, "closed", ["sweep"], doc)[1] == {"workers": 0, "chunks": 0, **VERSIONS}
 
 
 def test_import_loads_no_scipy():

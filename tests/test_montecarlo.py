@@ -121,14 +121,37 @@ class TestBlocks:
         np.testing.assert_array_equal(sample_state(joint, rows, config.seed, chunk_size=rows), pts)
 
         smap = coupling_map(config.g, config.theta_A)
-        args = (montecarlo._source(joint, config.seed), smap, config.theta_A)
-        m, mean, scatter = montecarlo._correlation_chunk(args, 0, rows)
+        readout = np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]])
+        source = montecarlo._source(joint, config.seed, readout)
+        m, mean, scatter = montecarlo._correlation_chunk(source, 0, rows)
         a = config.theta_A.value(pts[:, 0], pts[:, 1])
         aq = np.column_stack([a, apply_to_points(smap, pts)[:, 2]])
         centred = aq - aq.mean(axis=0)
         assert m == rows
         np.testing.assert_allclose(mean, aq.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(scatter, centred.T @ centred, rtol=1e-12)
+
+    def test_accepted_rows_equal_the_two_step_reference(self):
+        # the chunk multiplies by C-contiguous copies of L^T and M^T and
+        # works in block buffers; its accepted rows, over several blocks,
+        # are bit for bit those of (mean + z @ L^T) @ M^T
+        config = dataclasses.replace(
+            BASE, g=0.4, mu_P=0.3, omega=0.5, theta_A=Quadrature(0.6), b=0.3, epsilon=0.2, seed=9
+        )
+        joint, smap = config.joint(), coupling_map(config.g, config.theta_A)
+        rows = 3 * montecarlo.BLOCK + 123
+        z = montecarlo._chunk_rng(config.seed, 0).standard_normal((rows, 4))
+        pts = joint.mean + z @ np.linalg.cholesky(joint.cov).T
+        evolved = pts @ smap.matrix.T
+        a_after = config.theta_A.value(evolved[:, 0], evolved[:, 1])
+        keep = np.abs(config.theta_B.value(evolved[:, 0], evolved[:, 1]) - config.b) <= config.epsilon
+        ref = np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]])
+        args = (
+            montecarlo._source(joint, config.seed), smap, config.theta_A, config.theta_B, config.b, config.epsilon
+        )
+        got = montecarlo._experiment_chunk(args, 0, rows)
+        assert 1000 < got.shape[0] < rows
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_one_sampling_loop(self):
         src = Path(montecarlo.__file__).parent
@@ -351,8 +374,11 @@ class TestEvolvedJointCache:
 
 
 # (config fields, (resolved epsilon, oracle_estimate, windowed_oracle,
-# acceptance_probability)), recorded before the B moments were cached with the
-# evolved state; b sits at 0, 0, 6, -6, 30 and -30 std of B
+# acceptance_probability)); b sits at 0, 0, 6, -6, 30 and -30 std of B. The
+# epsilon and oracle_estimate values were recorded before the B moments were
+# cached with the evolved state; the windowed values since the window maths
+# takes the window's centre and half-width (the values before and these
+# alike lie within 2e-13 relative of the 50-digit `_mp_window`)
 PINNED_ORACLES = [
     (
         dict(mu_q=0.0, mu_p=0.0, sigma=1.0, delta_Q=1.0, mu_P=0.0, omega=0.0, g=0.1,
@@ -365,8 +391,8 @@ PINNED_ORACLES = [
         (
             0.14487515336731832,
             (0.0307233707480158, 0.6, 0.10241123582671936),
-            (0.030723370748015795, 0.6, 0.10241123582671936),
-            0.158519418878206,
+            (0.0307233707480158, 0.6, 0.10241123582671936),
+            0.15851941887820603,
         ),
     ),
     (
@@ -375,8 +401,8 @@ PINNED_ORACLES = [
         (
             0.0761773908901738,
             (-6.7135343031906105, 1.9416061843149612, -6.1558998978879655),
-            (-6.707722861832277, 1.9392530423904022, -6.150487248851994),
-            6.164832735780996e-10,
+            (-6.707722861832244, 1.9392530423903889, -6.150487248851964),
+            6.164832735781081e-10,
         ),
     ),
     (
@@ -385,8 +411,8 @@ PINNED_ORACLES = [
         (
             0.05197996274902936,
             (-3.062822992783595, 0.9200490236288893, -5.354079126584409),
-            (-3.0614073757231473, 0.9192871284929193, -5.35044590967704),
-            6.164832735781108e-10,
+            (-3.061407375723147, 0.9192871284929192, -5.350445909677039),
+            6.164832735781125e-10,
         ),
     ),
     (
@@ -395,8 +421,8 @@ PINNED_ORACLES = [
         (
             0.05804974396110697,
             (-2.041860490633112, -0.7636568378397043, -38.59940820143204),
-            (-2.0403464225614596, -0.7628073469005708, -38.5707604764204),
-            2.0907827325413303e-197,
+            (-2.04034642256146, -0.7628073469005711, -38.57076047642041),
+            2.0907827325415748e-197,
         ),
     ),
     (
@@ -405,8 +431,8 @@ PINNED_ORACLES = [
         (
             0.2867171668177398,
             (17.689982402399924, -2.4453272286374053, 20.36376872726183),
-            (17.40812787963168, -2.4026667509731023, 20.035722431211124),
-            1.439474552228721e-191,
+            (17.408127879631678, -2.4026667509731015, 20.03572243121112),
+            1.439474552228885e-191,
         ),
     ),
 ]
@@ -480,6 +506,26 @@ class TestWindowTails:
             for x, r in zip(windowed_oracle(config, epsilon), ref_means):
                 assert math.isfinite(x)
                 assert abs(x - r) <= 1e-10 * max(1.0, abs(r)), (z, width)
+
+    @pytest.mark.parametrize("half_width", [10.0**k for k in np.arange(-6.0, 0.25, 0.5)])
+    def test_normal_window_matches_50_digits(self, half_width):
+        # (probability, mean) of the standard normal window centred at z with
+        # this half-width, against mpmath at the exact ends z -+ half_width;
+        # narrow windows are where a difference of Mills ratios cancels
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 50
+        for z in np.linspace(-32.0, 32.0, 129):
+            lo, hi = mp.mpf(float(z)) - half_width, mp.mpf(float(z)) + half_width
+            if lo >= 0:
+                ref_prob = (mp.erfc(lo / mp.sqrt(2)) - mp.erfc(hi / mp.sqrt(2))) / 2
+            elif hi <= 0:
+                ref_prob = (mp.erfc(-hi / mp.sqrt(2)) - mp.erfc(-lo / mp.sqrt(2))) / 2
+            else:
+                ref_prob = (mp.erf(hi / mp.sqrt(2)) - mp.erf(lo / mp.sqrt(2))) / 2
+            ref_mean = (mp.npdf(lo) - mp.npdf(hi)) / ref_prob
+            prob, mean = montecarlo._normal_window(float(z), half_width)
+            assert abs(prob - ref_prob) <= 1e-12 * ref_prob, z
+            assert abs(mean - ref_mean) <= 1e-12 * abs(ref_mean), z
 
     def test_ten_sigma_postselection(self):
         # g=0.3, omega=0.5, theta_A=0, theta_B=pi/2, b=5: about 10 std of B
@@ -635,14 +681,13 @@ class TestBinIndex:
         sample[:, 1] = rng.choice(self._probes(p_edges, rng), n)
         sample[:, 3] = rng.choice(self._probes(P_edges, rng), n)
 
-        def blocks(source, k, rows):  # chunks of 2000 rows in blocks of 700
+        def blocks(source, k, rows):  # chunks of 2000 rows in (p', P') blocks of 700
             start = 2000 * k
             for s in range(start, start + rows, 700):
-                yield sample[s : min(s + 700, start + rows)]
+                yield np.ascontiguousarray(sample[s : min(s + 700, start + rows), 1::2].T)
 
         monkeypatch.setattr(montecarlo, "WORKERS", 1)
         monkeypatch.setattr(montecarlo, "_blocks", blocks)
-        monkeypatch.setattr(montecarlo, "apply_to_points", lambda smap, pts: pts)
         config = dataclasses.replace(BASE, n_samples=n)
         got = joint_momentum_histogram(config, bins, hist_range, chunk_size=2000)
         ref = np.histogram2d(sample[:, 1], sample[:, 3], bins=bins, range=hist_range)
@@ -689,15 +734,40 @@ class TestStreamingEngine:
         pts = sample_state(joint, config.n_samples, config.seed, self.CHUNK)
         return pts, apply_to_points(coupling_map(config.g, config.theta_A), pts)
 
-    def _assert_histogram_matches(self, bins, hist_range):
+    def _readouts(self, joint, chunk=CHUNK):
+        """The folded read-outs of every draw: (p', P') and (A, Q'), as the
+        histogram and the correlation draw them, as (2, n) arrays."""
         config = self.CONFIG
-        _, evolved = self._evolved_points(config.joint())
-        ref = np.histogram2d(evolved[:, 1], evolved[:, 3], bins=bins, range=hist_range)
-        got = joint_momentum_histogram(config, bins, hist_range, chunk_size=self.CHUNK)
+        smap = coupling_map(config.g, config.theta_A)
+        readouts = (smap.matrix[1::2], np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]]))
+        out = []
+        for readout in readouts:
+            source = montecarlo._source(joint, config.seed, readout)
+            chunks = montecarlo._chunk_rows(config.n_samples, chunk)
+            out.append(np.concatenate([b.copy() for k, rows in chunks for b in montecarlo._blocks(source, k, rows)], axis=1))
+        return out
+
+    def _assert_histogram_matches(self, bins, hist_range, chunk=CHUNK):
+        config = self.CONFIG
+        (p, P), _ = self._readouts(config.joint(), chunk)
+        ref = np.histogram2d(p, P, bins=bins, range=hist_range)
+        got = joint_momentum_histogram(config, bins, hist_range, chunk_size=chunk)
         for g, r in zip(got, ref):
             assert g.dtype == r.dtype
             np.testing.assert_array_equal(g, r)
         return got[0]
+
+    def test_folded_readouts_match_evolved_points(self):
+        # offset + (R L) z against R (mean + L z) through apply_to_points:
+        # equal up to rounding, within 4 ulp of the terms' magnitude
+        config = self.CONFIG
+        pts, evolved = self._evolved_points(config.joint())
+        a = config.theta_A.value(pts[:, 0], pts[:, 1])
+        momenta, aq = self._readouts(config.joint())
+        for got, ref in ((momenta, evolved[:, 1::2].T), (aq, np.array([a, evolved[:, 2]]))):
+            scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(scale))
+            assert np.mean(got == ref) > 0.5  # most draws round alike
 
     def test_histogram_auto_box_is_bit_identical(self):
         config = self.CONFIG
@@ -715,8 +785,13 @@ class TestStreamingEngine:
         )
 
     def test_histogram_clipping_range_is_bit_identical(self):
-        counts = self._assert_histogram_matches((13, 17), ((-0.3, 0.4), (-0.2, 0.25)))
-        assert 0 < counts.sum() < self.CONFIG.n_samples / 2
+        # (120, 90) bins have 122 x 92 cells with the two outside rows and
+        # columns, more than BLOCK: in one chunk of all 25 500 draws the flat
+        # index buffer holds 11 224 entries and is counted four times
+        assert 122 * 92 > montecarlo.BLOCK
+        for bins, chunk in (((13, 17), self.CHUNK), ((120, 90), self.CONFIG.n_samples)):
+            counts = self._assert_histogram_matches(bins, ((-0.3, 0.4), (-0.2, 0.25)), chunk)
+            assert 0 < counts.sum() < self.CONFIG.n_samples / 2
 
     def test_correlation_matches_materialised_corrcoef(self):
         # np.corrcoef needs every row at once; the streamed merge of chunk

@@ -197,15 +197,29 @@ def _trusted_grid():
         yield dataclasses.replace(config, b=mean_B + z * math.sqrt(var_B))
 
 
-def test_derived_states_pass_the_public_checks():
-    """Tensor products, evolution, conditioning and marginals skip the
-    validation; on a grid over every config field, each such state passes it
-    and equals its validated copy bit for bit."""
+def _wide_spread_grid():
+    """Spreads sigma and delta_Q from 1e-4 to 1e4: covariance entries up to
+    1e8 carry rounding far above any absolute 1e-12 tolerance."""
+    spreads = (1e-4, 1e-2, 1.0, 1e2, 1e4)
+    for sigma, delta_Q, g, theta_A, omega in itertools.product(
+        spreads, spreads, (0.3, 3.0), (0.0, 0.7, math.pi / 2), (0.0, 0.8)
+    ):
+        yield ExperimentConfig(
+            0.2, -0.1, sigma, delta_Q, 0.4, omega, g,
+            Quadrature(theta_A), Quadrature(1.9), 0.5, None, 1, 0,
+        )
+
+
+def _check_derived_states(configs, conditioned: bool) -> int:
+    """Validate a copy of each config's joint and evolved state (and, if
+    `conditioned`, its state conditioned on B = b) and of their marginals;
+    each must equal its validated copy bit for bit. Returns the count."""
     n = 0
-    for config in _trusted_grid():
-        joint, evolved = config.joint(), config.evolved_joint()
-        conditioned = gaussian_condition(evolved, 0, config.theta_B, config.b)
-        for state in (joint, evolved, conditioned):
+    for config in configs:
+        states = [config.joint(), config.evolved_joint()]
+        if conditioned:
+            states.append(gaussian_condition(states[1], 0, config.theta_B, config.b))
+        for state in states:
             for derived in (state, state.marginal(0), state.marginal(1)):
                 checked = GaussianState(derived.mean, derived.cov)
                 for got, want in ((derived.mean, checked.mean), (derived.cov, checked.cov)):
@@ -213,4 +227,17 @@ def test_derived_states_pass_the_public_checks():
                     assert got.tobytes() == want.tobytes(), config
                     assert not got.flags.writeable
                 n += 1
-    assert n == 9 * 1296
+    return n
+
+
+def test_derived_states_pass_the_public_checks():
+    """Tensor products, evolution, conditioning and marginals skip the
+    validation; on a grid over every config field, each such state passes it
+    and equals its validated copy bit for bit."""
+    assert _check_derived_states(_trusted_grid(), conditioned=True) == 9 * 1296
+
+
+def test_extreme_spread_states_pass_the_public_checks():
+    """The tolerances scale with the covariance: with absolute ones, 35 of
+    these 300 evolved states failed the PSD check."""
+    assert _check_derived_states(_wide_spread_grid(), conditioned=False) == 6 * 300
