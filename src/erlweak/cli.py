@@ -230,7 +230,7 @@ def cmd_weakvalue(args) -> int:
         print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
         return 0
 
-    config = parse_experiment(doc, args.seed)
+    config = parse_experiment(doc)
     wv = weak_value_gaussian(
         config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
     )
@@ -258,63 +258,36 @@ def cmd_simulate(args) -> int:
     config = parse_experiment(doc, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    oracle_Q, oracle_P, oracle_A = oracle_estimate(config)
-    epsilon = config.resolved_epsilon()
-    exact_acceptance = acceptance_probability(config, epsilon)
-    error = ""
-    status = 0
+    oracle = oracle_estimate(config)
     try:
         est = run_weak_experiment(config)
-        row = [
-            config.g,
-            config.theta_A.theta,
-            config.theta_B.theta,
-            config.b,
-            est.epsilon,
-            est.n_samples,
-            est.n_accepted,
-            est.mean_Q,
-            est.se_Q,
-            est.mean_P,
-            est.se_P,
-            est.mean_A,
-            est.se_A,
-            oracle_Q,
-            oracle_P,
-            oracle_A,
-        ]
-        dev = {
-            "max_abs_deviation": max(
-                abs(est.mean_Q - oracle_Q), abs(est.mean_P - oracle_P), abs(est.mean_A - oracle_A)
-            ),
-            "epsilon": est.epsilon,
-            "acceptance_rate": est.acceptance_rate,
-            "acceptance_probability": exact_acceptance,
-        }
+        accepted, rate, error = est.n_accepted, est.acceptance_rate, ""
+        estimates = [est.mean_Q, est.se_Q, est.mean_P, est.se_P, est.mean_A, est.se_A]
     except InsufficientAcceptanceError as exc:
-        error = "insufficient_acceptance"
-        status = 1
-        row = [
-            config.g,
-            config.theta_A.theta,
-            config.theta_B.theta,
-            config.b,
-            epsilon,
-            config.n_samples,
-            0,
-            *[math.nan] * 6,
-            oracle_Q,
-            oracle_P,
-            oracle_A,
-        ]
-        dev = {
-            "acceptance_rate": exc.acceptance_rate,
-            "acceptance_probability": exact_acceptance,
-            "epsilon": epsilon,
-        }
-
+        accepted, rate, error = 0, exc.acceptance_rate, "insufficient_acceptance"
+        estimates = [math.nan] * 6
+    epsilon = config.resolved_epsilon()
+    dev = {
+        "epsilon": epsilon,
+        "acceptance_rate": rate,
+        "acceptance_probability": acceptance_probability(config),
+    }
+    if not error:
+        dev["max_abs_deviation"] = max(abs(x - o) for x, o in zip(estimates[::2], oracle))
+    row = [
+        config.g,
+        config.theta_A.theta,
+        config.theta_B.theta,
+        config.b,
+        epsilon,
+        config.n_samples,
+        accepted,
+        *estimates,
+        *oracle,
+        error,
+    ]
     csv_path = out_dir / "simulate.csv"
-    _write_csv(csv_path, SIMULATE_HEADER, [_cells(row + [error])])
+    _write_csv(csv_path, SIMULATE_HEADER, [_cells(row)])
     manifest = write_manifest(
         out_dir,
         config_echo(config),
@@ -324,7 +297,7 @@ def cmd_simulate(args) -> int:
     )
     if not args.quiet:
         print(f"wrote {csv_path} and {manifest}")
-    return status
+    return 1 if error else 0
 
 
 SWEEP_KEYS = ("g", "delta_Q", "delta_P", "theta_A", "theta_B", "b")
@@ -501,23 +474,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="erlweak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_config=True, needs_out=False):
+    def add(name, func, needs_config=True, writes_out=True):
+        # only the commands that write an output directory take --seed and --quiet
         p = sub.add_parser(name)
         if needs_config:
             p.add_argument("--config", required=True, help="path to JSON config")
-        if needs_out:
+        if writes_out:
             p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--quiet", action="store_true")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
+            p.add_argument("--quiet", action="store_true")
         p.set_defaults(func=func)
         return p
 
-    add("weakvalue", cmd_weakvalue)
-    add("simulate", cmd_simulate, needs_out=True)
-    sweep = add("sweep", cmd_sweep, needs_out=True)
+    add("weakvalue", cmd_weakvalue, writes_out=False)
+    add("simulate", cmd_simulate)
+    sweep = add("sweep", cmd_sweep)
     sweep.add_argument("--mc", action="store_true", help="add Monte Carlo columns")
-    add("verify", cmd_verify, needs_config=False)
-    add("histogram", cmd_histogram, needs_out=True)
+    add("verify", cmd_verify, needs_config=False, writes_out=False)
+    add("histogram", cmd_histogram)
     return parser
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from .states import GaussianState, Quadrature, symplectic_form
 
+# |M^T J M - J| allowed, times max(1, max|M|)^2: the rounding of M^T J M
+# grows with the square of M's entries (as g^2 for a coupling map)
 SYMPLECTIC_TOL = 1e-12
 _FORM = symplectic_form(2)
 _FORM.setflags(write=False)
@@ -29,7 +31,8 @@ class SymplecticMap:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("matrix must be 4x4")
-        if np.max(np.abs(m.T @ _FORM @ m - _FORM)) > SYMPLECTIC_TOL:
+        scale = max(1.0, float(np.max(np.abs(m)))) ** 2
+        if not np.max(np.abs(m.T @ _FORM @ m - _FORM)) <= SYMPLECTIC_TOL * scale:  # nan fails
             raise ValueError("matrix is not symplectic")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -4,9 +4,11 @@ Sampling is chunked with one substream per chunk, keyed by (seed, chunk
 index), so the sample stream and every derived estimate are bit-identical
 however the chunks are spread over processes. Each sampler is a per-chunk
 function of (args, k, rows) plus a reduction of the chunk results in chunk
-order. `_map_chunks` runs the chunks on a persistent fork pool of `WORKERS`
-processes (the CPUs this process may use), or in this process where a pool
-cannot help or cannot be used.
+order: the histogram sums counts, and every estimate merges the chunks'
+`_moments` (count, mean, centred scatter) with `_merge`, so no chunk sends
+its rows back. `_map_chunks` runs the chunks on a persistent fork pool of
+`WORKERS` processes (the CPUs this process may use), or in this process
+where a pool cannot help or cannot be used.
 
 Inside a chunk, `_blocks` draws the substream in blocks of `BLOCK` rows z of
 standard normals and yields offset + z @ F, for a C-contiguous factor F that
@@ -17,11 +19,13 @@ windows every point in block buffers. The histogram and the correlation
 draw only the two coordinates they read, (p', P') and (A, Q'): with R their
 2 x 4 read-out, which holds the coupling's rows, F = (R L)^T, and blocks
 are laid out one coordinate per row. Every block of a chunk reuses the
-same buffers, so memory is O(BLOCK) rows per worker and a yielded block is
-valid only until the next one; only `sample_state` materialises n rows. The
-histogram bins each block by an arithmetic index corrected against the
-edges (`_bin_index`), with counts equal to `np.histogram2d`'s exactly, and
-counts a buffer of at least `BLOCK` flat cell indices at a time.
+same buffers, so a yielded block is valid only until the next one. A chunk
+keeps at most the values its moments need (the accepted (Q', P', A), or
+(A, Q')), so memory is O(chunk) per worker at any acceptance; only
+`sample_state` materialises n rows. The histogram bins each block by an
+arithmetic index corrected against the edges (`_bin_index`), with counts
+equal to `np.histogram2d`'s exactly, and counts a buffer of at least
+`BLOCK` flat cell indices at a time.
 """
 
 from __future__ import annotations
@@ -319,10 +323,32 @@ def sample_state(
     return out
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size))
-    return mean, se
+def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, centred scatter matrix) of the draws in a (d, count)
+    array, one coordinate per row: the part of a chunk that `_merge` merges.
+    Centres `values` in place, so a chunk needs no second copy of its draws.
+    An empty array gives count 0, which `_merge` skips."""
+    d, count = values.shape
+    if count == 0:
+        return 0, np.zeros(d), np.zeros((d, d))
+    mean = values.mean(axis=1)
+    values -= mean[:, None]
+    return count, mean, values @ values.T
+
+
+def _merge(parts) -> tuple[int, np.ndarray, np.ndarray]:
+    """The one reduction of sampled moments: merge `_moments` parts in chunk
+    order into the (count, mean, centred scatter) of all their draws (Chan,
+    Golub & LeVeque 1983). Empty parts are skipped, so none gives count 0."""
+    n, mean, scatter = 0, 0.0, 0.0
+    for m, part_mean, part_scatter in parts:
+        if m == 0:
+            continue
+        delta = part_mean - mean
+        scatter = scatter + (part_scatter + np.outer(delta, delta) * (n * m / (n + m)))
+        n += m
+        mean = mean + delta * (m / n)
+    return n, mean, scatter
 
 
 def _quadrature_into(
@@ -335,17 +361,18 @@ def _quadrature_into(
     return np.add(out, work, out=out)
 
 
-def _experiment_chunk(args, k: int, rows: int) -> np.ndarray:
-    """Chunk k of `run_weak_experiment`: its accepted (Q', P', A) rows, after
-    checking at every point that the coupling left A and P unchanged. Each
-    block is evolved, checked and windowed in buffers the chunk allocates
-    once."""
+def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Chunk k of `run_weak_experiment`: the `_moments` of its accepted
+    (Q', P', A), after checking at every point that the coupling left A and
+    P unchanged. Each block is evolved, checked and windowed in buffers the
+    chunk allocates once; the accepted values fill a (3, rows) buffer."""
     source, smap, theta_A, theta_B, b, epsilon = args
     size = min(BLOCK, rows)
     evolved_buf = np.empty((size, 4))
     a_before_buf, a_after_buf, b_buf, work_buf = np.empty((4, size))
     same_buf = np.empty(size, dtype=bool)
-    accepted = []
+    accepted = np.empty((3, rows))
+    n_acc = 0
     for pts in _blocks(source, k, rows):
         m = pts.shape[0]
         evolved = apply_to_points(smap, pts, out=evolved_buf[:m])
@@ -364,11 +391,11 @@ def _experiment_chunk(args, k: int, rows: int) -> np.ndarray:
         b_val = _quadrature_into(theta_B, evolved[:, 0], evolved[:, 1], b_buf[:m], work)
         distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
         keep = np.flatnonzero(distance <= epsilon)
-        kept = np.empty((keep.size, 3))
-        kept[:, :2] = evolved[keep, 2:]
-        kept[:, 2] = a_after[keep]
-        accepted.append(kept)
-    return np.concatenate(accepted, axis=0)
+        stop = n_acc + keep.size
+        accepted[:2, n_acc:stop] = evolved[keep, 2:].T
+        accepted[2, n_acc:stop] = a_after[keep]
+        n_acc = stop
+    return _moments(accepted[:, :n_acc])
 
 
 def run_weak_experiment(
@@ -379,8 +406,10 @@ def run_weak_experiment(
     Q', P' and A(q', p') with normal-theory standard errors.
 
     Per-point repeatability (A and P unchanged by the coupling) is asserted
-    on every sampled point. Chunks run in parallel (see `_map_chunks`); their
-    accepted rows are joined in chunk order before the means are taken.
+    on every sampled point. Chunks run in parallel (see `_map_chunks`) and
+    return the moments of their accepted draws, which `_merge` merges in
+    chunk order, so memory is O(chunk_size) at any acceptance. Each SE is
+    sqrt(scatter_ii / ((n - 1) n)) for n accepted draws.
     """
     epsilon = config.resolved_epsilon()
     n = config.n_samples
@@ -392,17 +421,12 @@ def run_weak_experiment(
         config.b,
         epsilon,
     )
-    rows = np.concatenate(list(_map_chunks(_experiment_chunk, args, n, chunk_size)), axis=0)
-    n_acc = rows.shape[0]
+    n_acc, mean, scatter = _merge(_map_chunks(_experiment_chunk, args, n, chunk_size))
     rate = n_acc / n
     if n_acc < 2:
         raise InsufficientAcceptanceError(rate)
-    mean_Q, se_Q = _mean_se(rows[:, 0])
-    mean_P, se_P = _mean_se(rows[:, 1])
-    mean_A, se_A = _mean_se(rows[:, 2])
-    return PostselectedEstimate(
-        mean_Q, mean_P, mean_A, se_Q, se_P, se_A, n_acc, n, rate, epsilon
-    )
+    se = np.sqrt(np.diag(scatter) / ((n_acc - 1) * n_acc))
+    return PostselectedEstimate(*mean.tolist(), *se.tolist(), n_acc, n, rate, epsilon)
 
 
 def oracle_estimate(config: ExperimentConfig) -> tuple[float, float, float]:
@@ -471,20 +495,16 @@ def _normal_window(centre: float, half_width: float) -> tuple[float, float]:
     return _pdf(lo) * tail, drop / tail
 
 
-def _b_window(config: ExperimentConfig, epsilon: float | None) -> tuple[float, float, float]:
+def _b_window(config: ExperimentConfig) -> tuple[float, float, float]:
     """(probability, E[B | window] - mean of B, variance of B) for the
-    postselection window |B - b| <= epsilon under the evolved state."""
-    if epsilon is None:
-        epsilon = config.resolved_epsilon()
+    config's window |B - b| <= resolved epsilon under the evolved state."""
     _, mu_B, var_B = config._evolved
     s = math.sqrt(var_B)
-    prob, shift = _normal_window((config.b - mu_B) / s, epsilon / s)
+    prob, shift = _normal_window((config.b - mu_B) / s, config.resolved_epsilon() / s)
     return prob, s * shift, var_B
 
 
-def windowed_oracle(
-    config: ExperimentConfig, epsilon: float | None = None
-) -> tuple[float, float, float]:
+def windowed_oracle(config: ExperimentConfig) -> tuple[float, float, float]:
     """Exact conditional means given the hard window |B - b| <= epsilon.
 
     For jointly Gaussian (X, B): E[X | window] differs from E[X] by the
@@ -494,7 +514,7 @@ def windowed_oracle(
     window lies; raises only for a window that is empty in double precision.
     """
     evolved = config.evolved_joint()
-    prob, offset, var_B = _b_window(config, epsilon)
+    prob, offset, var_B = _b_window(config)
     if not math.isfinite(offset):
         raise InsufficientAcceptanceError(prob)
     v = quadrature_vector(2, 0, config.theta_B)
@@ -505,11 +525,11 @@ def windowed_oracle(
     return tuple(results)
 
 
-def acceptance_probability(config: ExperimentConfig, epsilon: float | None = None) -> float:
+def acceptance_probability(config: ExperimentConfig) -> float:
     """Exact probability of the postselection window under the evolved state.
     Keeps its relative accuracy in the tails until it underflows (about
     38 std of B from the mean)."""
-    return _b_window(config, epsilon)[0]
+    return _b_window(config)[0]
 
 
 def joint_momentum_histogram(
@@ -640,10 +660,9 @@ def strong_measurement_correlation(
     """Sampled Pearson correlation between pointer position Q' and the
     particle observable A, for each device spread in a decreasing sequence.
 
-    Tends to 1 as delta_Q -> 0: the strong-measurement limit. The centred
-    moments of each chunk's (A, Q') are computed in parallel (see
-    `_map_chunks`) and merged in chunk order, so memory is O(chunk_size),
-    not O(n_samples).
+    Tends to 1 as delta_Q -> 0: the strong-measurement limit. The moments
+    of each chunk's (A, Q') are computed in parallel (see `_map_chunks`) and
+    merged by `_merge`, so memory is O(chunk_size), not O(n_samples).
     """
     # (A, Q'): the quadrature A and row 2 of the coupling map, folded into the draw
     q_row = coupling_map(config.g, config.theta_A).matrix[2]
@@ -654,15 +673,7 @@ def strong_measurement_correlation(
             raise ValueError("delta_Q must be positive")
         joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
         source = _source(joint, config.seed, readout)
-        n, mean, scatter = 0, np.zeros(2), np.zeros((2, 2))
-        for m, chunk_mean, chunk_scatter in _map_chunks(
-            _correlation_chunk, source, config.n_samples, chunk_size
-        ):
-            delta = chunk_mean - mean
-            # merge the chunk's centred moments (Chan, Golub & LeVeque 1983)
-            scatter += chunk_scatter + np.outer(delta, delta) * (n * m / (n + m))
-            n += m
-            mean += delta * (m / n)
+        _, _, scatter = _merge(_map_chunks(_correlation_chunk, source, config.n_samples, chunk_size))
         if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):
             raise ValueError("degenerate variance in correlation estimate")
         out.append(float(np.clip(scatter[0, 1] / math.sqrt(scatter[0, 0] * scatter[1, 1]), -1, 1)))
@@ -670,14 +681,12 @@ def strong_measurement_correlation(
 
 
 def _correlation_chunk(source, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Chunk k of `strong_measurement_correlation`: (rows, mean, centred
-    scatter matrix) of its (A, Q'), computed over the whole chunk."""
+    """Chunk k of `strong_measurement_correlation`: the `_moments` of its
+    (A, Q'), computed over the whole chunk."""
     aq = np.empty((2, rows))
     start = 0
     for block in _blocks(source, k, rows):
         stop = start + block.shape[1]
         aq[:, start:stop] = block
         start = stop
-    mean = aq.mean(axis=1)
-    centred = aq - mean[:, None]
-    return rows, mean, centred @ centred.T
+    return _moments(aq)

@@ -333,6 +333,16 @@ class TestVerifyAndRoundTrip:
         assert "VERIFY PASS" in out
         assert out.count("[PASS]") == 4
 
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--quiet"], ["verify", "--seed", "1"], ["weakvalue", "--quiet"]]
+    )
+    def test_flags_of_the_writing_commands_only(self, tmp_path, capsys, argv):
+        # --seed and --quiet belong to simulate, sweep and histogram
+        path = write_config(tmp_path, base_config())
+        config = ["--config", path] if argv[0] == "weakvalue" else []
+        assert main([*argv, *config]) == 2
+        assert argv[1] in capsys.readouterr().err
+
     def test_config_round_trip(self, tmp_path):
         doc = base_config(particle={"mu_q": 0.25}, device={"omega": -0.5})
         config = parse_experiment(doc)

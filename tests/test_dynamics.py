@@ -64,6 +64,15 @@ def test_nonsymplectic_matrix_rejected():
         SymplecticMap(bad)
 
 
+@pytest.mark.parametrize("g", [300.0, 1000.0])
+def test_large_coupling_accepted_at_every_angle(g):
+    # the rounding of M^T J M grows as g^2: an absolute tolerance rejected
+    # most of these angles
+    for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
+        m = coupling_map(g, Quadrature(theta)).matrix
+        assert m[2, 0] == g * math.cos(theta)
+
+
 @given(couplings, angles)
 def test_coupling_map_is_symplectic(g, theta):
     m = coupling_map(g, Quadrature(theta)).matrix

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,10 +132,11 @@ class TestBlocks:
         np.testing.assert_allclose(mean, aq.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(scatter, centred.T @ centred, rtol=1e-12)
 
-    def test_accepted_rows_equal_the_two_step_reference(self):
+    def test_accepted_rows_equal_the_two_step_reference(self, monkeypatch):
         # the chunk multiplies by C-contiguous copies of L^T and M^T and
         # works in block buffers; its accepted rows, over several blocks,
-        # are bit for bit those of (mean + z @ L^T) @ M^T
+        # are bit for bit those of (mean + z @ L^T) @ M^T. The chunk hands
+        # them to `_moments`, which the test swaps for a copy of its input
         config = dataclasses.replace(
             BASE, g=0.4, mu_P=0.3, omega=0.5, theta_A=Quadrature(0.6), b=0.3, epsilon=0.2, seed=9
         )
@@ -149,6 +151,7 @@ class TestBlocks:
         args = (
             montecarlo._source(joint, config.seed), smap, config.theta_A, config.theta_B, config.b, config.epsilon
         )
+        monkeypatch.setattr(montecarlo, "_moments", lambda values: values.T.copy())
         got = montecarlo._experiment_chunk(args, 0, rows)
         assert 1000 < got.shape[0] < rows
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -282,10 +285,10 @@ class TestRunWeakExperiment:
     def test_window_bias_shrinks_quadratically(self):
         # windowed oracle minus point oracle is O(epsilon^2)
         config = dataclasses.replace(BASE, b=0.8)
-        point = windowed_oracle(config, epsilon=1e-6)
+        point = windowed_oracle(dataclasses.replace(config, epsilon=1e-6))
         biases = []
         for eps in (0.4, 0.2, 0.1):
-            w = windowed_oracle(config, epsilon=eps)
+            w = windowed_oracle(dataclasses.replace(config, epsilon=eps))
             biases.append(max(abs(a - b) for a, b in zip(w, point)))
         orders = [math.log2(b1 / b2) for b1, b2 in zip(biases, biases[1:])]
         assert min(orders) > 1.8
@@ -295,6 +298,27 @@ class TestRunWeakExperiment:
         with pytest.raises(InsufficientAcceptanceError) as excinfo:
             run_weak_experiment(config)
         assert excinfo.value.acceptance_rate == 0.0
+
+    def test_merge_skips_empty_parts_and_matches_the_whole(self):
+        values = np.random.default_rng(3).normal(0.5, 2.0, size=(3, 1000))
+        cuts = [0, 0, 10, 10, 400, 1000, 1000]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty part must not take a mean
+            parts = [montecarlo._moments(values[:, a:b].copy()) for a, b in zip(cuts, cuts[1:])]
+            n, mean, scatter = montecarlo._merge(parts)
+        _, whole_mean, whole_scatter = montecarlo._moments(values.copy())
+        assert n == 1000
+        np.testing.assert_allclose(mean, whole_mean, rtol=1e-13)
+        np.testing.assert_allclose(scatter, whole_scatter, rtol=1e-13)
+
+    def test_chunks_without_accepted_draws(self):
+        # about 0.2 accepted per chunk of 100 draws: most chunks accept none
+        config = dataclasses.replace(BASE, b=0.5, epsilon=0.002, n_samples=50_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = run_weak_experiment(config, chunk_size=100)
+        assert 2 <= est.n_accepted < 500
+        assert all(map(math.isfinite, (est.mean_Q, est.mean_P, est.mean_A, est.se_Q, est.se_P, est.se_A)))
 
     def test_adaptive_epsilon_recorded(self):
         config = dataclasses.replace(BASE, n_samples=50_000)
@@ -498,12 +522,12 @@ class TestWindowTails:
         # z = (b - mean_B) / std_B over both tails; width = epsilon / std_B
         for z in np.linspace(-32.0, 32.0, 65):
             config, std_B = self._at(float(z))
-            epsilon = width * std_B
-            ref_prob, ref_means = _mp_window(config, epsilon)
-            prob = acceptance_probability(config, epsilon)
+            config = dataclasses.replace(config, epsilon=width * std_B)
+            ref_prob, ref_means = _mp_window(config, config.epsilon)
+            prob = acceptance_probability(config)
             assert prob > 0.0
             assert abs(prob - ref_prob) <= 1e-10 * ref_prob, (z, width)
-            for x, r in zip(windowed_oracle(config, epsilon), ref_means):
+            for x, r in zip(windowed_oracle(config), ref_means):
                 assert math.isfinite(x)
                 assert abs(x - r) <= 1e-10 * max(1.0, abs(r)), (z, width)
 
@@ -552,7 +576,7 @@ class TestWindowTails:
         point = oracle_estimate(config)
         gaps = []
         for width in (1e-2, 1e-3, 1e-4):
-            w = windowed_oracle(config, width * std_B)
+            w = windowed_oracle(dataclasses.replace(config, epsilon=width * std_B))
             gaps.append(max(abs(a - b) for a, b in zip(w, point)))
         assert gaps[-1] <= 1e-8 * max(1.0, abs(z))
         assert gaps[1] <= 0.02 * gaps[0]  # O(epsilon^2)
@@ -806,17 +830,18 @@ class TestStreamingEngine:
             assert abs(got - ref) <= 1e-14, delta_Q
 
     def test_experiment_pinned(self):
-        # recorded before the samplers shared one chunk loop
+        # re-recorded when each chunk began returning the moments of its
+        # accepted draws for `_merge`: every value within 3 ulp of the row path's
         config = dataclasses.replace(
             BASE, g=0.3, omega=0.5, mu_P=0.2, b=0.5, epsilon=0.25, n_samples=25_500, seed=7
         )
         assert run_weak_experiment(config, chunk_size=1000) == PostselectedEstimate(
-            mean_Q=-0.13185630613535507,
+            mean_Q=-0.131856306135355,
             mean_P=0.019161912996883076,
-            mean_A=0.01207579236743413,
+            mean_A=0.012075792367434128,
             se_Q=0.013786919322274393,
-            se_P=0.007084849332174697,
-            se_A=0.013264508384711783,
+            se_P=0.007084849332174698,
+            se_A=0.013264508384711785,
             n_accepted=5613,
             n_samples=25500,
             acceptance_rate=0.22011764705882353,
@@ -827,8 +852,8 @@ class TestStreamingEngine:
             mean_P=0.024824575573117295,
             mean_A=-0.0010937740338186597,
             se_Q=0.0141711396333962,
-            se_P=0.0072604677462730005,
-            se_A=0.013491460866509567,
+            se_P=0.007260467746273003,
+            se_A=0.013491460866509571,
             n_accepted=5429,
             n_samples=25500,
             acceptance_rate=0.21290196078431373,
@@ -866,4 +891,12 @@ class TestBoundedMemory:
         peak = self._peak(
             lambda: strong_measurement_correlation([0.5], self.CONFIG, chunk_size=2**14)
         )
+        assert peak < self.LIMIT
+
+    def test_run_weak_experiment_accepting_every_draw(self):
+        # chunks of the default size, each returning the moments of its
+        # accepted draws: 2e6 accepted (Q', P', A) rows would be 48 MB
+        config = dataclasses.replace(self.CONFIG, epsilon=100.0)
+        config.evolved_joint()
+        peak = self._peak(lambda: run_weak_experiment(config))
         assert peak < self.LIMIT
