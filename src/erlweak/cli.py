@@ -395,7 +395,8 @@ def cmd_sweep(args) -> int:
     header = SWEEP_HEADER + (",mc_Q,mc_se_Q,mc_P,mc_se_P" if args.mc else "")
     _write_csv(csv_path, header, _sweep_rows(base, axes, args.mc))
     run = _run_record(base.n_samples, math.prod(map(len, axes.values())) if args.mc else 0)
-    manifest = write_manifest(out_dir, doc, base.seed, [csv_path.name], {"run": run})
+    echo = {**config_echo(base), "sweep": axes}
+    manifest = write_manifest(out_dir, echo, base.seed, [csv_path.name], {"run": run})
     if not args.quiet:
         print(f"wrote {csv_path} and {manifest}")
     return 0

@@ -71,8 +71,6 @@ def apply_to_state(smap: SymplecticMap, joint: GaussianState) -> GaussianState:
 def apply_to_points(
     smap: SymplecticMap, pts: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Vectorized image pts @ M^T of an (n, 4) array of phase points, written
-    into `out` when it is given. M^T is passed to BLAS as a C-contiguous copy:
-    the transposed view, which is Fortran-ordered, takes a slower path in
-    numpy's matmul and gives the same bits on the BLAS builds tested."""
-    return np.matmul(pts, np.ascontiguousarray(smap.matrix.T), out=out)
+    """Vectorized image M @ pts of a (4, n) array of phase points, one
+    coordinate per row, written into `out` when it is given."""
+    return np.matmul(smap.matrix, pts, out=out)

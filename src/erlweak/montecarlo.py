@@ -10,22 +10,22 @@ its rows back. `_map_chunks` runs the chunks on a persistent fork pool of
 `WORKERS` processes (the CPUs this process may use), or in this process
 where a pool cannot help or cannot be used.
 
-Inside a chunk, `_blocks` draws the substream in blocks of `BLOCK` rows z of
-standard normals and yields offset + z @ F, for a C-contiguous factor F that
-each sampler builds once per call from the Cholesky factor L of the joint
-state (see `_source`). `sample_state` and the rejection sampler take the
-points themselves (F = L^T); the rejection sampler then evolves, checks and
+Points are laid out (coordinates, points), one coordinate per row. Inside
+a chunk, `_blocks` draws the substream in blocks of `BLOCK` rows z of
+standard normals and yields factor @ z^T + offset, for a factor that each
+sampler builds once per call from the Cholesky factor L of the joint state
+(see `_source`). `sample_state` and the rejection sampler take the points
+themselves (factor L); the rejection sampler then evolves, checks and
 windows every point in block buffers. The histogram and the correlation
 draw only the two coordinates they read, (p', P') and (A, Q'): with R their
-2 x 4 read-out, which holds the coupling's rows, F = (R L)^T, and blocks
-are laid out one coordinate per row. Every block of a chunk reuses the
-same buffers, so a yielded block is valid only until the next one. A chunk
-keeps at most the values its moments need (the accepted (Q', P', A), or
-(A, Q')), so memory is O(chunk) per worker at any acceptance; only
-`sample_state` materialises n rows. The histogram bins each block by an
-arithmetic index corrected against the edges (`_bin_index`), with counts
-equal to `np.histogram2d`'s exactly, and counts a buffer of at least
-`BLOCK` flat cell indices at a time.
+2 x 4 read-out, which holds the coupling's rows, the factor is R L. Every
+block of a chunk reuses the same buffers, so a yielded block is valid only
+until the next one. A chunk keeps at most the values its moments need (the
+accepted (Q', P', A), or (A, Q')), so memory is O(chunk) per worker at any
+acceptance; only `sample_state` materialises n points. The histogram bins
+each block by an arithmetic index corrected against the edges
+(`_bin_index`), with counts equal to `np.histogram2d`'s exactly, and counts
+a buffer of at least `BLOCK` flat cell indices at a time.
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # the fields, as nothing is cached yet
+            value = getattr(value, "theta", value)  # a Quadrature's angle
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not self.sigma > 0:
             raise ValueError("particle.sigma must be positive")
         if not self.delta_Q > 0:
@@ -185,46 +189,41 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 def _source(
     state: GaussianState, seed: int, readout: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """(offset, factor, seed, by_coordinate): all a process needs to draw
-    chunks of a Gaussian state with `_blocks`. L is the Cholesky factor of
-    the covariance. Without `readout`, the blocks are the points themselves,
-    rows of mean + z @ L^T (factor L^T, as a C-contiguous copy). With a
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(offset, factor, seed): all a process needs to draw chunks of a
+    Gaussian state with `_blocks`. L is the Cholesky factor of the
+    covariance. Without `readout`, the blocks are the points themselves,
+    mean + L z (offset the mean as a column, factor L). With a
     (d, 2*n_modes) `readout` matrix R they are the read-out coordinates
-    R mean + R L z, folded into one product per block (offset R mean as a
-    column, factor R L) and laid out (d, rows), so each coordinate is
-    contiguous. Raises ValueError on a degenerate covariance."""
+    R mean + R L z, folded into one product per block (offset R mean,
+    factor R L). Raises ValueError on a degenerate covariance."""
     try:
         lower = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not factorizable (degenerate state)") from exc
     if readout is None:
-        return state.mean, np.ascontiguousarray(lower.T), seed, False
-    return (readout @ state.mean)[:, None], readout @ lower, seed, True
+        return state.mean[:, None], lower, seed
+    return (readout @ state.mean)[:, None], readout @ lower, seed
 
 
-def _blocks(source: tuple[np.ndarray, np.ndarray, int, bool], k: int, rows: int):
+def _blocks(source: tuple[np.ndarray, np.ndarray, int], k: int, rows: int):
     """The one sampling loop: yield chunk k's `rows` i.i.d. draws from
-    substream (seed, k), at most BLOCK at a time: offset + z @ factor, as
-    (draws, d) arrays, or offset + factor @ z^T, as (d, draws) arrays when
-    the source is by coordinate (see `_source`). z holds one row of
-    standard normals per draw, drawn in one call per block.
+    substream (seed, k), at most BLOCK at a time, as (d, draws) arrays
+    factor @ z^T + offset (see `_source`). z holds one row of standard
+    normals per draw, drawn in one call per block.
 
     Every block is drawn into the same two buffers, so a yielded block is a
     view that is valid only until the next one: copy what must outlive it.
     """
-    offset, factor, seed, by_coordinate = source
-    d, width = factor.shape if by_coordinate else factor.shape[::-1]
+    offset, factor, seed = source
+    d, width = factor.shape
     rng = _chunk_rng(seed, k)
     z = np.empty((min(BLOCK, rows), width))
     buf = np.empty(z.shape[0] * d)
     for start in range(0, rows, BLOCK):
         m = min(BLOCK, rows - start)
         rng.standard_normal(out=z[:m])
-        if by_coordinate:
-            out = np.matmul(factor, z[:m].T, out=buf[: d * m].reshape(d, m))
-        else:
-            out = np.matmul(z[:m], factor, out=buf[: d * m].reshape(m, d))
+        out = np.matmul(factor, z[:m].T, out=buf[: d * m].reshape(d, m))
         out += offset
         yield out
 
@@ -294,11 +293,13 @@ def _pooled(tasks):
         _pool = multiprocessing.get_context("fork").Pool(WORKERS)
         _pool_owner = os.getpid()
         atexit.register(_close_pool)
+    pool = _pool  # a generator closed late must not touch a later pool
     try:
-        yield from _pool.imap(_star, tasks)
+        yield from pool.imap(_star, tasks)
     except BaseException:
-        _pool.terminate()
-        _pool = None
+        pool.terminate()
+        if _pool is pool:
+            _pool = None
         raise
 
 
@@ -311,15 +312,21 @@ def chunk_plan(n: int, chunk_size: int = DEFAULT_CHUNK) -> tuple[int, int]:
 def sample_state(
     state: GaussianState, n: int, seed: int, chunk_size: int = DEFAULT_CHUNK
 ) -> np.ndarray:
-    """Draw n i.i.d. points from a Gaussian state as an (n, 2*n_modes) array.
+    """Draw n i.i.d. points from a Gaussian state as a (2*n_modes, n) array.
     Runs in this process: workers would only copy the points back."""
     source = _source(state, seed)
-    out = np.empty((n, state.mean.size))
-    start = 0
+    out = np.empty((state.mean.size, n))
     for k, rows in _chunk_rows(n, chunk_size):
-        for pts in _blocks(source, k, rows):
-            out[start : start + pts.shape[0]] = pts
-            start += pts.shape[0]
+        _fill(source, k, out[:, k * chunk_size : k * chunk_size + rows])
+    return out
+
+
+def _fill(source, k: int, out: np.ndarray) -> np.ndarray:
+    """Chunk k's draws copied block by block into `out`, a (d, rows) array."""
+    start = 0
+    for block in _blocks(source, k, out.shape[1]):
+        out[:, start : start + block.shape[1]] = block
+        start += block.shape[1]
     return out
 
 
@@ -368,31 +375,31 @@ def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndar
     chunk allocates once; the accepted values fill a (3, rows) buffer."""
     source, smap, theta_A, theta_B, b, epsilon = args
     size = min(BLOCK, rows)
-    evolved_buf = np.empty((size, 4))
+    evolved_buf = np.empty(4 * size)
     a_before_buf, a_after_buf, b_buf, work_buf = np.empty((4, size))
     same_buf = np.empty(size, dtype=bool)
     accepted = np.empty((3, rows))
     n_acc = 0
     for pts in _blocks(source, k, rows):
-        m = pts.shape[0]
-        evolved = apply_to_points(smap, pts, out=evolved_buf[:m])
+        m = pts.shape[1]
+        evolved = apply_to_points(smap, pts, out=evolved_buf[: 4 * m].reshape(4, m))
         work = work_buf[:m]
-        a_before = _quadrature_into(theta_A, pts[:, 0], pts[:, 1], a_before_buf[:m], work)
-        a_after = _quadrature_into(theta_A, evolved[:, 0], evolved[:, 1], a_after_buf[:m], work)
+        a_before = _quadrature_into(theta_A, pts[0], pts[1], a_before_buf[:m], work)
+        a_after = _quadrature_into(theta_A, evolved[0], evolved[1], a_after_buf[:m], work)
 
         # max |A' - A| / max(1, |A|) over the block, as one expression would round it
         scale = np.maximum(np.abs(a_before, out=b_buf[:m]), 1.0, out=b_buf[:m])
         shift = np.abs(np.subtract(a_after, a_before, out=work), out=work)
         if np.max(np.divide(shift, scale, out=work)) > REPEATABILITY_TOL:
             raise AssertionError("repeatability violated: A changed under coupling")
-        if not np.equal(evolved[:, 3], pts[:, 3], out=same_buf[:m]).all():
+        if not np.equal(evolved[3], pts[3], out=same_buf[:m]).all():
             raise AssertionError("repeatability violated: P changed under coupling")
 
-        b_val = _quadrature_into(theta_B, evolved[:, 0], evolved[:, 1], b_buf[:m], work)
+        b_val = _quadrature_into(theta_B, evolved[0], evolved[1], b_buf[:m], work)
         distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
         keep = np.flatnonzero(distance <= epsilon)
         stop = n_acc + keep.size
-        accepted[:2, n_acc:stop] = evolved[keep, 2:].T
+        accepted[:2, n_acc:stop] = evolved[2:, keep]
         accepted[2, n_acc:stop] = a_after[keep]
         n_acc = stop
     return _moments(accepted[:, :n_acc])
@@ -640,14 +647,10 @@ def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
     return counts.reshape(-1, width)[1:-1, 1:-1]
 
 
-def exact_strong_correlation(
-    delta_Q: float, config: ExperimentConfig
-) -> float:
+def exact_strong_correlation(delta_Q: float, config: ExperimentConfig) -> float:
     """Closed-form Pearson correlation between the device pointer Q' and the
     particle observable A, for a pure device of position spread delta_Q."""
-    var_A = float(
-        config.theta_A.vector @ config.particle().cov @ config.theta_A.vector
-    )
+    var_A = quadrature_moments(config.particle(), 0, config.theta_A)[1]
     g = config.g
     return g * math.sqrt(var_A) / math.sqrt(delta_Q**2 + g**2 * var_A)
 
@@ -669,9 +672,7 @@ def strong_measurement_correlation(
     readout = np.array([[*config.theta_A.vector, 0.0, 0.0], q_row])
     out = []
     for delta_Q in delta_Q_sequence:
-        if delta_Q <= 0:
-            raise ValueError("delta_Q must be positive")
-        joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
+        joint = dataclasses.replace(config, delta_Q=delta_Q).joint()
         source = _source(joint, config.seed, readout)
         _, _, scatter = _merge(_map_chunks(_correlation_chunk, source, config.n_samples, chunk_size))
         if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):
@@ -683,10 +684,4 @@ def strong_measurement_correlation(
 def _correlation_chunk(source, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Chunk k of `strong_measurement_correlation`: the `_moments` of its
     (A, Q'), computed over the whole chunk."""
-    aq = np.empty((2, rows))
-    start = 0
-    for block in _blocks(source, k, rows):
-        stop = start + block.shape[1]
-        aq[:, start:stop] = block
-        start = stop
-    return _moments(aq)
+    return _moments(_fill(source, k, np.empty((2, rows))))

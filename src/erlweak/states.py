@@ -7,10 +7,10 @@ never leaks into sampling or conditioning code.
 
 States are validated where they enter: the public `GaussianState(...)`
 constructor, and so `make_particle` and `make_pure_device`, check shape,
-symmetry and positive semidefiniteness. Tensor products, marginals, evolution
-under a symplectic map and Gaussian conditioning are exact images of
-validated states; they are built by `GaussianState._derived` and not
-checked again.
+finiteness, symmetry and positive semidefiniteness. Tensor products,
+marginals, evolution under a symplectic map and Gaussian conditioning are
+exact images of validated states; they are built by
+`GaussianState._derived` and not checked again.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ class GaussianState:
     """Gaussian Liouville distribution: mean vector and covariance matrix.
 
     Construction validates the input: an even, nonzero mean length, a
-    matching square covariance, symmetric to SYMMETRY_TOL and positive
-    semidefinite to PSD_TOL, both relative to the covariance's largest
-    eigenvalue (rounding in a covariance grows with its entries). Both
+    matching square covariance, finite entries, a covariance symmetric to
+    SYMMETRY_TOL and positive semidefinite to PSD_TOL, both relative to its
+    largest eigenvalue (rounding in a covariance grows with its entries). Both
     arrays are stored as read-only copies. States derived from validated
     ones inside this package (tensor products, marginals, evolution,
     conditioning) skip the check.
@@ -85,6 +85,10 @@ class GaussianState:
             raise ValueError(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
             )
+        for name, values in (("mean", mean), ("cov", cov)):
+            # math over a short list costs a fraction of a numpy reduction
+            if not all(map(math.isfinite, values.ravel().tolist())):
+                raise ValueError(f"{name} must be finite")
         eigvals = np.linalg.eigvalsh(cov)  # ascending, from the lower triangle
         scale = max(eigvals[-1], 0.0)
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:

@@ -159,17 +159,17 @@ def run_repeatability() -> SuiteResult:
     """Each coupling map on the grid is symplectic and leaves A and P of
     every lattice point unchanged."""
     form = symplectic_form(2)
-    pts = np.array(list(itertools.product(LATTICE, repeat=4)))
+    pts = np.array(list(itertools.product(LATTICE, repeat=4))).T  # (4, 625)
     devs = []
     for g, theta in itertools.product(MAP_COUPLINGS, MAP_ANGLES):
         quad = Quadrature(theta)
         smap = coupling_map(g, quad)
         evolved = apply_to_points(smap, pts)
-        a_shift = quad.value(evolved[:, 0], evolved[:, 1]) - quad.value(pts[:, 0], pts[:, 1])
+        a_shift = quad.value(evolved[0], evolved[1]) - quad.value(pts[0], pts[1])
         devs.append(np.max(np.abs(smap.matrix.T @ form @ smap.matrix - form)))
         devs.append(np.max(np.abs(a_shift)))
-        devs.append(np.max(np.abs(evolved[:, 3] - pts[:, 3])))
-    n = len(MAP_COUPLINGS) * len(MAP_ANGLES) * (1 + len(pts))
+        devs.append(np.max(np.abs(evolved[3] - pts[3])))
+    n = len(MAP_COUPLINGS) * len(MAP_ANGLES) * (1 + pts.shape[1])
     dev = float(np.max(devs))
     return SuiteResult("repeatability-symplecticity", dev, REPEATABILITY_TOLERANCE, n)
 

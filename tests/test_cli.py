@@ -232,6 +232,17 @@ class TestSweep:
         path = write_config(tmp_path, doc)
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_manifest_echoes_the_resolved_config_and_axes(self, tmp_path):
+        doc = base_config()
+        doc["sweep"] = {"g": [0.1, 0.2], "b": [1]}
+        doc["histogram"] = {"bins": 11}
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o"), "--seed", "99", "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        config = parse_experiment(doc, 99)
+        assert manifest["seed"] == 99
+        assert manifest["config"] == {**config_echo(config), "sweep": {"g": [0.1, 0.2], "b": [1.0]}}
+
     def test_mc_columns(self, tmp_path):
         doc = base_config(sampling={"n_samples": 50_000})
         doc["sweep"] = {"g": [0.1, 0.2]}

@@ -46,14 +46,14 @@ def test_position_coupling_matches_equations_of_motion():
 
 
 def test_point_image_position_coupling():
-    pt = apply_to_points(coupling_map(1.0, Quadrature(0.0)), np.array([[2.0, 0.0, 0.0, 3.0]]))[0]
+    pt = apply_to_points(coupling_map(1.0, Quadrature(0.0)), np.array([[2.0, 0.0, 0.0, 3.0]]).T)[:, 0]
     assert tuple(pt) == pytest.approx((2.0, -3.0, 2.0, 3.0))
 
 
 def test_point_image_momentum_coupling():
     pt = apply_to_points(
-        coupling_map(0.5, Quadrature(math.pi / 2)), np.array([[0.0, 1.0, 0.0, 2.0]])
-    )[0]
+        coupling_map(0.5, Quadrature(math.pi / 2)), np.array([[0.0, 1.0, 0.0, 2.0]]).T
+    )[:, 0]
     assert tuple(pt) == pytest.approx((1.0, 1.0, 0.5, 2.0))
 
 
@@ -83,7 +83,7 @@ def test_coupling_map_is_symplectic(g, theta):
 @settings(max_examples=200)
 def test_repeatability_and_momentum_invariance(g, theta, q, p, Q, P):
     quad = Quadrature(theta)
-    q2, p2, _, P2 = apply_to_points(coupling_map(g, quad), np.array([[q, p, Q, P]]))[0]
+    q2, p2, _, P2 = apply_to_points(coupling_map(g, quad), np.array([[q, p, Q, P]]).T)[:, 0]
     assert P2 == P
     assert quad.value(q2, p2) == pytest.approx(quad.value(q, p), abs=1e-12)
 
@@ -124,5 +124,5 @@ def test_state_evolution_matches_sampled_points():
     smap = coupling_map(0.7, Quadrature(0.9))
     evolved = apply_to_state(smap, joint)
     pts = apply_to_points(smap, sample_state(joint, 200_000, seed=11))
-    np.testing.assert_allclose(pts.mean(axis=0), evolved.mean, atol=0.02)
-    np.testing.assert_allclose(np.cov(pts.T), evolved.cov, atol=0.03)
+    np.testing.assert_allclose(pts.mean(axis=1), evolved.mean, atol=0.02)
+    np.testing.assert_allclose(np.cov(pts), evolved.cov, atol=0.03)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import pickle
@@ -59,10 +60,10 @@ class TestSampling:
         n = 1_000_000
         pts = sample_state(make_particle(0.0, 0.0, 1.0), n, seed=1)
         bound = 4.0 / math.sqrt(n)
-        assert abs(pts[:, 0].mean()) < bound
-        assert abs(pts[:, 1].mean()) < bound / 2.0  # momentum std is 1/2
-        assert pts[:, 0].var() == pytest.approx(1.0, rel=0.01)
-        assert pts[:, 1].var() == pytest.approx(0.25, rel=0.01)
+        assert abs(pts[0].mean()) < bound
+        assert abs(pts[1].mean()) < bound / 2.0  # momentum std is 1/2
+        assert pts[0].var() == pytest.approx(1.0, rel=0.01)
+        assert pts[1].var() == pytest.approx(0.25, rel=0.01)
 
     def test_fixed_seed_is_bit_identical(self):
         a = sample_state(make_particle(0.3, -0.2, 1.0), 10_000, seed=9)
@@ -73,7 +74,7 @@ class TestSampling:
         # chunked substreams: the first n draws do not depend on the total
         a = sample_state(make_particle(0.0, 0.0, 1.0), 300_000, seed=9)
         b = sample_state(make_particle(0.0, 0.0, 1.0), 400_000, seed=9)
-        np.testing.assert_array_equal(a, b[:300_000])
+        np.testing.assert_array_equal(a, b[:, :300_000])
 
     def test_degenerate_covariance_rejected(self):
         from erlweak import GaussianState
@@ -106,9 +107,9 @@ class TestBlocks:
         state = dataclasses.replace(BASE, omega=0.5, mu_P=0.3, mu_q=0.2, g=0.4).evolved_joint()
         lower = np.linalg.cholesky(state.cov)
         blocks = [b.copy() for b in montecarlo._blocks(montecarlo._source(state, 11), 3, rows)]
-        assert max(b.shape[0] for b in blocks) <= montecarlo.BLOCK
+        assert max(b.shape[1] for b in blocks) <= montecarlo.BLOCK
         z = montecarlo._chunk_rng(11, 3).standard_normal((rows, 4))
-        np.testing.assert_array_equal(np.concatenate(blocks), state.mean + z @ lower.T)
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1).T, state.mean + z @ lower.T)
 
     def test_consumers_copy_out_of_the_reused_buffer(self):
         # one chunk of several blocks: sample_state and the correlation must
@@ -119,22 +120,22 @@ class TestBlocks:
         lower = np.linalg.cholesky(joint.cov)
         z = montecarlo._chunk_rng(config.seed, 0).standard_normal((rows, 4))
         pts = joint.mean + z @ lower.T
-        np.testing.assert_array_equal(sample_state(joint, rows, config.seed, chunk_size=rows), pts)
+        np.testing.assert_array_equal(sample_state(joint, rows, config.seed, chunk_size=rows).T, pts)
 
         smap = coupling_map(config.g, config.theta_A)
         readout = np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]])
         source = montecarlo._source(joint, config.seed, readout)
         m, mean, scatter = montecarlo._correlation_chunk(source, 0, rows)
         a = config.theta_A.value(pts[:, 0], pts[:, 1])
-        aq = np.column_stack([a, apply_to_points(smap, pts)[:, 2]])
+        aq = np.column_stack([a, apply_to_points(smap, pts.T)[2]])
         centred = aq - aq.mean(axis=0)
         assert m == rows
         np.testing.assert_allclose(mean, aq.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(scatter, centred.T @ centred, rtol=1e-12)
 
     def test_accepted_rows_equal_the_two_step_reference(self, monkeypatch):
-        # the chunk multiplies by C-contiguous copies of L^T and M^T and
-        # works in block buffers; its accepted rows, over several blocks,
+        # the chunk multiplies L by z^T and M by the points, one coordinate
+        # per row, in block buffers; its accepted rows, over several blocks,
         # are bit for bit those of (mean + z @ L^T) @ M^T. The chunk hands
         # them to `_moments`, which the test swaps for a copy of its input
         config = dataclasses.replace(
@@ -182,6 +183,35 @@ class TestChunkPool:
             joint_momentum_histogram(config, 5, ((-1.0, 1.0), (-1.0, 1.0)), chunk_size=chunk)
         with pytest.raises(ValueError, match="degenerate"):
             strong_measurement_correlation([1.0], config, chunk_size=chunk)
+
+    def test_generator_closed_late_leaves_later_pools_alone(self, monkeypatch):
+        # a consumer that raises keeps the pool generator suspended in its
+        # traceback; closing it after the pool was replaced must terminate
+        # only the pool it ran on (and must not raise once no pool is left)
+        monkeypatch.setattr(montecarlo, "WORKERS", 2)
+        source = montecarlo._source(BASE.joint(), 1, np.eye(4)[:2])
+
+        def consume():
+            parts = montecarlo._map_chunks(montecarlo._correlation_chunk, source, 4000, 1000)
+            next(parts)
+            raise RuntimeError("consumer failed")
+
+        for replace_pool in (False, True):
+            try:
+                consume()
+            except RuntimeError as exc:
+                kept = exc
+            montecarlo._close_pool()
+            if replace_pool:
+                list(montecarlo._map_chunks(montecarlo._correlation_chunk, source, 4000, 1000))
+            later = montecarlo._pool
+            del kept
+            gc.collect()
+            assert montecarlo._pool is later
+            if replace_pool:
+                parts = montecarlo._map_chunks(montecarlo._correlation_chunk, source, 4000, 1000)
+                assert montecarlo._merge(parts)[0] == 4000
+        montecarlo._close_pool()
 
     RUN = (
         "import dataclasses, os, erlweak.montecarlo as mc\n"
@@ -337,6 +367,19 @@ def test_delta_p_is_the_device_momentum_spread():
 @pytest.mark.parametrize("field, value", [("sigma", 0.0), ("sigma", -1.0), ("delta_Q", 0.0)])
 def test_non_positive_spread_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive"):
+        dataclasses.replace(BASE, **{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["mu_q", "mu_p", "sigma", "delta_Q", "mu_P", "omega", "g", "theta_A", "theta_B", "b", "epsilon"]
+)
+def test_non_finite_field_rejected(field, value):
+    # nan fails every comparison, so no range check catches it: a nan mean
+    # would fail the repeatability check falsely, and b = inf gives a nan oracle
+    if field.startswith("theta"):
+        value = Quadrature(value)
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         dataclasses.replace(BASE, **{field: value})
 
 
@@ -786,9 +829,9 @@ class TestStreamingEngine:
         # equal up to rounding, within 4 ulp of the terms' magnitude
         config = self.CONFIG
         pts, evolved = self._evolved_points(config.joint())
-        a = config.theta_A.value(pts[:, 0], pts[:, 1])
+        a = config.theta_A.value(pts[0], pts[1])
         momenta, aq = self._readouts(config.joint())
-        for got, ref in ((momenta, evolved[:, 1::2].T), (aq, np.array([a, evolved[:, 2]]))):
+        for got, ref in ((momenta, evolved[1::2]), (aq, np.array([a, evolved[2]]))):
             scale = np.abs(ref).max(axis=1, keepdims=True)
             assert np.all(np.abs(got - ref) <= 4 * np.spacing(scale))
             assert np.mean(got == ref) > 0.5  # most draws round alike
@@ -824,8 +867,8 @@ class TestStreamingEngine:
         for delta_Q in (3.0, 0.5, 0.02):
             joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
             pts, evolved = self._evolved_points(joint)
-            a = config.theta_A.value(pts[:, 0], pts[:, 1])
-            ref = np.corrcoef(a, evolved[:, 2])[0, 1]
+            a = config.theta_A.value(pts[0], pts[1])
+            ref = np.corrcoef(a, evolved[2])[0, 1]
             (got,) = strong_measurement_correlation([delta_Q], config, chunk_size=self.CHUNK)
             assert abs(got - ref) <= 1e-14, delta_Q
 

@@ -74,6 +74,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive multiple of 2"):
             GaussianState(mean, np.eye(len(mean)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_or_cov_rejected(self, bad):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianState([0.0, bad], np.eye(2))
+        with pytest.raises(ValueError, match="cov must be finite"):
+            GaussianState([0.0, 0.0], [[1.0, 0.0], [0.0, bad]])
+
     def test_cov_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             GaussianState([0.0, 0.0], np.eye(4))

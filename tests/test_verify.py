@@ -43,7 +43,7 @@ def first_order_shifts_nan_at_one_g(weak_value, g, delta_P, omega):
 
 def apply_to_points_nan_at_one_point(smap, pts):
     evolved = np.array(dynamics.apply_to_points(smap, pts))
-    evolved[5, 3] = math.nan
+    evolved[3, 5] = math.nan
     return evolved
 
 
