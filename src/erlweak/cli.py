@@ -3,8 +3,11 @@
 Subcommands: weakvalue, simulate, sweep, verify, histogram.
 Config is a single JSON document with sections `particle`, `device`,
 `coupling`, `postselection`, `sampling` (and optionally `discrete`,
-`sweep`, `histogram`). All angles are radians. Exit codes: 0 success,
-1 runtime/statistical failure, 2 usage/config error.
+`sweep`, `histogram`); the table CONFIG_FIELDS declares the section and
+key of each experiment field once. All angles are radians. simulate,
+sweep and histogram write a CSV and manifest.json into --out. Exit codes:
+0 success, 1 runtime/statistical failure (an unwritable --out and
+numerical overflow included), 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from . import __version__
 from .analytic import (
     DegeneratePostselectionError,
     DiscreteSpectrumInput,
+    WeakValue,
     first_order_shifts,
     postselected_means_gaussian,
     weak_value_discrete,
     weak_value_gaussian,
 )
-from .bounds import gaussian_regime_margin
+from .bounds import RegimeMargin, gaussian_regime_margin
 from .montecarlo import (
     ExperimentConfig,
     InsufficientAcceptanceError,
@@ -57,15 +61,6 @@ def _cells(values) -> list[str]:
     return [_fmt(x) if isinstance(x, float) else str(x) for x in values]
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write a data CSV: the header, then one line per row of str cells.
-    Rows may come from a generator: each line is written as its row arrives."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _number(value, field: str, what: str = "a number") -> float:
     """value as a finite float, else a ConfigError naming the field. JSON's
     NaN and Infinity parse as floats, and an integer may not fit in one."""
@@ -80,17 +75,40 @@ def _number(value, field: str, what: str = "a number") -> float:
     return value
 
 
-def _require(section: dict, section_name: str, field: str, kind):
-    if field not in section:
-        raise ConfigError(f"missing field '{section_name}.{field}'")
-    value = section[field]
-    if kind is float:
-        return _number(value, f"{section_name}.{field}")
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field '{section_name}.{field}' must be an integer")
-        return value
+def _integer(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field '{field}' must be an integer")
     return value
+
+
+def _angle(value, field: str) -> Quadrature:
+    return Quadrature(_number(value, field))
+
+
+def _window(value, field: str) -> float | None:
+    """The window half-width; absent or null selects the adaptive window."""
+    return None if value is None else _number(value, field, "a number or null")
+
+
+CONFIG_FIELDS = (
+    ("particle", "mu_q", _number),
+    ("particle", "mu_p", _number),
+    ("particle", "sigma", _number),
+    ("device", "delta_Q", _number),
+    ("device", "mu_P", _number),
+    ("device", "omega", _number),
+    ("coupling", "g", _number),
+    ("coupling", "theta_A", _angle),
+    ("postselection", "theta_B", _angle),
+    ("postselection", "b", _number),
+    ("postselection", "epsilon", _window),
+    ("sampling", "n_samples", _integer),
+    ("sampling", "seed", _integer),
+)
+"""The config schema, declared once: the JSON section and key of each
+ExperimentConfig field, in field order, with the reader that turns its JSON
+value into the field's value. parse_experiment reads a document through it,
+config_echo writes one, and a sweep axis replaces the field of the same key."""
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -116,82 +134,80 @@ def load_document(path: str) -> dict:
 
 
 def parse_experiment(doc: dict, seed_override: int | None = None) -> ExperimentConfig:
-    particle = _section(doc, "particle")
-    device = _section(doc, "device")
-    coupling = _section(doc, "coupling")
-    post = _section(doc, "postselection")
-    sampling = _section(doc, "sampling")
-    epsilon = post.get("epsilon")
-    if epsilon is not None:
-        epsilon = _number(epsilon, "postselection.epsilon", "a number or null")
-    seed = seed_override if seed_override is not None else _require(sampling, "sampling", "seed", int)
+    """The experiment a config document describes, read through
+    CONFIG_FIELDS; `seed_override` (--seed) replaces sampling.seed."""
+    sections = {name: _section(doc, name) for name, _, _ in CONFIG_FIELDS}
+    values = {} if seed_override is None else {"seed": seed_override}
+    for name, key, read in CONFIG_FIELDS:
+        if key in values:
+            continue
+        section, field = sections[name], f"{name}.{key}"
+        if key not in section and read is not _window:
+            raise ConfigError(f"missing field '{field}'")
+        values[key] = read(section.get(key), field)
     try:
-        return ExperimentConfig(
-            mu_q=_require(particle, "particle", "mu_q", float),
-            mu_p=_require(particle, "particle", "mu_p", float),
-            sigma=_require(particle, "particle", "sigma", float),
-            delta_Q=_require(device, "device", "delta_Q", float),
-            mu_P=_require(device, "device", "mu_P", float),
-            omega=_require(device, "device", "omega", float),
-            g=_require(coupling, "coupling", "g", float),
-            theta_A=Quadrature(_require(coupling, "coupling", "theta_A", float)),
-            theta_B=Quadrature(_require(post, "postselection", "theta_B", float)),
-            b=_require(post, "postselection", "b", float),
-            epsilon=epsilon,
-            n_samples=_require(sampling, "sampling", "n_samples", int),
-            seed=seed,
-        )
+        return ExperimentConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "particle": {"mu_q": config.mu_q, "mu_p": config.mu_p, "sigma": config.sigma},
-        "device": {"delta_Q": config.delta_Q, "mu_P": config.mu_P, "omega": config.omega},
-        "coupling": {"g": config.g, "theta_A": config.theta_A.theta},
-        "postselection": {
-            "theta_B": config.theta_B.theta,
-            "b": config.b,
-            "epsilon": config.epsilon,
-        },
-        "sampling": {"n_samples": config.n_samples, "seed": config.seed},
-    }
+    """The config document of `config`, laid out by CONFIG_FIELDS, with
+    each angle as its radians."""
+    echo = {}
+    for name, key, _ in CONFIG_FIELDS:
+        value = getattr(config, key)
+        echo.setdefault(name, {})[key] = getattr(value, "theta", value)
+    return echo
 
 
-def write_manifest(
-    out_dir: Path,
-    config_doc: dict,
-    seed: int,
-    outputs: list[str],
-    extra: dict | None = None,
-) -> Path:
+def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) -> None:
+    """The one writer of simulate, sweep and histogram. Creates --out,
+    writes `<command>.csv` there, the header then one line per row of str
+    cells, each line as its row arrives (so rows may be a generator), then
+    manifest.json, and prints both paths unless --quiet. The manifest holds
+    the config echo, its seed, `extra`, and a `run` block for `runs` sampler
+    calls of sampling.n_samples each: the processes that ran their chunks,
+    the number of chunks, and the Python and numpy versions."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{args.command}.csv"
+    with open(csv_path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+    workers, chunks = chunk_plan(echo["sampling"]["n_samples"])
     manifest = {
         "tool": "erlweak",
         "version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": seed,
-        "config": config_doc,
-        "outputs": outputs,
+        "seed": echo["sampling"]["seed"],
+        "config": echo,
+        "outputs": [csv_path.name],
+        "run": {
+            "workers": workers if runs else 0,
+            "chunks": runs * chunks,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    if not args.quiet:
+        print(f"wrote {csv_path} and {manifest_path}")
 
 
-def _run_record(n_samples: int, runs: int = 1) -> dict:
-    """The manifest's `run` block for `runs` sampler calls of n_samples each:
-    the processes that ran their chunks, the number of chunks, and the
-    Python and numpy versions."""
-    workers, chunks = chunk_plan(n_samples)
-    return {
-        "workers": workers if runs else 0,
-        "chunks": runs * chunks,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
+def _first_order(config: ExperimentConfig) -> tuple[WeakValue, tuple[float, float], RegimeMargin]:
+    """(weak value, first-order (q, p) shifts of the device, regime margin)."""
+    wv = weak_value_gaussian(
+        config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
+    )
+    shifts = first_order_shifts(wv, config.g, config.delta_P, config.omega)
+    margin = gaussian_regime_margin(
+        config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
+    )
+    return wv, shifts, margin
 
 
 def cmd_weakvalue(args) -> int:
@@ -200,7 +216,9 @@ def cmd_weakvalue(args) -> int:
         disc = _section(doc, "discrete")
 
         def entries(name):
-            raw = _require(disc, "discrete", name, None)
+            if name not in disc:
+                raise ConfigError(f"missing field 'discrete.{name}'")
+            raw = disc[name]
             if not isinstance(raw, list) or not raw:
                 raise ConfigError(f"field 'discrete.{name}' must be a nonempty list")
             return [(f"discrete.{name}[{i}]", item) for i, item in enumerate(raw)]
@@ -222,22 +240,11 @@ def cmd_weakvalue(args) -> int:
                 "fields 'discrete.amplitudes', 'discrete.overlaps' and "
                 "'discrete.eigenvalues' must have equal lengths"
             )
-        try:
-            wv = weak_value_discrete(DiscreteSpectrumInput(amplitudes, overlaps, eigenvalues))
-        except DegeneratePostselectionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        wv = weak_value_discrete(DiscreteSpectrumInput(amplitudes, overlaps, eigenvalues))
         print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
         return 0
 
-    config = parse_experiment(doc)
-    wv = weak_value_gaussian(
-        config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
-    )
-    q_shift, p_shift = first_order_shifts(wv, config.g, config.delta_P, config.omega)
-    margin = gaussian_regime_margin(
-        config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
-    )
+    wv, (q_shift, p_shift), margin = _first_order(parse_experiment(doc))
     print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
     print(f"first_order q_shift={_fmt(q_shift)} p_shift={_fmt(p_shift)}")
     print(
@@ -256,8 +263,6 @@ SIMULATE_HEADER = (
 def cmd_simulate(args) -> int:
     doc = load_document(args.config)
     config = parse_experiment(doc, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     oracle = oracle_estimate(config)
     try:
         est = run_weak_experiment(config)
@@ -286,17 +291,7 @@ def cmd_simulate(args) -> int:
         *oracle,
         error,
     ]
-    csv_path = out_dir / "simulate.csv"
-    _write_csv(csv_path, SIMULATE_HEADER, [_cells(row)])
-    manifest = write_manifest(
-        out_dir,
-        config_echo(config),
-        config.seed,
-        [csv_path.name],
-        {"oracle_comparison": dev, "run": _run_record(config.n_samples)},
-    )
-    if not args.quiet:
-        print(f"wrote {csv_path} and {manifest}")
+    _write_outputs(args, SIMULATE_HEADER, [_cells(row)], config_echo(config), oracle_comparison=dev)
     return 1 if error else 0
 
 
@@ -311,20 +306,14 @@ SWEEP_HEADER = (
 def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool):
     """One row per grid point of the sweep, made as it is asked for, so
     `sweep --mc` writes each point's line before sampling the next."""
-    names = list(axes)
-    for combo in itertools.product(*(axes[k] for k in names)):
-        point = dict(zip(names, combo))
-        delta_Q = point.get("delta_Q", base.delta_Q)
+    readers = {key: read for _, key, read in CONFIG_FIELDS}
+    for combo in itertools.product(*axes.values()):
+        point = dict(zip(axes, combo))
         if "delta_P" in point:
             # pure device at this omega: delta_Q fixed by delta_P
-            delta_Q = math.sqrt(1.0 + base.omega**2) / (2.0 * point["delta_P"])
+            point["delta_Q"] = math.sqrt(1.0 + base.omega**2) / (2.0 * point.pop("delta_P"))
         config = dataclasses.replace(
-            base,
-            g=point.get("g", base.g),
-            delta_Q=delta_Q,
-            theta_A=Quadrature(point.get("theta_A", base.theta_A.theta)),
-            theta_B=Quadrature(point.get("theta_B", base.theta_B.theta)),
-            b=point.get("b", base.b),
+            base, **{k: Quadrature(v) if readers[k] is _angle else v for k, v in point.items()}
         )
         exact_Q, exact_P = postselected_means_gaussian(
             config.mu_q,
@@ -338,14 +327,8 @@ def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool):
             config.b,
             mu_P=config.mu_P,
         )
-        wv = weak_value_gaussian(
-            config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
-        )
-        fo_Q, p_shift = first_order_shifts(wv, config.g, config.delta_P, config.omega)
+        _, (fo_Q, p_shift), margin = _first_order(config)
         fo_P = config.mu_P + p_shift
-        margin = gaussian_regime_margin(
-            config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
-        )
         row = [
             config.g,
             config.delta_Q,
@@ -389,16 +372,10 @@ def cmd_sweep(args) -> int:
     if "delta_Q" in axes and "delta_P" in axes:
         raise ConfigError("sweep over delta_Q or delta_P, not both")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "sweep.csv"
     header = SWEEP_HEADER + (",mc_Q,mc_se_Q,mc_P,mc_se_P" if args.mc else "")
-    _write_csv(csv_path, header, _sweep_rows(base, axes, args.mc))
-    run = _run_record(base.n_samples, math.prod(map(len, axes.values())) if args.mc else 0)
-    echo = {**config_echo(base), "sweep": axes}
-    manifest = write_manifest(out_dir, echo, base.seed, [csv_path.name], {"run": run})
-    if not args.quiet:
-        print(f"wrote {csv_path} and {manifest}")
+    rows = _sweep_rows(base, axes, args.mc)
+    runs = math.prod(map(len, axes.values())) if args.mc else 0
+    _write_outputs(args, header, rows, {**config_echo(base), "sweep": axes}, runs)
     return 0
 
 
@@ -438,13 +415,10 @@ def cmd_histogram(args) -> int:
             tuple(_number(v, f"histogram.{key}") for v in hist[key])
             for key in ("p_range", "P_range")
         )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         counts, p_edges, P_edges = joint_momentum_histogram(config, bins, hist_range)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    csv_path = out_dir / "histogram.csv"
     # each edge formatted once: a "lo,hi" cell per bin of p' and of P
     p_bins, P_bins = (
         [f"{lo},{hi}" for lo, hi in itertools.pairwise(_cells(edges.tolist()))]
@@ -455,12 +429,7 @@ def cmd_histogram(args) -> int:
         for p_bin, row in zip(p_bins, counts)
         for P_bin, n in zip(P_bins, row.astype(int).tolist())
     )
-    _write_csv(csv_path, HISTOGRAM_HEADER, rows)
-    manifest = write_manifest(
-        out_dir, config_echo(config), config.seed, [csv_path.name], {"run": _run_record(config.n_samples)}
-    )
-    if not args.quiet:
-        print(f"wrote {csv_path} and {manifest}")
+    _write_outputs(args, HISTOGRAM_HEADER, rows, config_echo(config))
     return 0
 
 
@@ -509,6 +478,10 @@ def main(argv=None) -> int:
         return 2
     except (DegeneratePostselectionError, InsufficientAcceptanceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, ArithmeticError) as exc:
+        # an unwritable --out, or a finite config whose arithmetic overflows
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import math
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from erlweak import montecarlo
-from erlweak.cli import config_echo, main, parse_experiment
-from erlweak.montecarlo import acceptance_probability, oracle_estimate
+from erlweak.cli import CONFIG_FIELDS, config_echo, main, parse_experiment
+from erlweak.montecarlo import ExperimentConfig, acceptance_probability, oracle_estimate
 
 HALF_PI = math.pi / 2
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
@@ -337,6 +338,49 @@ class TestNonFiniteNumbers:
         assert not (out / "histogram.csv").exists()
 
 
+class TestRuntimeErrors:
+    """A config that passes validation but whose arithmetic overflows, and an
+    --out that cannot be a directory, end in one `error:` line naming the
+    exception and exit 1, not in a traceback."""
+
+    def _fails(self, capsys, argv, kind):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        name = captured.err.removeprefix("error: ").split(":")[0]
+        assert issubclass(getattr(builtins, name), kind), captured.err
+
+    @pytest.mark.parametrize("command", ["weakvalue", "simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("particle", "sigma", 1e200),
+            ("particle", "sigma", 1e-200),
+            ("device", "delta_Q", 1e-200),
+            ("device", "omega", 1e200),
+            ("coupling", "g", 1e200),
+        ],
+    )
+    def test_finite_config_that_overflows(self, tmp_path, capsys, command, section, field, value):
+        doc = base_config(**{section: {field: value}})
+        doc["sweep"] = {"b": [1.0, 0.5]}  # an axis that leaves the field as it is
+        argv = [command, "--config", write_config(tmp_path, doc)]
+        if command != "weakvalue":
+            argv += ["--out", str(tmp_path / "o"), "--quiet"]
+        self._fails(capsys, argv, ArithmeticError)
+
+    @pytest.mark.parametrize(
+        "command, out", [("simulate", "file"), ("sweep", "file"), ("histogram", "file/sub")]
+    )
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, command, out):
+        doc = base_config(sampling={"n_samples": 1_000})
+        doc["sweep"] = {"g": [0.1]}
+        (tmp_path / "file").write_text("")
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / out)]
+        self._fails(capsys, argv, OSError)
+
+
 class TestVerifyAndRoundTrip:
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -353,6 +397,11 @@ class TestVerifyAndRoundTrip:
         config = ["--config", path] if argv[0] == "weakvalue" else []
         assert main([*argv, *config]) == 2
         assert argv[1] in capsys.readouterr().err
+
+    def test_field_table_declares_every_config_field_once_in_order(self):
+        # a field added to ExperimentConfig cannot be parsed without being echoed
+        keys = [key for _, key, _ in CONFIG_FIELDS]
+        assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
     def test_config_round_trip(self, tmp_path):
         doc = base_config(particle={"mu_q": 0.25}, device={"omega": -0.5})
