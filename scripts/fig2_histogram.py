@@ -12,8 +12,6 @@ conditional mean of P) to the CSV file named by --out.
 import argparse
 import math
 
-import numpy as np
-
 from erlweak import ExperimentConfig, Quadrature, joint_momentum_histogram
 
 

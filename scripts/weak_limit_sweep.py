@@ -7,7 +7,6 @@ predictions, and residuals at each step.
 """
 
 import argparse
-import math
 
 from erlweak import (
     Quadrature,

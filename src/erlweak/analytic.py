@@ -5,7 +5,7 @@ Convention note: the postselected momentum mean carries the numerator
 factor (mu_q cos(theta_B) + mu_p sin(theta_B) - b) * sin(theta_B - theta_A),
 i.e. the distance of the postselection value b from the mean of the
 postselected quadrature. This is fixed by the conditioning oracle
-(gaussian_condition) and is consistent with the first-order form
+(oracle_postselected_means) and is consistent with the first-order form
 2 g delta_P^2 Im[A_W], whose imaginary part carries the same factor.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -192,22 +191,30 @@ def first_order_shifts(
     return q_shift, p_shift
 
 
+def _conditional_mean(
+    joint: GaussianState, v: np.ndarray, b: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E[x | v.x = b], gain) for a Gaussian x: mean + gain (b - v.mean),
+    with the regression gain cov v / (v.cov.v). The one Gaussian conditional
+    mean, which both oracles and `gaussian_condition` read."""
+    s = float(v @ joint.cov @ v)
+    if s <= 0.0:
+        raise SingularConditioningError("constraint direction has zero variance")
+    gain = joint.cov @ v / s
+    return joint.mean + gain * (b - v @ joint.mean), gain
+
+
 def gaussian_condition(
     joint: GaussianState, mode: int, constraint: Quadrature, b: float
 ) -> GaussianState:
     """Condition a Gaussian on the linear constraint
     cos(theta) q_mode + sin(theta) p_mode = b.
 
-    Standard Gaussian conditioning:
-        mean' = mean + cov v (b - v.mean) / (v.cov.v)
-        cov'  = cov - cov v v^T cov / (v.cov.v)
+    Standard Gaussian conditioning: the mean from `_conditional_mean`, and
+        cov' = cov - cov v v^T cov / (v.cov.v)
     """
     v = quadrature_vector(joint.n_modes, mode, constraint)
-    s = float(v @ joint.cov @ v)
-    if s <= 0.0:
-        raise SingularConditioningError("constraint direction has zero variance")
-    gain = joint.cov @ v / s
-    mean = joint.mean + gain * (b - v @ joint.mean)
+    mean, gain = _conditional_mean(joint, v, b)
     cov = joint.cov - np.outer(gain, v @ joint.cov)
     return GaussianState._derived(mean, 0.5 * (cov + cov.T))
 
@@ -215,12 +222,11 @@ def gaussian_condition(
 def oracle_postselected_means(
     joint_evolved: GaussianState, theta_A: Quadrature, theta_B: Quadrature, b: float
 ) -> tuple[float, float, float]:
-    """Device means (Q, P) and the particle's mean of A, read off one
-    conditioning of the evolved joint on B = b.
+    """Device means (Q, P) and the particle's mean of A, read off the mean
+    of the evolved joint conditioned on B = b.
 
     This is the first-principles route; the printed closed forms are
     validated against it.
     """
-    conditioned = gaussian_condition(joint_evolved, 0, theta_B, b)
-    mean_A = float(quadrature_vector(2, 0, theta_A) @ conditioned.mean)
-    return float(conditioned.mean[2]), float(conditioned.mean[3]), mean_A
+    mean, _ = _conditional_mean(joint_evolved, quadrature_vector(2, 0, theta_B), b)
+    return float(mean[2]), float(mean[3]), float(quadrature_vector(2, 0, theta_A) @ mean)

@@ -46,7 +46,6 @@ from .states import (
     make_particle,
     make_pure_device,
     quadrature_moments,
-    quadrature_vector,
     tensor,
 )
 
@@ -71,11 +70,6 @@ _MILLS_CF_TERMS = 20  # converged to an ulp for x >= 8
 # and loses about 1e-16 |c| / h relative. Four terms reach 1e-18 there.
 _NARROW_WINDOW = 0.05
 _NARROW_TERMS = 4
-# read-out vectors of the device's Q and P in the joint (q, p, Q, P) coordinates
-_DEVICE_Q = quadrature_vector(2, 1, Quadrature(0.0))
-_DEVICE_P = quadrature_vector(2, 1, Quadrature(math.pi / 2))
-_DEVICE_Q.setflags(write=False)
-_DEVICE_P.setflags(write=False)
 
 
 class InsufficientAcceptanceError(RuntimeError):
@@ -132,9 +126,15 @@ class ExperimentConfig:
 
     @functools.cached_property
     def _evolved(self) -> tuple[GaussianState, float, float]:
-        """(evolved joint state, mean of B, variance of B), built once."""
-        evolved = apply_to_state(coupling_map(self.g, self.theta_A), self.joint())
-        return evolved, *quadrature_moments(evolved, 0, self.theta_B)
+        """(evolved joint state, mean of B, variance of B), built once.
+        Raises OverflowError where a finite config overflows any of them."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            evolved = apply_to_state(coupling_map(self.g, self.theta_A), self.joint())
+            moments = quadrature_moments(evolved, 0, self.theta_B)
+        values = [*evolved.mean.tolist(), *evolved.cov.ravel().tolist(), *moments]
+        if not all(map(math.isfinite, values)):
+            raise OverflowError("the coupled state overflows: a moment of it or of B is not finite")
+        return evolved, *moments
 
     def evolved_joint(self) -> GaussianState:
         """The joint state after the coupling, built once per config and
@@ -502,34 +502,29 @@ def _normal_window(centre: float, half_width: float) -> tuple[float, float]:
     return _pdf(lo) * tail, drop / tail
 
 
-def _b_window(config: ExperimentConfig) -> tuple[float, float, float]:
-    """(probability, E[B | window] - mean of B, variance of B) for the
-    config's window |B - b| <= resolved epsilon under the evolved state."""
+def _b_window(config: ExperimentConfig) -> tuple[float, float]:
+    """(probability, E[B | window]) for the config's window
+    |B - b| <= resolved epsilon under the evolved state."""
     _, mu_B, var_B = config._evolved
     s = math.sqrt(var_B)
     prob, shift = _normal_window((config.b - mu_B) / s, config.resolved_epsilon() / s)
-    return prob, s * shift, var_B
+    return prob, mu_B + s * shift
 
 
 def windowed_oracle(config: ExperimentConfig) -> tuple[float, float, float]:
-    """Exact conditional means given the hard window |B - b| <= epsilon.
+    """Exact conditional means (Q, P, A) given the window |B - b| <= epsilon.
 
-    For jointly Gaussian (X, B): E[X | window] differs from E[X] by the
-    regression coefficient times the truncated-normal mean shift of B. This
-    is the true expectation of the Monte Carlo estimator and quantifies the
-    O(epsilon^2) window bias exactly. Finite however far into the tail the
-    window lies; raises only for a window that is empty in double precision.
+    For jointly Gaussian (X, B), E[X | B = b'] is linear in b', so
+    E[X | window] = E[X | B = E[B | window]]: the point oracle at the
+    truncated-normal mean of B. This is the true expectation of the Monte
+    Carlo estimator and quantifies the O(epsilon^2) window bias exactly.
+    Finite however far into the tail the window lies; raises only for a
+    window that is empty in double precision.
     """
-    evolved = config.evolved_joint()
-    prob, offset, var_B = _b_window(config)
-    if not math.isfinite(offset):
+    prob, mean_B = _b_window(config)
+    if not math.isfinite(mean_B):
         raise InsufficientAcceptanceError(prob)
-    v = quadrature_vector(2, 0, config.theta_B)
-    results = []
-    for u in (_DEVICE_Q, _DEVICE_P, quadrature_vector(2, 0, config.theta_A)):
-        slope = float(u @ evolved.cov @ v) / var_B
-        results.append(float(u @ evolved.mean) + slope * offset)
-    return tuple(results)
+    return oracle_postselected_means(config.evolved_joint(), config.theta_A, config.theta_B, mean_B)
 
 
 def acceptance_probability(config: ExperimentConfig) -> float:

@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -161,6 +162,27 @@ class TestSimulate:
         assert manifest["oracle_comparison"]["acceptance_rate"] == 0.0
         assert 0.0 <= manifest["oracle_comparison"]["acceptance_probability"] < 1e-300
         assert {"python", "numpy"} <= manifest["run"].keys()
+
+    def test_manifest_z_scores_against_the_windowed_oracle(self, tmp_path):
+        # the README config at its seed; the z-scores leave the CSV as it was
+        doc = base_config(sampling={"n_samples": 1_000_000, "seed": 42})
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        comparison = json.loads((tmp_path / "o" / "manifest.json").read_text())["oracle_comparison"]
+        z = comparison["z_vs_windowed_oracle"]
+        assert sorted(z) == ["mean_A", "mean_P", "mean_Q"]
+        assert all(abs(value) <= 5.0 for value in z.values()), z
+        csv = (tmp_path / "o" / "simulate.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "4ad9d4a631ab8347c7167818b3bb224dacda6669e84ddf8b800160d0bbe40433"
+        )
+
+        # a run that accepts too few draws records no z-scores
+        far = base_config(postselection={"b": 40.0, "epsilon": 0.01}, sampling={"n_samples": 1_000})
+        path = write_config(tmp_path, far, "far.json")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "f"), "--quiet"]) == 1
+        comparison = json.loads((tmp_path / "f" / "manifest.json").read_text())["oracle_comparison"]
+        assert "z_vs_windowed_oracle" not in comparison
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -369,6 +391,17 @@ class TestRuntimeErrors:
         if command != "weakvalue":
             argv += ["--out", str(tmp_path / "o"), "--quiet"]
         self._fails(capsys, argv, ArithmeticError)
+
+    @pytest.mark.parametrize("command", ["simulate", "histogram"])
+    @pytest.mark.parametrize("section, field", [("coupling", "g"), ("particle", "sigma")])
+    def test_coupled_state_that_overflows(self, tmp_path, capsys, command, section, field):
+        # finite inputs whose coupled covariance overflows: one OverflowError
+        # line before any output, and no numpy RuntimeWarning on the way
+        doc = base_config(**{section: {field: 1e154}}, sampling={"n_samples": 20_000})
+        out = tmp_path / "o"
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+        self._fails(capsys, argv, OverflowError)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, out", [("simulate", "file"), ("sweep", "file"), ("histogram", "file/sub")]

@@ -23,6 +23,7 @@ from erlweak import (
     apply_to_points,
     coupling_map,
     exact_strong_correlation,
+    gaussian_condition,
     joint_momentum_histogram,
     make_particle,
     make_pure_device,
@@ -35,6 +36,7 @@ from erlweak import (
     windowed_oracle,
 )
 from erlweak import montecarlo
+from erlweak.states import quadrature_vector
 
 HALF_PI = math.pi / 2
 
@@ -443,9 +445,10 @@ class TestEvolvedJointCache:
 # (config fields, (resolved epsilon, oracle_estimate, windowed_oracle,
 # acceptance_probability)); b sits at 0, 0, 6, -6, 30 and -30 std of B. The
 # epsilon and oracle_estimate values were recorded before the B moments were
-# cached with the evolved state; the windowed values since the window maths
-# takes the window's centre and half-width (the values before and these
-# alike lie within 2e-13 relative of the 50-digit `_mp_window`)
+# cached with the evolved state; the windowed values since the windowed
+# oracle is the point oracle at E[B | window], which moved 7 of them by 1 or
+# 2 ulp (the values before and these alike lie within 2e-13 relative of the
+# 50-digit `_mp_window`)
 PINNED_ORACLES = [
     (
         dict(mu_q=0.0, mu_p=0.0, sigma=1.0, delta_Q=1.0, mu_P=0.0, omega=0.0, g=0.1,
@@ -468,7 +471,7 @@ PINNED_ORACLES = [
         (
             0.0761773908901738,
             (-6.7135343031906105, 1.9416061843149612, -6.1558998978879655),
-            (-6.707722861832244, 1.9392530423903889, -6.150487248851964),
+            (-6.707722861832244, 1.9392530423903893, -6.150487248851966),
             6.164832735781081e-10,
         ),
     ),
@@ -478,7 +481,7 @@ PINNED_ORACLES = [
         (
             0.05197996274902936,
             (-3.062822992783595, 0.9200490236288893, -5.354079126584409),
-            (-3.061407375723147, 0.9192871284929192, -5.350445909677039),
+            (-3.0614073757231473, 0.9192871284929193, -5.350445909677041),
             6.164832735781125e-10,
         ),
     ),
@@ -488,7 +491,7 @@ PINNED_ORACLES = [
         (
             0.05804974396110697,
             (-2.041860490633112, -0.7636568378397043, -38.59940820143204),
-            (-2.04034642256146, -0.7628073469005711, -38.57076047642041),
+            (-2.04034642256146, -0.7628073469005711, -38.57076047642042),
             2.0907827325415748e-197,
         ),
     ),
@@ -498,20 +501,24 @@ PINNED_ORACLES = [
         (
             0.2867171668177398,
             (17.689982402399924, -2.4453272286374053, 20.36376872726183),
-            (17.408127879631678, -2.4026667509731015, 20.03572243121112),
+            (17.408127879631678, -2.4026667509731023, 20.03572243121112),
             1.439474552228885e-191,
         ),
     ),
 ]
 
 
-@pytest.mark.parametrize("fields, expected", PINNED_ORACLES)
-def test_oracles_pinned(fields, expected):
-    config = ExperimentConfig(
+def _pinned_config(fields):
+    return ExperimentConfig(
         **{**fields, "theta_A": Quadrature(fields["theta_A"]), "theta_B": Quadrature(fields["theta_B"])},
         n_samples=1,
         seed=0,
     )
+
+
+@pytest.mark.parametrize("fields, expected", PINNED_ORACLES)
+def test_oracles_pinned(fields, expected):
+    config = _pinned_config(fields)
     got = (
         config.resolved_epsilon(),
         oracle_estimate(config),
@@ -519,6 +526,16 @@ def test_oracles_pinned(fields, expected):
         acceptance_probability(config),
     )
     assert got == expected
+
+
+@pytest.mark.parametrize("fields, expected", PINNED_ORACLES)
+def test_oracle_estimate_is_the_mean_of_the_conditioned_state(fields, expected):
+    # the point oracle reads (Q, P, A) off the one conditional mean that
+    # gaussian_condition also builds its state from, bit for bit
+    config = _pinned_config(fields)
+    mean = gaussian_condition(config.evolved_joint(), 0, config.theta_B, config.b).mean
+    mean_A = float(quadrature_vector(2, 0, config.theta_A) @ mean)
+    assert oracle_estimate(config) == (float(mean[2]), float(mean[3]), mean_A)
 
 
 def _mp_window(config, epsilon):
