@@ -13,6 +13,7 @@ numerical overflow included), 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import itertools
@@ -199,15 +200,28 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
         print(f"wrote {csv_path} and {manifest_path}")
 
 
+@contextlib.contextmanager
+def _closed_form():
+    """Name the closed forms in the OverflowError that a finite config's
+    powers (sigma^4, g^3, delta_P^2, ...) raise in Python floats."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise OverflowError(
+            "the closed form overflows: a power of a config field is out of float range"
+        ) from exc
+
+
 def _first_order(config: ExperimentConfig) -> tuple[WeakValue, tuple[float, float], RegimeMargin]:
     """(weak value, first-order (q, p) shifts of the device, regime margin)."""
-    wv = weak_value_gaussian(
-        config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
-    )
-    shifts = first_order_shifts(wv, config.g, config.delta_P, config.omega)
-    margin = gaussian_regime_margin(
-        config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
-    )
+    with _closed_form():
+        wv = weak_value_gaussian(
+            config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
+        )
+        shifts = first_order_shifts(wv, config.g, config.delta_P, config.omega)
+        margin = gaussian_regime_margin(
+            config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
+        )
     return wv, shifts, margin
 
 
@@ -322,18 +336,19 @@ def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool):
         config = dataclasses.replace(
             base, **{k: Quadrature(v) if readers[k] is _angle else v for k, v in point.items()}
         )
-        exact_Q, exact_P = postselected_means_gaussian(
-            config.mu_q,
-            config.mu_p,
-            config.sigma,
-            config.delta_Q,
-            config.omega,
-            config.g,
-            config.theta_A,
-            config.theta_B,
-            config.b,
-            mu_P=config.mu_P,
-        )
+        with _closed_form():
+            exact_Q, exact_P = postselected_means_gaussian(
+                config.mu_q,
+                config.mu_p,
+                config.sigma,
+                config.delta_Q,
+                config.omega,
+                config.g,
+                config.theta_A,
+                config.theta_B,
+                config.b,
+                mu_P=config.mu_P,
+            )
         _, (fo_Q, p_shift), margin = _first_order(config)
         fo_P = config.mu_P + p_shift
         row = [

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .states import GaussianState, Quadrature, symplectic_form
+from .states import GaussianState, Quadrature, _finite, symplectic_form
 
 # |M^T J M - J| allowed, times max(1, max|M|)^2: the rounding of M^T J M
 # grows with the square of M's entries (as g^2 for a coupling map)
@@ -23,7 +23,15 @@ _FORM.setflags(write=False)
 
 @dataclasses.dataclass(frozen=True)
 class SymplecticMap:
-    """Linear map on (q, p, Q, P) preserving the two-mode symplectic form."""
+    """Linear map on (q, p, Q, P) preserving the two-mode symplectic form.
+
+    The public constructor checks the shape and M^T J M = J to
+    SYMPLECTIC_TOL. `coupling_map` builds maps that are symplectic by
+    construction through `_derived`, which skips that check; its output is
+    re-checked by `verify.run_repeatability` (criterion 6, 256 maps) and by
+    `test_coupling_maps_pass_the_public_check` and
+    `test_coupling_map_is_symplectic` in tests/test_dynamics.py.
+    """
 
     matrix: np.ndarray
 
@@ -37,6 +45,16 @@ class SymplecticMap:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _derived(cls, matrix: np.ndarray) -> "SymplecticMap":
+        """A map that is symplectic by construction: a freshly made finite
+        4 x 4 float array, made read-only and stored as it is, without
+        `__post_init__`."""
+        smap = object.__new__(cls)
+        matrix.setflags(write=False)
+        object.__setattr__(smap, "matrix", matrix)
+        return smap
+
 
 def coupling_map(g: float, theta_A: Quadrature) -> SymplecticMap:
     """Map generated by the impulsive coupling of strength g to the
@@ -46,6 +64,12 @@ def coupling_map(g: float, theta_A: Quadrature) -> SymplecticMap:
         p' = p - g cos(theta_A) P
         Q' = Q + g (cos(theta_A) q + sin(theta_A) p)
         P' = P
+
+    The map is symplectic for every finite g and angle, so only finiteness
+    is checked: a non-finite entry raises "matrix is not symplectic", as the
+    public constructor would. At a finite g too large for M^T J M (above
+    about 1e154) the map is still returned; `ExperimentConfig` then rejects
+    the coupled state it makes as an overflow.
     """
     c, s = math.cos(theta_A.theta), math.sin(theta_A.theta)
     m = np.array(
@@ -56,7 +80,9 @@ def coupling_map(g: float, theta_A: Quadrature) -> SymplecticMap:
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    return SymplecticMap(m)
+    if not _finite(m):
+        raise ValueError("matrix is not symplectic")
+    return SymplecticMap._derived(m)
 
 
 def apply_to_state(smap: SymplecticMap, joint: GaussianState) -> GaussianState:

@@ -5,12 +5,18 @@ Covariances use the standard statistical convention Cov[x_i, x_j]; the
 restriction check works with gamma = 2*cov internally, so the factor of two
 never leaks into sampling or conditioning code.
 
-States are validated where they enter: the public `GaussianState(...)`
-constructor, and so `make_particle` and `make_pure_device`, check shape,
-finiteness, symmetry and positive semidefiniteness. Tensor products,
-marginals, evolution under a symplectic map and Gaussian conditioning are
-exact images of validated states; they are built by
-`GaussianState._derived` and not checked again.
+States are validated where they enter. The public `GaussianState(...)`
+constructor checks shape, finiteness, symmetry and positive
+semidefiniteness. `make_particle` and `make_pure_device` check their spread
+(sigma > 0, delta_Q > 0) and, with the constructor's own `_check_finite`,
+that the mean and covariance are finite; symmetry, positive
+semidefiniteness and saturation of the restriction hold by construction of
+their closed-form covariances (`test_factory_states_pass_the_public_checks`
+in tests/test_states.py re-checks them for spreads from 1e-150 to 1e150).
+Tensor products, marginals, evolution under a symplectic map and
+Gaussian conditioning are exact images of validated states; like the
+factories' states, they are built by `GaussianState._derived` and not
+checked again.
 """
 
 from __future__ import annotations
@@ -85,10 +91,7 @@ class GaussianState:
             raise ValueError(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
             )
-        for name, values in (("mean", mean), ("cov", cov)):
-            # math over a short list costs a fraction of a numpy reduction
-            if not all(map(math.isfinite, values.ravel().tolist())):
-                raise ValueError(f"{name} must be finite")
+        _check_finite(mean, cov)
         eigvals = np.linalg.eigvalsh(cov)  # ascending, from the lower triangle
         scale = max(eigvals[-1], 0.0)
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
@@ -102,9 +105,10 @@ class GaussianState:
 
     @classmethod
     def _derived(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
-        """A state computed exactly from validated states: freshly made float
-        arrays `mean` (1-d) and `cov` (square, symmetric), which become
-        read-only and are stored as they are, without `__post_init__`."""
+        """A state that is valid by construction (an exact image of validated
+        states, or a factory's closed form): freshly made float arrays `mean`
+        (1-d) and `cov` (square, symmetric), which become read-only and are
+        stored as they are, without `__post_init__`."""
         state = object.__new__(cls)
         mean.setflags(write=False)
         cov.setflags(write=False)
@@ -124,15 +128,33 @@ class GaussianState:
         return GaussianState._derived(self.mean[sl].copy(), self.cov[sl, sl].copy())
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every entry of `values` is finite (nan and +-inf are not).
+    math over a short list costs a fraction of a numpy reduction."""
+    return all(map(math.isfinite, values.ravel().tolist()))
+
+
+def _check_finite(mean: np.ndarray, cov: np.ndarray) -> None:
+    """The finiteness check of `GaussianState(...)` and of the factories."""
+    if not _finite(mean):
+        raise ValueError("mean must be finite")
+    if not _finite(cov):
+        raise ValueError("cov must be finite")
+
+
 def make_particle(mu_q: float, mu_p: float, sigma: float) -> GaussianState:
     """Particle distribution with position spread sigma and momentum spread 1/(2 sigma).
 
-    Saturates the restriction: det(2 cov) = 1.
+    Saturates the restriction: det(2 cov) = 1. The covariance
+    diag(sigma^2, 1/(4 sigma^2)) is symmetric and positive definite for
+    every sigma > 0, so only sigma and finiteness are checked.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    mean = np.array([mu_q, mu_p], dtype=float)
     cov = np.diag([sigma**2, 1.0 / (4.0 * sigma**2)])
-    return GaussianState(np.array([mu_q, mu_p]), cov)
+    _check_finite(mean, cov)
+    return GaussianState._derived(mean, cov)
 
 
 def make_pure_device(delta_Q: float, mu_P: float, omega: float) -> GaussianState:
@@ -140,13 +162,17 @@ def make_pure_device(delta_Q: float, mu_P: float, omega: float) -> GaussianState
     mean momentum mu_P and position-momentum covariance omega/2.
 
     The momentum variance (1 + omega^2) / (4 delta_Q^2) saturates the
-    restriction for every omega.
+    restriction for every omega: det cov = 1/4 exactly, so the symmetric
+    covariance is positive definite for every delta_Q > 0, and only delta_Q
+    and finiteness are checked.
     """
     if delta_Q <= 0:
         raise ValueError("delta_Q must be positive")
     var_P = (1.0 + omega**2) / (4.0 * delta_Q**2)
+    mean = np.array([0.0, mu_P], dtype=float)
     cov = np.array([[delta_Q**2, omega / 2.0], [omega / 2.0, var_P]])
-    return GaussianState(np.array([0.0, mu_P]), cov)
+    _check_finite(mean, cov)
+    return GaussianState._derived(mean, cov)
 
 
 def check_epistemic_restriction(

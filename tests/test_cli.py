@@ -403,6 +403,20 @@ class TestRuntimeErrors:
         self._fails(capsys, argv, OverflowError)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["weakvalue", "sweep"])
+    def test_closed_form_that_overflows_is_named(self, tmp_path, capsys, command):
+        # sigma^4 overflows in Python floats, whose own message names no cause
+        doc = base_config(particle={"sigma": 1e154})
+        doc["sweep"] = {"b": [1.0, 0.5]}
+        argv = [command, "--config", write_config(tmp_path, doc)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: OverflowError: the closed form overflows: "
+            "a power of a config field is out of float range\n"
+        )
+
     @pytest.mark.parametrize(
         "command, out", [("simulate", "file"), ("sweep", "file"), ("histogram", "file/sub")]
     )

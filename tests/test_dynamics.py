@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erlweak import (
+    ExperimentConfig,
     Quadrature,
     SymplecticMap,
     apply_to_points,
@@ -71,6 +73,42 @@ def test_large_coupling_accepted_at_every_angle(g):
     for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
         m = coupling_map(g, Quadrature(theta)).matrix
         assert m[2, 0] == g * math.cos(theta)
+
+
+ANGLES_16 = [2.0 * math.pi * k / 16 for k in range(16)]
+
+
+def test_coupling_maps_pass_the_public_check():
+    """coupling_map skips the constructor's M^T J M check; every map up to
+    |g| = 1e150 passes it and is stored bit for bit as it would store it."""
+    magnitudes = (0.0, 1e-150, 1e-3, 0.3, 1.0, 3.0, 1e3, 1e8, 1e150)
+    for g, theta in itertools.product([*magnitudes, *(-g for g in magnitudes)], ANGLES_16):
+        m = coupling_map(g, Quadrature(theta)).matrix
+        checked = SymplecticMap(m).matrix
+        assert m.dtype == checked.dtype and m.tobytes() == checked.tobytes(), (g, theta)
+        assert not m.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "g, theta", [(math.nan, 0.7), (math.inf, 0.7), (-math.inf, 0.7), (math.inf, 0.0), (0.0, math.nan)]
+)
+def test_non_finite_coupling_rejected(g, theta):
+    with pytest.raises(ValueError) as info:
+        coupling_map(g, Quadrature(theta))
+    assert str(info.value) == "matrix is not symplectic"
+
+
+def test_coupling_too_large_for_the_form_check_ends_in_the_state_overflow():
+    # above about 1.34e154, M^T J M (and the constructor's tolerance) overflow;
+    # the map is returned, and the config's coupled state is the overflow
+    m = coupling_map(1e200, Quadrature(0.7)).matrix
+    assert m[2, 0] == 1e200 * math.cos(0.7) and m[3, 3] == 1.0
+    config = ExperimentConfig(
+        0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1e200,
+        Quadrature(0.7), Quadrature(math.pi / 2), 1.0, None, 1, 0,
+    )
+    with pytest.raises(OverflowError, match="^the coupled state overflows"):
+        config.evolved_joint()
 
 
 @given(couplings, angles)

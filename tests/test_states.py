@@ -248,3 +248,98 @@ def test_extreme_spread_states_pass_the_public_checks():
     """The tolerances scale with the covariance: with absolute ones, 35 of
     these 300 evolved states failed the PSD check."""
     assert _check_derived_states(_wide_spread_grid(), conditioned=False) == 6 * 300
+
+
+# The factories as they were when the public constructor checked their
+# output: the reference for what make_particle and make_pure_device store
+# and raise now that they check only their scalars and finiteness.
+def _validated_particle(mu_q, mu_p, sigma):
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    return GaussianState(np.array([mu_q, mu_p]), np.diag([sigma**2, 1.0 / (4.0 * sigma**2)]))
+
+
+def _validated_device(delta_Q, mu_P, omega):
+    if delta_Q <= 0:
+        raise ValueError("delta_Q must be positive")
+    var_P = (1.0 + omega**2) / (4.0 * delta_Q**2)
+    cov = np.array([[delta_Q**2, omega / 2.0], [omega / 2.0, var_P]])
+    return GaussianState(np.array([0.0, mu_P]), cov)
+
+
+REFERENCE = {make_particle: _validated_particle, make_pure_device: _validated_device}
+SPREADS = (1e-150, 1e-4, 1.0, 1e4, 1e150)
+FACTORY_OMEGAS = (0.0, 1e-3, -1e-3, 1.0, -1.0, 1e8, -1e8, 1e150, -1e150)
+FACTORY_MEANS = (0.0, 0.7, -1e150)
+
+
+def _outcome(build, *args):
+    """The state that `build(*args)` returns, or the (type, message) of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _factory_grid():
+    for mean, spread in itertools.product(FACTORY_MEANS, SPREADS):
+        yield make_particle, (mean, -mean, spread)
+    for spread, mean, omega in itertools.product(SPREADS, FACTORY_MEANS, FACTORY_OMEGAS):
+        yield make_pure_device, (spread, mean, omega)
+
+
+def test_factory_states_pass_the_public_checks():
+    """make_particle and make_pure_device skip the constructor's symmetry and
+    PSD checks; at every grid point they raise what the validated
+    construction raises, or store bit for bit what it stored, and their state
+    passes `GaussianState(...)`."""
+    built = raised = 0
+    for build, args in _factory_grid():
+        got, want = _outcome(build, *args), _outcome(REFERENCE[build], *args)
+        if isinstance(want, tuple):
+            assert got == want, (build.__name__, args)
+            raised += 1
+            continue
+        checked = GaussianState(got.mean, got.cov)
+        for array, stored in ((got.mean, want.mean), (got.cov, want.cov)):
+            assert array.dtype == stored.dtype and array.shape == stored.shape
+            assert array.tobytes() == stored.tobytes(), (build.__name__, args)
+            assert not array.flags.writeable
+        assert checked.cov.tobytes() == got.cov.tobytes()
+        built += 1
+    # delta_Q = 1e-150 with |omega| >= 1e8 makes Var[P] infinite: "cov must be finite"
+    assert (built, raised) == (15 + 123, 12)
+
+
+@pytest.mark.parametrize(
+    "build, args, error, message",
+    [
+        (make_particle, (0.0, 0.0, 0.0), ValueError, "sigma must be positive"),
+        (make_particle, (0.0, 0.0, -1.0), ValueError, "sigma must be positive"),
+        (make_pure_device, (0.0, 0.0, 0.0), ValueError, "delta_Q must be positive"),
+        (make_pure_device, (-1.0, 0.0, 0.0), ValueError, "delta_Q must be positive"),
+        *[
+            (make_particle, (bad, 0.0, 1.0), ValueError, "mean must be finite")
+            for bad in (math.nan, math.inf, -math.inf)
+        ],
+        *[
+            (make_pure_device, (1.0, bad, 0.0), ValueError, "mean must be finite")
+            for bad in (math.nan, math.inf, -math.inf)
+        ],
+        (make_particle, (0.0, 0.0, math.nan), ValueError, "cov must be finite"),
+        (make_pure_device, (1.0, 0.0, math.inf), ValueError, "cov must be finite"),
+        (make_particle, (0.0, 0.0, 1e200), OverflowError, None),  # sigma**2
+        (make_particle, (0.0, 0.0, 1e-200), ZeroDivisionError, None),  # 1 / (4 sigma**2)
+        (make_pure_device, (1e200, 0.0, 0.0), OverflowError, None),  # delta_Q**2
+        (make_pure_device, (1.0, 0.0, 1e200), OverflowError, None),  # omega**2
+    ],
+)
+def test_bad_factory_inputs_raise_as_the_validated_construction(build, args, error, message):
+    """Each bad input raises the type and message it raised when the public
+    constructor checked the factory's output; Python's own arithmetic errors
+    are compared with the reference's, the package's messages are pinned."""
+    with pytest.raises(error) as info:
+        build(*args)
+    assert (type(info.value), str(info.value)) == _outcome(REFERENCE[build], *args)
+    if message is not None:
+        assert str(info.value) == message
