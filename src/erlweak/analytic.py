@@ -4,9 +4,9 @@ plus the exact Gaussian-conditioning route used as the independent oracle.
 Convention note: the postselected momentum mean carries the numerator
 factor (mu_q cos(theta_B) + mu_p sin(theta_B) - b) * sin(theta_B - theta_A),
 i.e. the distance of the postselection value b from the mean of the
-postselected quadrature. This is fixed by the conditioning oracle
-(oracle_postselected_means) and is consistent with the first-order form
-2 g delta_P^2 Im[A_W], whose imaginary part carries the same factor.
+postselected quadrature. It holds by construction, as <P>_b - mu_P is
+2 g delta_P^2 Im[A_W] / (1 + r) and Im[A_W] carries that factor; the
+conditioning oracle (oracle_postselected_means) checks it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .bounds import _gaussian_bound
 from .states import GaussianState, Quadrature, quadrature_vector
 
 REALNESS_TOL = 1e-10
@@ -60,13 +61,26 @@ class DiscreteSpectrumInput:
         object.__setattr__(self, "eigenvalues", eig)
 
 
+def _angles(theta_A: Quadrature, theta_B: Quadrature) -> tuple[float, ...]:
+    """cos(theta_A), sin(theta_A), cos(theta_B), sin(theta_B), sin(theta_B - theta_A)."""
+    ta, tb = theta_A.theta, theta_B.theta
+    return math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb), math.sin(tb - ta)
+
+
+def _weak_value(
+    mu_q: float, mu_p: float, sigma: float, b: float, angles: tuple[float, ...]
+) -> tuple[float, float]:
+    """(Re, Im) of the Gaussian weak value at the `_angles` of theta_A and
+    theta_B, without the check on sigma."""
+    ca, sa, cb, sb, sd = angles
+    denom = 4.0 * sigma**4 * cb**2 + sb**2
+    re = (4.0 * sigma**4 * cb * (b * ca - mu_p * sd) + sb * (mu_q * sd + b * sa)) / denom
+    im = 2.0 * sigma**2 * (-b + mu_q * cb + mu_p * sb) * sd / denom
+    return re, im
+
+
 def weak_value_gaussian(
-    mu_q: float,
-    mu_p: float,
-    sigma: float,
-    theta_A: Quadrature,
-    theta_B: Quadrature,
-    b: float,
+    mu_q: float, mu_p: float, sigma: float, theta_A: Quadrature, theta_B: Quadrature, b: float
 ) -> WeakValue:
     """Weak value of cos(theta_A) q + sin(theta_A) p for a Gaussian particle
     postselected on cos(theta_B) q + sin(theta_B) p = b.
@@ -75,13 +89,7 @@ def weak_value_gaussian(
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    ca, sa = math.cos(theta_A.theta), math.sin(theta_A.theta)
-    cb, sb = math.cos(theta_B.theta), math.sin(theta_B.theta)
-    sd = math.sin(theta_B.theta - theta_A.theta)
-    denom = 4.0 * sigma**4 * cb**2 + sb**2
-    re = (4.0 * sigma**4 * cb * (b * ca - mu_p * sd) + sb * (mu_q * sd + b * sa)) / denom
-    im = 2.0 * sigma**2 * (-b + mu_q * cb + mu_p * sb) * sd / denom
-    return WeakValue(re, im)
+    return WeakValue(*_weak_value(mu_q, mu_p, sigma, b, _angles(theta_A, theta_B)))
 
 
 def weak_value_discrete(inp: DiscreteSpectrumInput) -> WeakValue:
@@ -151,35 +159,25 @@ def postselected_means_gaussian(
     pure device with zero mean position and mean momentum mu_P, coupling
     strength g, and postselection on the particle quadrature theta_B at value b.
 
-    The coupling moves the particle by g mu_P (sin theta_A, -cos theta_A) on
-    average, and P is unchanged by it; the mu_P = 0 formulas are evaluated at
-    the shifted particle means and mu_P is added to <P>_b.
+    They are the first-order shifts (q1, p1) of `first_order_shifts` damped by
+    the ratio r of `bounds.gaussian_regime_margin`: <Q>_b = (q1 + r g mu_A) /
+    (1 + r) and <P>_b = mu_P + p1 / (1 + r). The coupling moves the particle
+    by g mu_P (sin theta_A, -cos theta_A) on average, and P is unchanged by
+    it, so A_W and mu_A are taken at the shifted particle means.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if delta_Q <= 0:
         raise ValueError("delta_Q must be positive")
-    ca, sa = math.cos(theta_A.theta), math.sin(theta_A.theta)
-    cb, sb = math.cos(theta_B.theta), math.sin(theta_B.theta)
-    sd = math.sin(theta_B.theta - theta_A.theta)
+    angles = _angles(theta_A, theta_B)
+    ca, sa, cb, sb, sd = angles
     mu_q = mu_q + g * mu_P * sa
     mu_p = mu_p - g * mu_P * ca
-    mu_A = mu_q * ca + mu_p * sa
-
-    beta = g**2 * (1.0 + omega**2) * sigma**2 * sd**2 + delta_Q**2 * (
-        4.0 * sigma**4 * cb**2 + sb**2
-    )
-    if beta == 0.0:
-        raise DegeneratePostselectionError("degenerate configuration: beta = 0")
-    alpha = g**3 * mu_A * (1.0 + omega**2) * sigma**2 * sd**2 + g * delta_Q**2 * (
-        4.0 * sigma**4 * cb * (b * ca - mu_p * sd)
-        + sb * (mu_q * sd + b * sa)
-        + 2.0 * omega * sigma**2 * sd * (mu_q * cb + mu_p * sb - b)
-    )
-    mu_B = mu_q * cb + mu_p * sb
-    mean_Q = alpha / beta
-    mean_P = g * (1.0 + omega**2) * sigma**2 * (mu_B - b) * sd / beta
-    return mean_Q, mean_P + mu_P
+    re, im = _weak_value(mu_q, mu_p, sigma, b, angles)
+    delta_P = math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+    r = g**2 * delta_P**2 / _gaussian_bound(sigma, cb, sb, sd)
+    mean_Q = g * (re + omega * im + r * (mu_q * ca + mu_p * sa)) / (1.0 + r)
+    return mean_Q, mu_P + 2.0 * g * delta_P**2 * im / (1.0 + r)
 
 
 def first_order_shifts(

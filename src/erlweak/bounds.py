@@ -1,9 +1,11 @@
 """Validity margins for the first-order (weak) regime.
 
-"Much less than" is operationalized as ratio thresholds: deep_weak < 0.01,
-weak < 0.1, marginal < 1, strong >= 1. The thresholds are conventions,
-validated empirically: in the `weak` band the first-order pointer shift
-stays within 10% of the exact value on the sweep grids used in the tests.
+The Gaussian ratio r is an exact weight, not a convention: the postselected
+means are (q1 + r g mu_A) / (1 + r) and mu_P + p1 / (1 + r) for the first-order
+shifts (q1, p1), so the first-order P shift is off by exactly r / (1 + r) of
+itself and the Q shift by r / (1 + r) (g mu_A - q1). The classes deep_weak < 0.01,
+weak < 0.1, marginal < 1 and strong >= 1 bound that factor below 1 %, 9.1 % and
+50 %. The discrete margin uses the same thresholds as a convention.
 """
 
 from __future__ import annotations
@@ -37,28 +39,25 @@ def _margin(lhs: float, rhs: float) -> RegimeMargin:
     return RegimeMargin(lhs, rhs, ratio, _classify(ratio))
 
 
-def gaussian_regime_margin(
-    g: float,
-    delta_P: float,
-    sigma: float,
-    theta_A: Quadrature,
-    theta_B: Quadrature,
-) -> RegimeMargin:
-    """Gaussian-state bound: g^2 delta_P^2 must be well below
-    (4 sigma^4 cos^2(theta_B) + sin^2(theta_B)) / (4 sigma^2 sin^2(theta_A - theta_B)).
+def _gaussian_bound(sigma: float, cb: float, sb: float, sd: float) -> float:
+    """(4 sigma^4 cb^2 + sb^2) / (4 sigma^2 sd^2) for the cosine and sine of
+    theta_B and sd = sin(theta_A - theta_B), or its negative: +inf where the
+    quadratures coincide or the denominator underflows (ratio 0)."""
+    den = 4.0 * sigma**2 * sd**2
+    if den == 0.0:
+        return math.inf
+    return (4.0 * sigma**4 * cb**2 + sb**2) / den
 
-    The bound is vacuous (+inf) when the measured and postselected
-    quadratures coincide.
-    """
+
+def gaussian_regime_margin(
+    g: float, delta_P: float, sigma: float, theta_A: Quadrature, theta_B: Quadrature
+) -> RegimeMargin:
+    """Gaussian-state bound: g^2 delta_P^2 must be well below `_gaussian_bound`."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    cb, sb = math.cos(theta_B.theta), math.sin(theta_B.theta)
-    sd = math.sin(theta_A.theta - theta_B.theta)
-    lhs = g**2 * delta_P**2
-    if sd == 0.0:
-        return _margin(lhs, math.inf)
-    rhs = (4.0 * sigma**4 * cb**2 + sb**2) / (4.0 * sigma**2 * sd**2)
-    return _margin(lhs, rhs)
+    tb = theta_B.theta
+    bound = _gaussian_bound(sigma, math.cos(tb), math.sin(tb), math.sin(theta_A.theta - tb))
+    return _margin(g**2 * delta_P**2, bound)
 
 
 def discrete_regime_margin(

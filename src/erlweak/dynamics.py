@@ -39,8 +39,13 @@ class SymplecticMap:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("matrix must be 4x4")
-        scale = max(1.0, float(np.max(np.abs(m)))) ** 2
-        if not np.max(np.abs(m.T @ _FORM @ m - _FORM)) <= SYMPLECTIC_TOL * scale:  # nan fails
+        if not _finite(m):
+            raise ValueError("matrix is not symplectic")
+        # |M^T J M - J| <= TOL s^2 for s = max(1, max|M|), evaluated as
+        # |N^T J N - J / s^2| <= TOL for N = M / s, which cannot overflow
+        s = max(1.0, float(np.max(np.abs(m))))
+        n = m / s
+        if not np.max(np.abs(n.T @ _FORM @ n - _FORM / s / s)) <= SYMPLECTIC_TOL:
             raise ValueError("matrix is not symplectic")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -70,6 +70,7 @@ _MILLS_CF_TERMS = 20  # converged to an ulp for x >= 8
 # and loses about 1e-16 |c| / h relative. Four terms reach 1e-18 there.
 _NARROW_WINDOW = 0.05
 _NARROW_TERMS = 4
+_OVERFLOW = "the coupled state overflows or underflows: a moment of it, its parts or B is out of range"
 
 
 class InsufficientAcceptanceError(RuntimeError):
@@ -127,13 +128,18 @@ class ExperimentConfig:
     @functools.cached_property
     def _evolved(self) -> tuple[GaussianState, float, float]:
         """(evolved joint state, mean of B, variance of B), built once.
-        Raises OverflowError where a finite config overflows any of them."""
+        Raises OverflowError where a finite config overflows or underflows
+        any of them, or the particle and device states they are made of."""
+        try:  # Python-float powers of the checked fields, and the factories' finite check
+            joint = self.joint()
+        except (ArithmeticError, ValueError) as exc:
+            raise OverflowError(_OVERFLOW) from exc
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            evolved = apply_to_state(coupling_map(self.g, self.theta_A), self.joint())
+            evolved = apply_to_state(coupling_map(self.g, self.theta_A), joint)
             moments = quadrature_moments(evolved, 0, self.theta_B)
         values = [*evolved.mean.tolist(), *evolved.cov.ravel().tolist(), *moments]
         if not all(map(math.isfinite, values)):
-            raise OverflowError("the coupled state overflows: a moment of it or of B is not finite")
+            raise OverflowError(_OVERFLOW)
         return evolved, *moments
 
     def evolved_joint(self) -> GaussianState:

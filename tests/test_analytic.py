@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from erlweak import (
     coupling_map,
     first_order_shifts,
     gaussian_condition,
+    gaussian_regime_margin,
     make_particle,
     make_pure_device,
     oracle_postselected_means,
@@ -232,6 +234,73 @@ class TestPostselectedMeansGaussian:
         for x, y in zip(closed, oracle):
             assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
+
+    @pytest.mark.parametrize("g", [3.0, 10.0, 30.0])
+    def test_matches_conditioning_oracle_at_strong_coupling(self, g):
+        # the regime ratio r reaches about 1e3 here, far past the |g| <= 1.5
+        # of the hypothesis test and the g <= 1 of verify's grid
+        ratios = []
+        for (sigma, delta_Q), omega, mu_P, ta, tb, b in itertools.product(
+            ((1.0, 1.0), (0.7, 1.3), (1.5, 0.6)), (0.0, 0.8), (0.0, 0.6),
+            (0.0, 0.4), (HALF_PI, 2.0), (-1.0, 0.5),
+        ):
+            theta_A, theta_B = Quadrature(ta), Quadrature(tb)
+            closed = postselected_means_gaussian(
+                0.3, -0.4, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
+            )
+            evolved = evolved_joint(0.3, -0.4, sigma, delta_Q, omega, g, theta_A, mu_P)
+            oracle = oracle_postselected_means(evolved, theta_A, theta_B, b)
+            for x, y in zip(closed, oracle):
+                assert abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
+            delta_P = math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+            ratios.append(gaussian_regime_margin(g, delta_P, sigma, theta_A, theta_B).ratio)
+        assert min(ratios) >= 1.0  # every config is in the strong class
+        assert max(ratios) > 9.0 * g**2
+
+    @pytest.mark.parametrize("g", [0.05, 1.0, 10.0])
+    def test_oracle_is_first_order_damped_by_the_regime_ratio(self, g):
+        # the exact statement of bounds.py, from routes independent of the
+        # closed form: oracle shifts = (q1 + r g mu_A, p1) / (1 + r)
+        sigma, delta_Q, omega, mu_P, b = 0.8, 1.3, 0.7, 0.4, 0.9
+        theta_A, theta_B = Quadrature(0.3), Quadrature(2.0)
+        mu_q, mu_p = 0.3 + g * mu_P * math.sin(0.3), -0.4 - g * mu_P * math.cos(0.3)
+        delta_P = math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+        q1, p1 = first_order_shifts(
+            weak_value_gaussian(mu_q, mu_p, sigma, theta_A, theta_B, b), g, delta_P, omega
+        )
+        r = gaussian_regime_margin(g, delta_P, sigma, theta_A, theta_B).ratio
+        evolved = evolved_joint(0.3, -0.4, sigma, delta_Q, omega, g, theta_A, mu_P)
+        mean_Q, mean_P, _ = oracle_postselected_means(evolved, theta_A, theta_B, b)
+        mu_A = mu_q * math.cos(0.3) + mu_p * math.sin(0.3)
+        assert mean_Q == pytest.approx((q1 + r * g * mu_A) / (1.0 + r), rel=1e-12)
+        assert mean_P - mu_P == pytest.approx(p1 / (1.0 + r), rel=1e-12)
+
+    def test_vanishing_device_momentum_spread_keeps_the_omega_term(self):
+        # delta_P -> 0 at fixed omega (delta_Q -> inf): r -> 0, <P>_b -> mu_P,
+        # but the oracle's <Q>_b tends to g Re + g omega Im, not g Re, at any g
+        g, omega, mu_P = 0.5, 0.8, 0.0
+        theta_A, theta_B = Quadrature(0.3), Quadrature(2.0)
+        wv = weak_value_gaussian(0.3, -0.4, 1.0, theta_A, theta_B, 0.9)
+        devs = []
+        for delta_Q in (1e1, 1e2, 1e3):
+            evolved = evolved_joint(0.3, -0.4, 1.0, delta_Q, omega, g, theta_A, mu_P)
+            mean_Q, mean_P, _ = oracle_postselected_means(evolved, theta_A, theta_B, 0.9)
+            devs.append((abs(mean_Q - g * (wv.re + omega * wv.im)), abs(mean_P - mu_P)))
+        assert g * omega * abs(wv.im) > 0.1
+        for (q0, p0), (q1, p1) in zip(devs, devs[1:]):  # both shrink as delta_P^2
+            assert q1 < q0 / 50.0 and p1 < p0 / 50.0
+
+    def test_strong_coupling_limit(self):
+        # r -> inf at fixed A_W gives the unpostselected pointer (g mu_A, mu_P);
+        # at mu_P = 0 that is the g -> inf limit, approached as 1/g
+        theta_A, theta_B = Quadrature(0.4), Quadrature(HALF_PI)
+        mu_A = 0.3 * math.cos(0.4) - 0.4 * math.sin(0.4)
+        for g in (1e2, 1e4, 1e6):
+            mean_Q, mean_P = postselected_means_gaussian(
+                0.3, -0.4, 1.0, 1.0, 0.5, g, theta_A, theta_B, 1.0
+            )
+            assert 0.0 < abs(mean_Q - g * mu_A) < 1.0 / g
+            assert 0.0 < abs(mean_P) < 2.0 / g
 
     def test_device_mean_momentum(self):
         # g=0.3, omega=0.5, theta_A=0, theta_B=pi/2, b=1, mu_P=0.5

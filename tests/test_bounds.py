@@ -30,6 +30,18 @@ class TestGaussianMargin:
         assert margin.classification == "deep_weak"
 
     @pytest.mark.parametrize(
+        "sigma, theta_A, theta_B",
+        [(1e-200, 0.0, HALF_PI), (1.0, 0.0, 1e-200), (1e-150, 0.3, 0.3 + 1e-16)],
+    )
+    def test_underflowed_denominator_is_vacuous(self, sigma, theta_A, theta_B):
+        # 4 sigma^2 sin^2(theta_A - theta_B) underflows to 0: the ratio is 0 to
+        # double precision (about 1e-402 for sigma = 1e-200), not a division by 0
+        margin = gaussian_regime_margin(0.1, 0.5, sigma, Quadrature(theta_A), Quadrature(theta_B))
+        assert math.isinf(margin.rhs)
+        assert margin.ratio == 0.0
+        assert margin.classification == "deep_weak"
+
+    @pytest.mark.parametrize(
         "ratio_target,expected",
         [(0.005, "deep_weak"), (0.05, "weak"), (0.5, "marginal"), (2.0, "strong")],
     )

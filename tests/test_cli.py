@@ -249,6 +249,17 @@ class TestSweep:
         assert float(weak["fo_P"]) == pytest.approx(0.5, abs=0.02)
         assert abs(float(weak["residual_P"])) < 1e-4
 
+    def test_readme_config_csv_pinned(self, tmp_path):
+        # the closed forms' bytes on the README config, as the simulate pin above
+        doc = base_config(sampling={"n_samples": 1_000_000, "seed": 42})
+        doc["sweep"] = {"g": [0.05, 0.1, 0.3], "delta_P": [0.5, 0.25], "theta_A": [0.0, 0.7]}
+        path = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        csv = (tmp_path / "o" / "sweep.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "9057ffd25794453738da03e1c52f08e520ebcf09ddb1feb438d30d821d29c66d"
+        )
+
     def test_empty_range_rejected(self, tmp_path, capsys):
         doc = base_config()
         doc["sweep"] = {"g": []}
@@ -373,15 +384,20 @@ class TestRuntimeErrors:
         name = captured.err.removeprefix("error: ").split(":")[0]
         assert issubclass(getattr(builtins, name), kind), captured.err
 
-    @pytest.mark.parametrize("command", ["weakvalue", "simulate", "sweep"])
     @pytest.mark.parametrize(
-        "section, field, value",
+        "section, field, value, command",
         [
-            ("particle", "sigma", 1e200),
-            ("particle", "sigma", 1e-200),
-            ("device", "delta_Q", 1e-200),
-            ("device", "omega", 1e200),
-            ("coupling", "g", 1e200),
+            (section, field, value, command)
+            for section, field, value in [
+                ("particle", "sigma", 1e200),
+                ("particle", "sigma", 1e-200),
+                ("device", "delta_Q", 1e-200),
+                ("device", "omega", 1e200),
+                ("coupling", "g", 1e200),
+            ]
+            for command in ["weakvalue", "simulate", "sweep"]
+            # the closed forms at sigma = 1e-200 are finite: see the next test
+            if not (value == 1e-200 and field == "sigma" and command != "simulate")
         ],
     )
     def test_finite_config_that_overflows(self, tmp_path, capsys, command, section, field, value):
@@ -391,6 +407,46 @@ class TestRuntimeErrors:
         if command != "weakvalue":
             argv += ["--out", str(tmp_path / "o"), "--quiet"]
         self._fails(capsys, argv, ArithmeticError)
+
+    @pytest.mark.parametrize("command", ["weakvalue", "sweep"])
+    @pytest.mark.parametrize("section, field", [("particle", "sigma"), ("postselection", "theta_B")])
+    def test_finite_config_whose_bound_underflows(self, tmp_path, capsys, command, section, field):
+        # 4 sigma^2 sin^2(theta_A - theta_B) underflows to 0: the regime ratio
+        # is 0 to double precision (about 1e-402 at sigma = 1e-200)
+        doc = base_config(**{section: {field: 1e-200}})
+        doc["sweep"] = {"b": [1.0, 0.5]}
+        argv = [command, "--config", write_config(tmp_path, doc)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if command == "weakvalue":
+            assert out.splitlines()[-1] == "regime classification=deep_weak ratio=0 bound=inf"
+        else:
+            header, *rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+            assert len(rows) == 2
+            for row in rows:
+                cells = dict(zip(header.split(","), row.split(",")))
+                assert cells["regime_ratio"] == "0" and cells["regime_class"] == "deep_weak"
+                assert all(math.isfinite(float(v)) for v in row.split(",")[:-1])
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("particle", "sigma", 1e200), ("particle", "sigma", 1e-200), ("particle", "sigma", 1e-160),
+         ("device", "omega", 1e200), ("device", "delta_Q", 1e-200)],
+    )
+    def test_state_that_overflows_or_underflows_is_named(self, tmp_path, capsys, section, field, value):
+        # the particle and device states overflow or underflow in Python
+        # floats (sigma^2, 1 / (4 sigma^2), omega^2), whose own errors name no cause
+        doc = base_config(**{section: {field: value}})
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: OverflowError: the coupled state overflows or underflows: "
+            "a moment of it, its parts or B is out of range\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "histogram"])
     @pytest.mark.parametrize("section, field", [("coupling", "g"), ("particle", "sigma")])

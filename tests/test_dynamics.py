@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from erlweak import (
     symplectic_form,
     tensor,
 )
+from erlweak.dynamics import SYMPLECTIC_TOL
 
 FORM = symplectic_form(2)
 
@@ -64,6 +66,45 @@ def test_nonsymplectic_matrix_rejected():
     bad[0, 0] = 2.0
     with pytest.raises(ValueError):
         SymplecticMap(bad)
+
+
+def _symplectic_in_exact_arithmetic(m: np.ndarray) -> bool:
+    """The public check |M^T J M - J| <= SYMPLECTIC_TOL max(1, max|M|)^2,
+    evaluated in rationals: no rounding, no overflow."""
+    q = [[Fraction(x) for x in row] for row in m.tolist()]
+    form = [[Fraction(int(x)) for x in row] for row in FORM.tolist()]
+    scale = max(Fraction(1), *(abs(x) for row in q for x in row)) ** 2
+    residual = max(
+        abs(sum(q[k][i] * form[k][l] * q[l][j] for k in range(4) for l in range(4)) - form[i][j])
+        for i in range(4)
+        for j in range(4)
+    )
+    return residual <= Fraction(SYMPLECTIC_TOL) * scale
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.diag([1e155, 1e-155, 1.0, 1.0]),
+        np.diag([1e300, 1e-300, 1e-300, 1e300]),
+        np.diag([1e200, 1.0, 1.0, 1.0]),
+        np.diag([1e200, 1e200, 1.0, 1.0]),
+        np.diag([1e308, 1.0, 1e-308, 1.0]),
+        np.full((4, 4), 1e300),
+        coupling_map(1e200, Quadrature(0.7)).matrix,
+        coupling_map(1e300, Quadrature(2.0)).matrix,
+    ],
+    ids=["1e155", "1e300", "1e200-q", "1e200-qp", "1e308", "full-1e300", "coupling-1e200", "coupling-1e300"],
+)
+def test_public_check_of_large_entries_is_its_tolerance(matrix):
+    # max(1, max|M|)^2 overflowed in Python floats above about 1.34e154, so
+    # these raised OverflowError; the verdict is now the tolerance's own,
+    # with no numpy RuntimeWarning (pytest turns those into errors)
+    if _symplectic_in_exact_arithmetic(matrix):
+        assert SymplecticMap(matrix).matrix.tobytes() == matrix.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^matrix is not symplectic$"):
+            SymplecticMap(matrix)
 
 
 @pytest.mark.parametrize("g", [300.0, 1000.0])

@@ -1,9 +1,13 @@
-"""Smoke tests: the scripts under scripts/ run against the current library."""
+"""Smoke tests: the scripts and sweep configs under scripts/ run against the current library."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from erlweak.cli import SWEEP_HEADER, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,13 +23,27 @@ def run_script(name, *args):
     ).stdout
 
 
-def test_weak_limit_sweep():
-    lines = run_script("weak_limit_sweep.py", "--steps", "2").splitlines()
-    assert lines[0].startswith("weak value: re=")
-    for header in ("g,exact_Q,", "delta_P,exact_Q,"):
-        i = next(i for i, line in enumerate(lines) if line.startswith(header))
-        rows = lines[i + 1 : i + 3]
-        assert [len(row.split(",")) for row in rows] == [len(lines[i].split(","))] * 2
+@pytest.mark.parametrize("axis", ["g", "delta_P"])
+def test_weak_limit_sweep_configs(tmp_path, axis):
+    """The two limit studies are `erlweak sweep` configs: g halved at
+    delta_Q = 1, omega = 0, and delta_P halved at g = 0.05."""
+    config = ROOT / "scripts" / f"weak_limit_{axis}.json"
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert header == SWEEP_HEADER
+    rows = [dict(zip(header.split(","), map(float, line.split(",")[:-1]))) for line in lines]
+    halvings = [0.4 / 2**k for k in range(6)]
+    if axis == "g":
+        assert [row["g"] for row in rows] == halvings
+        assert all(row["delta_Q"] == 1.0 and row["omega"] == 0.0 for row in rows)
+        shrink, columns = 2**2.5, ("residual_Q", "residual_P")  # cubic in g
+    else:
+        assert all(row["g"] == 0.05 for row in rows)
+        assert [row["delta_Q"] for row in rows] == [1.0 / (2.0 * d) for d in halvings]
+        shrink, columns = 3.5, ("residual_Q", "exact_P")  # quadratic in delta_P
+    for column in columns:
+        values = [abs(row[column]) for row in rows]
+        assert all(a > shrink * b > 0.0 for a, b in zip(values, values[1:])), column
 
 
 def test_fig2_histogram(tmp_path):
