@@ -111,32 +111,27 @@ def postselected_means_discrete(
 ) -> tuple[float, float]:
     """Exact postselected device means for a discrete spectrum.
 
-    Evaluates the double sums over eigenvalue pairs, with Gaussian damping
-    exp(-(a_j - a_l)^2 delta_P^2 g^2 / 2) and phase exp(i g (a_j - a_l) mu_P)
-    in the position mean. Results must come out real; a nonvanishing
-    imaginary residue indicates a conjugation bug and raises.
+    Both means are expectations in the same post-coupling state, so they share
+    one pair weight w_jl = d_j d_l* exp(-g^2 delta_P^2 (a_j - a_l)^2 / 2
+    - i g (a_j - a_l) mu_P), with d_j = alpha_j <b|a_j>:
+        <Q>_b = sum w g ((a_j + a_l) / 2 - i omega (a_j - a_l) / 2) / sum w,
+        <P>_b = mu_P + sum w (-i g delta_P^2 (a_j - a_l)) / sum w.
+    Results must come out real; a nonvanishing imaginary residue indicates a
+    conjugation bug and raises.
     """
     if delta_P <= 0:
         raise ValueError("delta_P must be positive")
     d = np.array(inp.amplitudes) * np.array(inp.overlaps)
-    c = np.outer(d, d.conj())
     a = np.array(inp.eigenvalues)
     diff = a[:, None] - a[None, :]
     avg = 0.5 * (a[:, None] + a[None, :])
-    damp = np.exp(-0.5 * diff**2 * delta_P**2 * g**2)
-    phase = np.exp(1j * g * diff * mu_P)
-
-    weights_q = c * damp * phase
-    num_q = (weights_q * g * (avg - 0.5j * omega * diff)).sum()
-    den_q = weights_q.sum()
-    weights_p = c * damp
-    num_p = (-1j * g * delta_P**2 * weights_p * diff).sum()
-    den_p = weights_p.sum()
-    if abs(den_q) == 0.0 or abs(den_p) == 0.0:
+    w = np.outer(d, d.conj()) * np.exp(-0.5 * (g * delta_P * diff) ** 2 - 1j * g * mu_P * diff)
+    total = w.sum()
+    if abs(total) == 0.0:
         raise DegeneratePostselectionError("postselection probability is zero")
 
-    mean_Q = num_q / den_q
-    mean_P = num_p / den_p
+    mean_Q = (w * g * (avg - 0.5j * omega * diff)).sum() / total
+    mean_P = mu_P + (w * -1j * g * delta_P**2 * diff).sum() / total
     for value in (mean_Q, mean_P):
         if abs(value.imag) > REALNESS_TOL * max(1.0, abs(value.real)):
             raise ValueError(f"postselected mean is not real: {value}")

@@ -451,7 +451,12 @@ def cmd_histogram(args) -> int:
         for p_bin, row in zip(p_bins, counts)
         for P_bin, n in zip(P_bins, row.astype(int).tolist())
     )
-    _write_outputs(args, HISTOGRAM_HEADER, rows, config_echo(config))
+    resolved = {
+        "bins": bins,
+        "p_range": [p_edges[0].item(), p_edges[-1].item()],
+        "P_range": [P_edges[0].item(), P_edges[-1].item()],
+    }
+    _write_outputs(args, HISTOGRAM_HEADER, rows, {**config_echo(config), "histogram": resolved})
     return 0
 
 

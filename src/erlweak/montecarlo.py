@@ -288,15 +288,20 @@ def _map_chunks(fn, args, n: int, chunk_size: int):
 
 def _pooled(tasks):
     """Yield the results of tasks run on the pool, in order. The pool is made
-    on first use and closed and joined at exit. An interrupt or error while
-    tasks are out terminates it instead: a worker killed by the interrupt
-    loses its task, and joining would wait for that task forever. The next
-    call makes a new pool."""
+    on first use and closed and joined at exit. Its workers ignore SIGINT, so
+    Ctrl-C, which the terminal sends to the whole foreground process group,
+    interrupts only this process: a worker killed by it would lose its task
+    or its place in the pool, and joining would then wait forever. An
+    interrupt or error while tasks are out terminates the pool; the next
+    call makes a new one."""
     global _pool, _pool_owner
     if _pool is None:
         import multiprocessing
+        import signal
 
-        _pool = multiprocessing.get_context("fork").Pool(WORKERS)
+        _pool = multiprocessing.get_context("fork").Pool(
+            WORKERS, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+        )
         _pool_owner = os.getpid()
         atexit.register(_close_pool)
     pool = _pool  # a generator closed late must not touch a later pool
@@ -378,13 +383,15 @@ def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndar
     """Chunk k of `run_weak_experiment`: the `_moments` of its accepted
     (Q', P', A), after checking at every point that the coupling left A and
     P unchanged. Each block is evolved, checked and windowed in buffers the
-    chunk allocates once; the accepted values fill a (3, rows) buffer."""
+    chunk allocates once; the accepted values fill a (3, m) buffer that
+    starts at one block and doubles when full, so a chunk that accepts a few
+    per cent of its draws holds no chunk-sized buffer."""
     source, smap, theta_A, theta_B, b, epsilon = args
     size = min(BLOCK, rows)
     evolved_buf = np.empty(4 * size)
     a_before_buf, a_after_buf, b_buf, work_buf = np.empty((4, size))
     same_buf = np.empty(size, dtype=bool)
-    accepted = np.empty((3, rows))
+    accepted = np.empty((3, size))
     n_acc = 0
     for pts in _blocks(source, k, rows):
         m = pts.shape[1]
@@ -405,6 +412,10 @@ def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndar
         distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
         keep = np.flatnonzero(distance <= epsilon)
         stop = n_acc + keep.size
+        if stop > accepted.shape[1]:
+            grown = np.empty((3, min(rows, 2 * stop)))
+            grown[:, :n_acc] = accepted[:, :n_acc]
+            accepted = grown
         accepted[:2, n_acc:stop] = evolved[2:, keep]
         accepted[2, n_acc:stop] = a_after[keep]
         n_acc = stop

@@ -156,7 +156,8 @@ class TestPostselectedMeansDiscrete:
         inp = DiscreteSpectrumInput((1.0,), (0.6,), (1.7,))
         mean_Q, mean_P = postselected_means_discrete(inp, 0.3, 0.5, 0.2, 0.1)
         assert mean_Q == pytest.approx(0.3 * 1.7, abs=1e-14)
-        assert mean_P == pytest.approx(0.0, abs=1e-14)
+        # one eigenstate: the coupling shifts Q only, so P keeps its mean mu_P
+        assert mean_P == pytest.approx(0.2, abs=1e-14)
 
     def test_small_g_converges_to_first_order_shifts(self):
         delta_P, omega = 0.7, 0.4
@@ -168,6 +169,49 @@ class TestPostselectedMeansDiscrete:
             residuals.append(max(abs(mean_Q - fo_Q), abs(mean_P - fo_P)))
         orders = [math.log2(r1 / r2) for r1, r2 in zip(residuals, residuals[1:])]
         assert min(orders) > 2.5
+
+
+def quantum_pointer_means(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P):
+    # the quantum route: rotate phase space by -theta_A so that A = q, put the
+    # particle's Gaussian wavefunction on a position grid (rotated mean (m, m_p),
+    # variance V, covariance C), and postselect with the overlaps <b|x> of the
+    # quadrature at phi = theta_B - theta_A
+    c, s = math.cos(theta_A), math.sin(theta_A)
+    rot = np.array([[c, s], [-s, c]])
+    m, m_p = rot @ [mu_q, mu_p]
+    cov = rot @ np.diag([sigma**2, 1.0 / (4.0 * sigma**2)]) @ rot.T
+    V, C = cov[0, 0], cov[0, 1]
+    x = np.linspace(m - 10.0 * math.sqrt(V), m + 10.0 * math.sqrt(V), 1201)
+    psi = np.exp(-((x - m) ** 2) / (4.0 * V) + 1j * C * (x - m) ** 2 / (2.0 * V) + 1j * m_p * x)
+    phi = theta_B - theta_A
+    overlaps = np.exp(1j * (x**2 / (2.0 * math.tan(phi)) - b * x / math.sin(phi)))
+    delta_P = math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+    inp = DiscreteSpectrumInput(psi, overlaps, x)
+    return postselected_means_discrete(inp, g, delta_P, mu_P, omega)
+
+
+class TestQuantumGrid:
+    # (sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P): g = 2 is deep in
+    # the strong regime, where the means are far from the first-order shifts
+    CASES = [
+        (0.7, 0.8, 0.9, 2.0, 0.5, 1.2, 0.9, 0.4),
+        (1.3, 1.5, 0.9, 2.0, 2.2, 2.0, -0.7, -1.1),
+        (1.3, 0.8, 0.4, 2.0, 0.5, 2.0, -0.7, 0.4),
+        (0.7, 1.5, 0.9, 2.0, 2.2, 1.2, 0.9, -1.1),
+        (1.3, 0.8, 0.9, 0.5, 2.2, 1.2, -0.7, 0.4),
+        (0.7, 1.5, 0.4, 0.5, 0.5, 2.0, 0.9, -1.1),
+        (0.7, 0.8, 0.9, 0.05, 0.5, 2.0, -0.7, -1.1),
+        (1.3, 1.5, 0.9, 2.0, 0.5, 1.2, 0.9, 0.0),
+    ]
+
+    @pytest.mark.parametrize("sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P", CASES)
+    def test_discrete_route_matches_closed_form(self, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P):
+        got = quantum_pointer_means(0.3, -0.4, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P)
+        want = postselected_means_gaussian(
+            0.3, -0.4, sigma, delta_Q, omega, g, Quadrature(theta_A), Quadrature(theta_B), b, mu_P
+        )
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
 
 
 class TestFirstOrderShifts:

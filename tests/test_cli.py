@@ -299,6 +299,29 @@ class TestHistogramCommand:
         total = sum(int(line.split(",")[-1]) for line in lines[1:])
         assert total <= 20_000
 
+    def test_manifest_echoes_the_resolved_config_and_ranges(self, tmp_path):
+        doc = base_config(sampling={"n_samples": 20_000})
+        given = {"bins": 11, "p_range": [-5, 5], "P_range": [-3, 3]}
+        for hist in ({"bins": 7}, given):
+            doc["histogram"] = hist
+            path = write_config(tmp_path, doc)
+            out = tmp_path / "o"
+            assert main(["histogram", "--config", path, "--out", str(out), "--seed", "99", "--quiet"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            # the ranges are the outer edges of the CSV's bins, automatic or given
+            lines = (out / "histogram.csv").read_text().splitlines()[1:]
+            p_lo, p_hi, P_lo, P_hi = (
+                [float(line.split(",")[i]) for line in lines] for i in range(4)
+            )
+            resolved = {
+                "bins": hist["bins"],
+                "p_range": [min(p_lo), max(p_hi)],
+                "P_range": [min(P_lo), max(P_hi)],
+            }
+            assert manifest["seed"] == 99
+            assert manifest["config"] == {**config_echo(parse_experiment(doc, 99)), "histogram": resolved}
+        assert resolved == {**given, "p_range": [-5.0, 5.0], "P_range": [-3.0, 3.0]}
+
     def test_bad_range_rejected(self, tmp_path):
         doc = base_config()
         doc["histogram"] = {"bins": 11, "p_range": [5, -5], "P_range": [-3, 3]}

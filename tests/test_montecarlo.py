@@ -135,13 +135,14 @@ class TestBlocks:
         np.testing.assert_allclose(mean, aq.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(scatter, centred.T @ centred, rtol=1e-12)
 
-    def test_accepted_rows_equal_the_two_step_reference(self, monkeypatch):
+    @staticmethod
+    def _chunk_and_reference(monkeypatch, epsilon):
         # the chunk multiplies L by z^T and M by the points, one coordinate
         # per row, in block buffers; its accepted rows, over several blocks,
         # are bit for bit those of (mean + z @ L^T) @ M^T. The chunk hands
         # them to `_moments`, which the test swaps for a copy of its input
         config = dataclasses.replace(
-            BASE, g=0.4, mu_P=0.3, omega=0.5, theta_A=Quadrature(0.6), b=0.3, epsilon=0.2, seed=9
+            BASE, g=0.4, mu_P=0.3, omega=0.5, theta_A=Quadrature(0.6), b=0.3, epsilon=epsilon, seed=9
         )
         joint, smap = config.joint(), coupling_map(config.g, config.theta_A)
         rows = 3 * montecarlo.BLOCK + 123
@@ -156,8 +157,18 @@ class TestBlocks:
         )
         monkeypatch.setattr(montecarlo, "_moments", lambda values: values.T.copy())
         got = montecarlo._experiment_chunk(args, 0, rows)
-        assert 1000 < got.shape[0] < rows
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        return got.shape[0], rows
+
+    def test_accepted_rows_equal_the_two_step_reference(self, monkeypatch):
+        accepted, rows = self._chunk_and_reference(monkeypatch, 0.2)
+        assert 1000 < accepted < rows
+
+    def test_accepted_buffer_grows_past_one_block(self, monkeypatch):
+        # the accepted buffer starts at one block; a window that takes every
+        # draw makes it grow, and the rows must come out the same
+        accepted, rows = self._chunk_and_reference(monkeypatch, 1e3)
+        assert accepted == rows > 2 * montecarlo.BLOCK
 
     def test_one_sampling_loop(self):
         src = Path(montecarlo.__file__).parent
@@ -250,15 +261,11 @@ class TestChunkPool:
         done = self._python(code)
         assert (done.returncode, done.stderr) == (0, "")
 
-    def test_interrupt_while_chunks_run_does_not_hang_exit(self):
-        # Ctrl-C reaches the workers too; a pool that lost their tasks must
-        # not be joined at exit
-        code = self.RUN + (
-            "print('ready', flush=True)\n"
-            "mc.run_weak_experiment(dataclasses.replace(c, epsilon=0.01, n_samples=200_000_000))\n"
-        )
+    def _interrupt(self, code, delay, timeout):
+        # Ctrl-C: SIGINT to the child's whole process group, `delay` s after
+        # it prints "ready"; returns its exit code once it has exited
         proc = subprocess.Popen(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", self.RUN + "print('ready', flush=True)\n" + code],
             env=self._env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
@@ -267,15 +274,27 @@ class TestChunkPool:
         )
         try:
             assert proc.stdout.readline() == "ready\n"
-            time.sleep(0.5)
+            time.sleep(delay)
             os.killpg(proc.pid, signal.SIGINT)
-            proc.wait(timeout=60)
+            proc.wait(timeout=timeout)
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
             proc.stdout.close()
-        assert proc.returncode in (0, -signal.SIGINT)
+        return proc.returncode
+
+    def test_interrupt_while_chunks_run_does_not_hang_exit(self):
+        # the interrupt terminates a pool that has tasks out
+        code = "mc.run_weak_experiment(dataclasses.replace(c, epsilon=0.01, n_samples=200_000_000))\n"
+        assert self._interrupt(code, 0.5, 60) in (0, -signal.SIGINT)
+
+    def test_interrupt_while_pool_idles_does_not_hang_exit(self):
+        # the workers ignore SIGINT, so an idle pool is still whole when it
+        # is closed and joined at exit; a hang here was intermittent, hence
+        # the fresh interpreters at staggered delays
+        for run in range(8):
+            assert self._interrupt("import time; time.sleep(30)\n", 0.001 * run, 10) in (0, -signal.SIGINT)
 
 
 class TestRunWeakExperiment:
