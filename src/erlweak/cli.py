@@ -203,12 +203,17 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
 @contextlib.contextmanager
 def _closed_form():
     """Name the closed forms in the OverflowError that a finite config's
-    powers (sigma^4, g^3, delta_P^2, ...) raise in Python floats."""
+    powers (sigma^4, g^3, delta_P^2, ...) raise in Python floats, and in the
+    ZeroDivisionError of a denominator of such powers that underflows to 0."""
     try:
         yield
     except OverflowError as exc:
         raise OverflowError(
             "the closed form overflows: a power of a config field is out of float range"
+        ) from exc
+    except ZeroDivisionError as exc:
+        raise ZeroDivisionError(
+            "the closed form underflows: a denominator made of powers of config fields is 0"
         ) from exc
 
 
@@ -456,7 +461,10 @@ def cmd_histogram(args) -> int:
         "p_range": [p_edges[0].item(), p_edges[-1].item()],
         "P_range": [P_edges[0].item(), P_edges[-1].item()],
     }
-    _write_outputs(args, HISTOGRAM_HEADER, rows, {**config_echo(config), "histogram": resolved})
+    # dE[P' | p']/dp' = Cov(P', p') / Var(p') of the evolved joint
+    cov = config.evolved_joint().cov
+    echo = {**config_echo(config), "histogram": resolved}
+    _write_outputs(args, HISTOGRAM_HEADER, rows, echo, exact_slope_P_given_p=(cov[3, 1] / cov[1, 1]).item())
     return 0
 
 

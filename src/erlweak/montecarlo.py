@@ -6,9 +6,9 @@ however the chunks are spread over processes. Each sampler is a per-chunk
 function of (args, k, rows) plus a reduction of the chunk results in chunk
 order: the histogram sums counts, and every estimate merges the chunks'
 `_moments` (count, mean, centred scatter) with `_merge`, so no chunk sends
-its rows back. `_map_chunks` runs the chunks on a persistent fork pool of
-`WORKERS` processes (the CPUs this process may use), or in this process
-where a pool cannot help or cannot be used.
+its rows back. `_run_chunks` runs and reduces the chunks within one call,
+on a persistent fork pool of `WORKERS` processes (the CPUs this process may
+use), or in this process where a pool cannot help or cannot be used.
 
 Points are laid out (coordinates, points), one coordinate per row. Inside
 a chunk, `_blocks` draws the substream in blocks of `BLOCK` rows z of
@@ -185,7 +185,7 @@ def _usable_cpus() -> int:
 
 
 WORKERS = _usable_cpus()  # size of the chunk pool; 1 runs every chunk in this process
-_pool = None  # the persistent fork pool, made on first use by _map_chunks
+_pool = None  # the persistent fork pool, made on first use by _run_chunks
 _pool_owner = 0  # pid of the process that made it
 
 
@@ -272,44 +272,39 @@ def _star(task):
     return fn(args, k, rows)
 
 
-def _map_chunks(fn, args, n: int, chunk_size: int):
-    """fn(args, k, rows) for each chunk k of n samples, in chunk order.
+def _run_chunks(fn, args, n: int, chunk_size: int, reduce):
+    """reduce(results) of fn(args, k, rows) for each chunk k of n samples,
+    the results streamed in chunk order: the one chunk runner.
 
-    Chunks run on the persistent fork pool when `_pool_workers` allows, else
-    with plain `map`. Workers are forked, so they start with this process's
-    modules and need only the small `args` tuple; each returns a reduced
-    chunk, not its points.
-    """
+    Chunks run with plain `map` here, or on the persistent fork pool when
+    `_pool_workers` allows: forked workers start with this process's modules,
+    take the small `args` tuple and return a reduced chunk, not its points.
+    The pool is made on first use and closed and joined at exit. Its
+    workers ignore SIGINT, so Ctrl-C, which the terminal sends to the whole
+    foreground process group, interrupts only this process: a worker killed
+    by it would lose its task or its place in the pool, and joining would
+    then wait forever. An interrupt or error anywhere in the run, while the
+    pool is made, in a worker or in `reduce`, terminates the pool before
+    this call returns; the next call makes a new one."""
+    global _pool, _pool_owner
     tasks = [(fn, args, k, rows) for k, rows in _chunk_rows(n, chunk_size)]
     if _pool_workers(len(tasks)) == 1:
-        return map(_star, tasks)
-    return _pooled(tasks)
-
-
-def _pooled(tasks):
-    """Yield the results of tasks run on the pool, in order. The pool is made
-    on first use and closed and joined at exit. Its workers ignore SIGINT, so
-    Ctrl-C, which the terminal sends to the whole foreground process group,
-    interrupts only this process: a worker killed by it would lose its task
-    or its place in the pool, and joining would then wait forever. An
-    interrupt or error while tasks are out terminates the pool; the next
-    call makes a new one."""
-    global _pool, _pool_owner
-    if _pool is None:
-        import multiprocessing
-        import signal
-
-        _pool = multiprocessing.get_context("fork").Pool(
-            WORKERS, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-        )
-        _pool_owner = os.getpid()
-        atexit.register(_close_pool)
-    pool = _pool  # a generator closed late must not touch a later pool
+        return reduce(map(_star, tasks))
     try:
-        yield from pool.imap(_star, tasks)
+        if _pool is None:
+            import multiprocessing
+            import signal
+
+            _pool = multiprocessing.get_context("fork").Pool(
+                WORKERS, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+            )
+            if not _pool_owner:  # once, after multiprocessing's exit hook, so it runs first
+                atexit.register(_close_pool)
+            _pool_owner = os.getpid()
+        return reduce(_pool.imap(_star, tasks))
     except BaseException:
-        pool.terminate()
-        if _pool is pool:
+        if _pool is not None:
+            _pool.terminate()
             _pool = None
         raise
 
@@ -430,7 +425,7 @@ def run_weak_experiment(
     Q', P' and A(q', p') with normal-theory standard errors.
 
     Per-point repeatability (A and P unchanged by the coupling) is asserted
-    on every sampled point. Chunks run in parallel (see `_map_chunks`) and
+    on every sampled point. Chunks run in parallel (see `_run_chunks`) and
     return the moments of their accepted draws, which `_merge` merges in
     chunk order, so memory is O(chunk_size) at any acceptance. Each SE is
     sqrt(scatter_ii / ((n - 1) n)) for n accepted draws.
@@ -445,7 +440,7 @@ def run_weak_experiment(
         config.b,
         epsilon,
     )
-    n_acc, mean, scatter = _merge(_map_chunks(_experiment_chunk, args, n, chunk_size))
+    n_acc, mean, scatter = _run_chunks(_experiment_chunk, args, n, chunk_size, _merge)
     rate = n_acc / n
     if n_acc < 2:
         raise InsufficientAcceptanceError(rate)
@@ -565,7 +560,7 @@ def joint_momentum_histogram(
     are not counted: the automatic box (+-5 std of each marginal) misses
     about 1.15e-6 of them, so the total equals n_samples only for a range
     that holds them all. Counts are summed chunk by chunk, in parallel (see
-    `_map_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples);
+    `_run_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples);
     each block is binned by `_bin_index`, not by a binary search. Raises
     ValueError for bins < 2, an empty or non-finite range, or a range too
     narrow for strictly increasing edges.
@@ -596,8 +591,8 @@ def joint_momentum_histogram(
     # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
     readout = coupling_map(config.g, config.theta_A).matrix[1::2]
     args = (_source(config.joint(), config.seed, readout), p_edges, P_edges)
-    for part in _map_chunks(_histogram_chunk, args, config.n_samples, chunk_size):
-        counts += part  # whole numbers below 2**53: the float sum is exact
+    # the int64 chunk counts summed, then added once: whole numbers below 2**53, so exact
+    counts += _run_chunks(_histogram_chunk, args, config.n_samples, chunk_size, sum)
     return counts, p_edges, P_edges
 
 
@@ -676,7 +671,7 @@ def strong_measurement_correlation(
     particle observable A, for each device spread in a decreasing sequence.
 
     Tends to 1 as delta_Q -> 0: the strong-measurement limit. The moments
-    of each chunk's (A, Q') are computed in parallel (see `_map_chunks`) and
+    of each chunk's (A, Q') are computed in parallel (see `_run_chunks`) and
     merged by `_merge`, so memory is O(chunk_size), not O(n_samples).
     """
     # (A, Q'): the quadrature A and row 2 of the coupling map, folded into the draw
@@ -686,7 +681,7 @@ def strong_measurement_correlation(
     for delta_Q in delta_Q_sequence:
         joint = dataclasses.replace(config, delta_Q=delta_Q).joint()
         source = _source(joint, config.seed, readout)
-        _, _, scatter = _merge(_map_chunks(_correlation_chunk, source, config.n_samples, chunk_size))
+        _, _, scatter = _run_chunks(_correlation_chunk, source, config.n_samples, chunk_size, _merge)
         if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):
             raise ValueError("degenerate variance in correlation estimate")
         out.append(float(np.clip(scatter[0, 1] / math.sqrt(scatter[0, 0] * scatter[1, 1]), -1, 1)))

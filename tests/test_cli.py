@@ -496,6 +496,23 @@ class TestRuntimeErrors:
             "a power of a config field is out of float range\n"
         )
 
+    @pytest.mark.parametrize("command", ["weakvalue", "sweep"])
+    def test_closed_form_that_underflows_is_named(self, tmp_path, capsys, command):
+        # 4 sigma^4 cos^2 theta_B + sin^2 theta_B, the weak value's
+        # denominator, is 0 at theta_B = 0 for sigma this small
+        doc = base_config(
+            particle={"sigma": 1e-150}, coupling={"theta_A": HALF_PI}, postselection={"theta_B": 0.0}
+        )
+        doc["sweep"] = {"b": [1.0, 0.5]}
+        argv = [command, "--config", write_config(tmp_path, doc)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ZeroDivisionError: the closed form underflows: "
+            "a denominator made of powers of config fields is 0\n"
+        )
+
     @pytest.mark.parametrize(
         "command, out", [("simulate", "file"), ("sweep", "file"), ("histogram", "file/sub")]
     )

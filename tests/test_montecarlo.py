@@ -1,5 +1,6 @@
+import atexit
+import contextlib
 import dataclasses
-import gc
 import math
 import os
 import pickle
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -177,6 +179,8 @@ class TestBlocks:
 
 
 class TestChunkPool:
+    FIG2 = Path(__file__).resolve().parents[1] / "scripts" / "fig2_histogram.json"  # n = 1e6: 4 chunks
+
     def test_degenerate_covariance_raises_before_dispatch(self, monkeypatch):
         from erlweak import GaussianState
 
@@ -185,7 +189,7 @@ class TestChunkPool:
         def no_dispatch(*args):
             raise AssertionError("chunks dispatched")
 
-        monkeypatch.setattr(montecarlo, "_map_chunks", no_dispatch)
+        monkeypatch.setattr(montecarlo, "_run_chunks", no_dispatch)
         monkeypatch.setattr(ExperimentConfig, "joint", lambda self: flat)
         monkeypatch.setattr(montecarlo, "tensor", lambda *states: flat)
         config = dataclasses.replace(BASE, epsilon=0.1, n_samples=10 * montecarlo.BLOCK)
@@ -197,33 +201,51 @@ class TestChunkPool:
         with pytest.raises(ValueError, match="degenerate"):
             strong_measurement_correlation([1.0], config, chunk_size=chunk)
 
-    def test_generator_closed_late_leaves_later_pools_alone(self, monkeypatch):
-        # a consumer that raises keeps the pool generator suspended in its
-        # traceback; closing it after the pool was replaced must terminate
-        # only the pool it ran on (and must not raise once no pool is left)
+    def test_error_in_the_reduction_terminates_the_pool(self, monkeypatch):
+        # an interrupt in the parent's reduction, with its traceback kept (as
+        # a REPL keeps the last one), must not leave the pool running the
+        # remaining chunks: the pool is gone before the sampler call returns
         monkeypatch.setattr(montecarlo, "WORKERS", 2)
-        source = montecarlo._source(BASE.joint(), 1, np.eye(4)[:2])
+        config = dataclasses.replace(BASE, epsilon=0.1, n_samples=40 * montecarlo.BLOCK)
+        undisturbed = run_weak_experiment(config, chunk_size=montecarlo.BLOCK)
+        merge = montecarlo._merge
 
-        def consume():
-            parts = montecarlo._map_chunks(montecarlo._correlation_chunk, source, 4000, 1000)
+        def interrupted(parts):
             next(parts)
-            raise RuntimeError("consumer failed")
+            raise KeyboardInterrupt
 
-        for replace_pool in (False, True):
-            try:
-                consume()
-            except RuntimeError as exc:
-                kept = exc
-            montecarlo._close_pool()
-            if replace_pool:
-                list(montecarlo._map_chunks(montecarlo._correlation_chunk, source, 4000, 1000))
-            later = montecarlo._pool
-            del kept
-            gc.collect()
-            assert montecarlo._pool is later
-            if replace_pool:
-                parts = montecarlo._map_chunks(montecarlo._correlation_chunk, source, 4000, 1000)
-                assert montecarlo._merge(parts)[0] == 4000
+        monkeypatch.setattr(montecarlo, "_merge", interrupted)
+        with pytest.raises(KeyboardInterrupt) as info:
+            run_weak_experiment(config, chunk_size=montecarlo.BLOCK)
+        assert info.value.__traceback__ is not None and montecarlo._pool is None
+        monkeypatch.setattr(montecarlo, "_merge", merge)
+        assert run_weak_experiment(config, chunk_size=montecarlo.BLOCK) == undisturbed
+        montecarlo._close_pool()
+
+    def test_interrupt_as_the_pool_is_made_terminates_it(self, monkeypatch):
+        # an interrupt that lands after the pool exists but before its owner
+        # is recorded must not leave it behind: the next call would take
+        # itself for a forked copy and run in-process beside idle workers
+        import multiprocessing
+
+        monkeypatch.setattr(montecarlo, "WORKERS", 2)
+        monkeypatch.setattr(montecarlo, "_pool", None)
+        monkeypatch.setattr(montecarlo, "_pool_owner", 0)
+        before = set(multiprocessing.active_children())
+
+        def interrupted(hook):
+            assert montecarlo._pool is not None
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(montecarlo, "atexit", types.SimpleNamespace(register=interrupted))
+        config = dataclasses.replace(BASE, n_samples=4000)
+        with pytest.raises(KeyboardInterrupt):
+            run_weak_experiment(config, chunk_size=1000)
+        assert montecarlo._pool is None
+        assert set(multiprocessing.active_children()) <= before
+        monkeypatch.setattr(montecarlo, "atexit", atexit)
+        run_weak_experiment(config, chunk_size=1000)
+        assert montecarlo._pool_owner == os.getpid() and montecarlo.chunk_plan(4000, 1000)[0] == 2
         montecarlo._close_pool()
 
     RUN = (
@@ -238,14 +260,24 @@ class TestChunkPool:
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def _python(self, code):
+    def _python(self, code, *flags):
         return subprocess.run(
-            [sys.executable, "-c", code], env=self._env(), capture_output=True, text=True, timeout=120
+            [sys.executable, *flags, "-c", code], env=self._env(), capture_output=True, text=True, timeout=120
         )
 
     def test_fresh_interpreter_exits_cleanly(self):
-        # the pool is closed and joined at exit: nothing may print from a finaliser
-        done = self._python(self.RUN + "assert first.n_accepted > 2 and mc.chunk_plan(50_000, 10_000)[1] == 5\n")
+        # every sampler runs on the pool, which is closed and joined at exit:
+        # nothing may print from a finaliser, nor warn in development mode
+        code = self.RUN + (
+            "assert first.n_accepted > 2 and mc.chunk_plan(50_000, 10_000) == (min(mc.WORKERS, 5), 5)\n"
+            "counts = mc.joint_momentum_histogram(c, 5, chunk_size=10_000)[0]\n"
+            "assert 0 < counts.sum() <= 50_000\n"
+            "assert len(mc.strong_measurement_correlation([1.0, 0.5], c, chunk_size=10_000)) == 2\n"
+            "import tempfile; from erlweak.cli import main\n"  # and a CLI command, which writes files
+            "with tempfile.TemporaryDirectory() as out:\n"
+            f"    assert main(['histogram', '--config', {str(self.FIG2)!r}, '--out', out, '--quiet']) == 0\n"
+        )
+        done = self._python(code, "-X", "dev", "-W", "error")
         assert (done.returncode, done.stderr) == (0, "")
 
     def test_forked_copy_of_the_owner_runs_in_process(self):
@@ -263,38 +295,43 @@ class TestChunkPool:
 
     def _interrupt(self, code, delay, timeout):
         # Ctrl-C: SIGINT to the child's whole process group, `delay` s after
-        # it prints "ready"; returns its exit code once it has exited
+        # it prints "ready". Returns its exit code, None if it had not exited
+        # within `timeout` s, and its stderr
         proc = subprocess.Popen(
             [sys.executable, "-c", self.RUN + "print('ready', flush=True)\n" + code],
             env=self._env(),
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
             text=True,
             start_new_session=True,
         )
         try:
-            assert proc.stdout.readline() == "ready\n"
-            time.sleep(delay)
-            os.killpg(proc.pid, signal.SIGINT)
-            proc.wait(timeout=timeout)
+            if proc.stdout.readline() == "ready\n":
+                time.sleep(delay)
+                os.killpg(proc.pid, signal.SIGINT)
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=timeout)
         finally:
-            if proc.poll() is None:
+            returncode = proc.poll()
+            with contextlib.suppress(ProcessLookupError):  # the group is gone
                 os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-            proc.stdout.close()
-        return proc.returncode
+            stderr = proc.communicate()[1]
+        return returncode, stderr
 
     def test_interrupt_while_chunks_run_does_not_hang_exit(self):
-        # the interrupt terminates a pool that has tasks out
+        # the interrupt terminates a pool that has tasks out, wherever it
+        # lands: no exit waits on the chunks that remain
         code = "mc.run_weak_experiment(dataclasses.replace(c, epsilon=0.01, n_samples=200_000_000))\n"
-        assert self._interrupt(code, 0.5, 60) in (0, -signal.SIGINT)
+        returncode, stderr = self._interrupt(code, 0.5, 10)
+        assert returncode in (0, -signal.SIGINT), stderr
 
     def test_interrupt_while_pool_idles_does_not_hang_exit(self):
         # the workers ignore SIGINT, so an idle pool is still whole when it
         # is closed and joined at exit; a hang here was intermittent, hence
         # the fresh interpreters at staggered delays
         for run in range(8):
-            assert self._interrupt("import time; time.sleep(30)\n", 0.001 * run, 10) in (0, -signal.SIGINT)
+            returncode, stderr = self._interrupt("import time; time.sleep(30)\n", 0.001 * run, 10)
+            assert returncode in (0, -signal.SIGINT), stderr
 
 
 class TestRunWeakExperiment:

@@ -1,26 +1,13 @@
-"""Smoke tests: the scripts and sweep configs under scripts/ run against the current library."""
+"""Smoke tests: the configs under scripts/ run against the current library."""
 
-import os
-import subprocess
-import sys
+import json
 from pathlib import Path
 
 import pytest
 
-from erlweak.cli import SWEEP_HEADER, main
+from erlweak.cli import HISTOGRAM_HEADER, SWEEP_HEADER, main
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_script(name, *args):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
 
 
 @pytest.mark.parametrize("axis", ["g", "delta_P"])
@@ -47,9 +34,15 @@ def test_weak_limit_sweep_configs(tmp_path, axis):
 
 
 def test_fig2_histogram(tmp_path):
-    out = tmp_path / "slices.csv"
-    stdout = run_script("fig2_histogram.py", "--n", "20000", "--out", str(out))
-    assert stdout.startswith(f"wrote {out}; exact conditional slope dE[P|p]/dp = -0.4")
-    header, *rows = out.read_text().splitlines()
-    assert header == "p_center,count,mean_P_given_p,exact_mean_P_given_p"
-    assert rows and 0 < sum(int(row.split(",")[1]) for row in rows) <= 20000
+    """The postselection-bias picture is an `erlweak histogram` config; its
+    manifest records the exact slope dE[P' | p']/dp', -g Var(P) / Var(p')."""
+    doc = json.loads((ROOT / "scripts" / "fig2_histogram.json").read_text())
+    doc["sampling"]["n_samples"] = 20_000
+    config = tmp_path / "fig2.json"
+    config.write_text(json.dumps(doc))
+    assert main(["histogram", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["exact_slope_P_given_p"] == pytest.approx(-0.4, rel=1e-15)
+    header, *rows = (tmp_path / "histogram.csv").read_text().splitlines()
+    assert header == HISTOGRAM_HEADER and len(rows) == 41 * 41
+    assert 0 < sum(int(row.split(",")[-1]) for row in rows) <= 20_000
