@@ -87,6 +87,13 @@ def _angle(value, field: str) -> Quadrature:
     return Quadrature(_number(value, field))
 
 
+def _complex(value, field: str) -> complex:
+    """A number, or an [re, im] pair of numbers, as a complex."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(*(_number(part, f"{field}[{j}]") for j, part in enumerate(value)))
+    return complex(_number(value, field, "a number or an [re, im] pair"))
+
+
 def _window(value, field: str) -> float | None:
     """The window half-width; absent or null selects the adaptive window."""
     return None if value is None else _number(value, field, "a number or null")
@@ -119,6 +126,18 @@ def _section(doc: dict, name: str) -> dict:
     if not isinstance(doc[name], dict):
         raise ConfigError(f"section '{name}' must be an object")
     return doc[name]
+
+
+def _list(section: dict, name: str, key: str, read) -> list:
+    """The one list reader: section[key] as a nonempty list, each item read
+    by `read` under the field name `name.key[i]`."""
+    field = f"{name}.{key}"
+    if key not in section:
+        raise ConfigError(f"missing field '{field}'")
+    items = section[key]
+    if not isinstance(items, list) or not items:
+        raise ConfigError(f"field '{field}' must be a nonempty list")
+    return [read(item, f"{field}[{i}]") for i, item in enumerate(items)]
 
 
 def load_document(path: str) -> dict:
@@ -164,13 +183,13 @@ def config_echo(config: ExperimentConfig) -> dict:
 
 
 def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) -> None:
-    """The one writer of simulate, sweep and histogram. Creates --out,
+    """The one writer of simulate, sweep and histogram, called once every
+    row is computed, so a run that raises leaves no --out. Creates --out,
     writes `<command>.csv` there, the header then one line per row of str
-    cells, each line as its row arrives (so rows may be a generator), then
-    manifest.json, and prints both paths unless --quiet. The manifest holds
-    the config echo, its seed, `extra`, and a `run` block for `runs` sampler
-    calls of sampling.n_samples each: the processes that ran their chunks,
-    the number of chunks, and the Python and numpy versions."""
+    cells, then manifest.json, and prints both paths unless --quiet. The
+    manifest holds the config echo, its seed, `extra`, and a `run` block for
+    `runs` sampler calls of sampling.n_samples each: the processes that ran
+    their chunks, the number of chunks, and the Python and numpy versions."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.command}.csv"
@@ -234,27 +253,10 @@ def cmd_weakvalue(args) -> int:
     doc = load_document(args.config)
     if "discrete" in doc:
         disc = _section(doc, "discrete")
-
-        def entries(name):
-            if name not in disc:
-                raise ConfigError(f"missing field 'discrete.{name}'")
-            raw = disc[name]
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError(f"field 'discrete.{name}' must be a nonempty list")
-            return [(f"discrete.{name}[{i}]", item) for i, item in enumerate(raw)]
-
-        def as_complex(name):
-            out = []
-            for field, item in entries(name):
-                if isinstance(item, list) and len(item) == 2:
-                    real, imag = (_number(part, f"{field}[{j}]") for j, part in enumerate(item))
-                    out.append(complex(real, imag))
-                else:
-                    out.append(complex(_number(item, field, "a number or an [re, im] pair")))
-            return tuple(out)
-
-        amplitudes, overlaps = as_complex("amplitudes"), as_complex("overlaps")
-        eigenvalues = tuple(_number(item, field) for field, item in entries("eigenvalues"))
+        amplitudes, overlaps = (
+            _list(disc, "discrete", key, _complex) for key in ("amplitudes", "overlaps")
+        )
+        eigenvalues = _list(disc, "discrete", "eigenvalues", _number)
         if not len(amplitudes) == len(overlaps) == len(eigenvalues):
             raise ConfigError(
                 "fields 'discrete.amplitudes', 'discrete.overlaps' and "
@@ -330,8 +332,7 @@ SWEEP_HEADER = (
 
 
 def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool):
-    """One row per grid point of the sweep, made as it is asked for, so
-    `sweep --mc` writes each point's line before sampling the next."""
+    """One row of str cells per grid point of the sweep, in grid order."""
     readers = {key: read for _, key, read in CONFIG_FIELDS}
     for combo in itertools.product(*axes.values()):
         point = dict(zip(axes, combo))
@@ -385,22 +386,17 @@ def cmd_sweep(args) -> int:
     doc = load_document(args.config)
     base = parse_experiment(doc, args.seed)
     sweep = _section(doc, "sweep")
-    axes = {}
-    for key in SWEEP_KEYS:
-        if key in sweep:
-            values = sweep[key]
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"field 'sweep.{key}' must be a nonempty list")
-            axes[key] = [_number(v, f"sweep.{key}") for v in values]
-            if key in ("delta_Q", "delta_P") and not all(v > 0.0 for v in axes[key]):
-                raise ConfigError(f"field 'sweep.{key}' must be positive")
+    axes = {key: _list(sweep, "sweep", key, _number) for key in SWEEP_KEYS if key in sweep}
+    for key in ("delta_Q", "delta_P"):
+        if not all(v > 0.0 for v in axes.get(key, ())):
+            raise ConfigError(f"field 'sweep.{key}' must be positive")
     if not axes:
         raise ConfigError(f"section 'sweep' must list at least one of {SWEEP_KEYS}")
     if "delta_Q" in axes and "delta_P" in axes:
         raise ConfigError("sweep over delta_Q or delta_P, not both")
 
     header = SWEEP_HEADER + (",mc_Q,mc_se_Q,mc_P,mc_se_P" if args.mc else "")
-    rows = _sweep_rows(base, axes, args.mc)
+    rows = list(_sweep_rows(base, axes, args.mc))  # all of them, so a failing point writes nothing
     runs = math.prod(map(len, axes.values())) if args.mc else 0
     _write_outputs(args, header, rows, {**config_echo(base), "sweep": axes}, runs)
     return 0
@@ -426,22 +422,16 @@ HISTOGRAM_HEADER = "p_lo,p_hi,P_lo,P_hi,count"
 def cmd_histogram(args) -> int:
     doc = load_document(args.config)
     config = parse_experiment(doc, args.seed)
-    hist = doc.get("histogram", {})
-    if not isinstance(hist, dict):
-        raise ConfigError("section 'histogram' must be an object")
+    hist = _section(doc, "histogram") if "histogram" in doc else {}
     bins = hist.get("bins", 61)
     if isinstance(bins, bool) or not isinstance(bins, int) or bins < 2:
         raise ConfigError("field 'histogram.bins' must be an integer >= 2")
     hist_range = None
     if "p_range" in hist or "P_range" in hist:
-        for key in ("p_range", "P_range"):
-            rng = hist.get(key)
-            if not isinstance(rng, list) or len(rng) != 2:
+        hist_range = tuple(_list(hist, "histogram", key, _number) for key in ("p_range", "P_range"))
+        for key, rng in zip(("p_range", "P_range"), hist_range):
+            if len(rng) != 2:
                 raise ConfigError(f"field 'histogram.{key}' must be [lo, hi]")
-        hist_range = tuple(
-            tuple(_number(v, f"histogram.{key}") for v in hist[key])
-            for key in ("p_range", "P_range")
-        )
     try:
         counts, p_edges, P_edges = joint_momentum_histogram(config, bins, hist_range)
     except ValueError as exc:

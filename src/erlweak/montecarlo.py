@@ -39,7 +39,7 @@ import os
 import numpy as np
 
 from .analytic import oracle_postselected_means
-from .dynamics import apply_to_points, apply_to_state, coupling_map
+from .dynamics import SymplecticMap, apply_to_points, apply_to_state, coupling_map
 from .states import (
     GaussianState,
     Quadrature,
@@ -126,21 +126,24 @@ class ExperimentConfig:
         return tensor(self.particle(), self.device())
 
     @functools.cached_property
-    def _evolved(self) -> tuple[GaussianState, float, float]:
-        """(evolved joint state, mean of B, variance of B), built once.
-        Raises OverflowError where a finite config overflows or underflows
-        any of them, or the particle and device states they are made of."""
+    def _evolved(self) -> tuple[GaussianState, float, float, GaussianState, SymplecticMap]:
+        """(evolved joint state, mean of B, variance of B, joint state before
+        the coupling, coupling map), built and checked once: the one coupled
+        state that every route, oracle or sampler, reads. Raises
+        OverflowError where a finite config overflows or underflows any of
+        them, or the particle and device states they are made of."""
         try:  # Python-float powers of the checked fields, and the factories' finite check
             joint = self.joint()
         except (ArithmeticError, ValueError) as exc:
             raise OverflowError(_OVERFLOW) from exc
+        smap = coupling_map(self.g, self.theta_A)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            evolved = apply_to_state(coupling_map(self.g, self.theta_A), joint)
+            evolved = apply_to_state(smap, joint)
             moments = quadrature_moments(evolved, 0, self.theta_B)
         values = [*evolved.mean.tolist(), *evolved.cov.ravel().tolist(), *moments]
         if not all(map(math.isfinite, values)):
             raise OverflowError(_OVERFLOW)
-        return evolved, *moments
+        return evolved, *moments, joint, smap
 
     def evolved_joint(self) -> GaussianState:
         """The joint state after the coupling, built once per config and
@@ -153,7 +156,7 @@ class ExperimentConfig:
         return math.sqrt(1.0 + self.omega**2) / (2.0 * self.delta_Q)
 
     def __getstate__(self):
-        # the evolved state and B's moments are a cache: pickles carry only the fields
+        # the coupled state is a cache: pickles carry only the fields
         return {k: v for k, v in self.__dict__.items() if k != "_evolved"}
 
     def resolved_epsilon(self) -> float:
@@ -432,9 +435,10 @@ def run_weak_experiment(
     """
     epsilon = config.resolved_epsilon()
     n = config.n_samples
+    *_, joint, smap = config._evolved
     args = (
-        _source(config.joint(), config.seed),
-        coupling_map(config.g, config.theta_A),
+        _source(joint, config.seed),
+        smap,
         config.theta_A,
         config.theta_B,
         config.b,
@@ -517,7 +521,7 @@ def _normal_window(centre: float, half_width: float) -> tuple[float, float]:
 def _b_window(config: ExperimentConfig) -> tuple[float, float]:
     """(probability, E[B | window]) for the config's window
     |B - b| <= resolved epsilon under the evolved state."""
-    _, mu_B, var_B = config._evolved
+    _, mu_B, var_B, _, _ = config._evolved
     s = math.sqrt(var_B)
     prob, shift = _normal_window((config.b - mu_B) / s, config.resolved_epsilon() / s)
     return prob, mu_B + s * shift
@@ -589,8 +593,8 @@ def joint_momentum_histogram(
         if not (np.diff(edges) > 0).all():
             raise ValueError("histogram range too narrow: edges must be strictly increasing")
     # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
-    readout = coupling_map(config.g, config.theta_A).matrix[1::2]
-    args = (_source(config.joint(), config.seed, readout), p_edges, P_edges)
+    *_, joint, smap = config._evolved
+    args = (_source(joint, config.seed, smap.matrix[1::2]), p_edges, P_edges)
     # the int64 chunk counts summed, then added once: whole numbers below 2**53, so exact
     counts += _run_chunks(_histogram_chunk, args, config.n_samples, chunk_size, sum)
     return counts, p_edges, P_edges
@@ -674,12 +678,11 @@ def strong_measurement_correlation(
     of each chunk's (A, Q') are computed in parallel (see `_run_chunks`) and
     merged by `_merge`, so memory is O(chunk_size), not O(n_samples).
     """
-    # (A, Q'): the quadrature A and row 2 of the coupling map, folded into the draw
-    q_row = coupling_map(config.g, config.theta_A).matrix[2]
-    readout = np.array([[*config.theta_A.vector, 0.0, 0.0], q_row])
     out = []
     for delta_Q in delta_Q_sequence:
-        joint = dataclasses.replace(config, delta_Q=delta_Q).joint()
+        *_, joint, smap = dataclasses.replace(config, delta_Q=delta_Q)._evolved
+        # (A, Q'): the quadrature A and row 2 of the coupling map, folded into the draw
+        readout = np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]])
         source = _source(joint, config.seed, readout)
         _, _, scatter = _run_chunks(_correlation_chunk, source, config.n_samples, chunk_size, _merge)
         if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):

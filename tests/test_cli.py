@@ -460,16 +460,20 @@ class TestRuntimeErrors:
     )
     def test_state_that_overflows_or_underflows_is_named(self, tmp_path, capsys, section, field, value):
         # the particle and device states overflow or underflow in Python
-        # floats (sigma^2, 1 / (4 sigma^2), omega^2), whose own errors name no cause
+        # floats (sigma^2, 1 / (4 sigma^2), omega^2), whose own errors name no
+        # cause; each sampler, with or without a histogram range, reads the
+        # one checked coupled state
         doc = base_config(**{section: {field: value}})
+        ranged = {**doc, "histogram": {"bins": 11, "p_range": [-5, 5], "P_range": [-3, 3]}}
         out = tmp_path / "o"
-        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: OverflowError: the coupled state overflows or underflows: "
-            "a moment of it, its parts or B is out of range\n"
-        )
-        assert not out.exists()
+        for command, config in [("simulate", doc), ("histogram", doc), ("histogram", ranged)]:
+            argv = [command, "--config", write_config(tmp_path, config), "--out", str(out), "--quiet"]
+            assert main(argv) == 1, config
+            assert capsys.readouterr().err == (
+                "error: OverflowError: the coupled state overflows or underflows: "
+                "a moment of it, its parts or B is out of range\n"
+            ), config
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "histogram"])
     @pytest.mark.parametrize("section, field", [("coupling", "g"), ("particle", "sigma")])
@@ -514,6 +518,24 @@ class TestRuntimeErrors:
         )
 
     @pytest.mark.parametrize(
+        "sections, g",
+        [
+            # the weak value's denominator underflows at every grid point
+            ({"particle": {"sigma": 1e-150}, "coupling": {"theta_A": HALF_PI},
+              "postselection": {"theta_B": 0.0}}, [0.1, 0.2]),
+            ({}, [0.1, 1e200]),  # the first point succeeds, the second overflows
+        ],
+        ids=["first-point", "second-point"],
+    )
+    def test_sweep_that_fails_writes_nothing(self, tmp_path, capsys, sections, g):
+        doc = base_config(**sections)
+        doc["sweep"] = {"g": g}
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+        self._fails(capsys, argv, ArithmeticError)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, out", [("simulate", "file"), ("sweep", "file"), ("histogram", "file/sub")]
     )
     def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, command, out):
@@ -522,6 +544,69 @@ class TestRuntimeErrors:
         (tmp_path / "file").write_text("")
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / out)]
         self._fails(capsys, argv, OSError)
+
+
+def _without(doc, section):
+    return {name: value for name, value in doc.items() if name != section}
+
+
+DISCRETE = {"amplitudes": [1.0, 1.0], "overlaps": [1.0, 1.0], "eigenvalues": [1.0, -1.0]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code, text",
+    [
+        (["simulate"], base_config(sampling={"n_samples": 1.5}), 2, "'sampling.n_samples' must be an integer"),
+        (["weakvalue"], _without(base_config(), "coupling"), 2, "missing section 'coupling'"),
+        (["weakvalue"], {**base_config(), "device": [1.0]}, 2, "section 'device' must be an object"),
+        (["weakvalue"], None, 2, "cannot read config"),
+        (["weakvalue"], [1.0], 2, "config root must be a JSON object"),
+        (["weakvalue"], {"discrete": _without(DISCRETE, "overlaps")}, 2, "missing field 'discrete.overlaps'"),
+        (["sweep"], {**base_config(), "sweep": {}}, 2, "section 'sweep' must list at least one"),
+        (["sweep"], {**base_config(), "sweep": {"delta_Q": [1.0], "delta_P": [1.0]}}, 2, "not both"),
+        (["sweep"], {**base_config(), "sweep": {"g": [0.1, "x"]}}, 2, "'sweep.g[1]' must be a number"),
+        (["histogram"], {**base_config(), "histogram": [11]}, 2, "section 'histogram' must be an object"),
+        (["histogram"], {**base_config(), "histogram": {"bins": 1}}, 2, "'histogram.bins' must be an integer >= 2"),
+        (["histogram"], {**base_config(), "histogram": {"p_range": [-5, 0, 5], "P_range": [-3, 3]}}, 2,
+         "'histogram.p_range' must be [lo, hi]"),
+        (["histogram"], {**base_config(), "histogram": {"P_range": [-3, 3]}}, 2, "missing field 'histogram.p_range'"),
+        # every draw misses a window 16 std of B away: nan cells, and the sweep still succeeds
+        (["sweep", "--mc"], {**base_config(postselection={"b": 8.0}, sampling={"n_samples": 1000}),
+                             "sweep": {"g": [0.1]}}, 0, ",nan,nan,nan,nan\n"),
+        (["weakvalue"], {"discrete": {**DISCRETE, "overlaps": [1.0, -1.0]}}, 1, "error: postselection amplitude is zero"),
+    ],
+    ids=[
+        "non-integer-n_samples",
+        "missing-section",
+        "section-not-an-object",
+        "unreadable-config",
+        "root-not-an-object",
+        "discrete-field-missing",
+        "sweep-without-axis",
+        "sweep-over-delta_Q-and-delta_P",
+        "sweep-item-named-by-index",
+        "histogram-not-an-object",
+        "one-bin",
+        "range-not-a-pair",
+        "one-range-only",
+        "sweep-mc-insufficient-acceptance",
+        "zero-postselection-amplitude",
+    ],
+)
+def test_input_check(tmp_path, capsys, argv, doc, code, text):
+    """Each check at the CLI's door: the exit code, and the field or cause
+    named on stderr (or, for a run that succeeds, the cells it writes)."""
+    path = tmp_path / "config.json"  # not written for doc None: unreadable
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    argv = [*argv, "--config", str(path)]
+    if argv[0] != "weakvalue":
+        argv += ["--out", str(out), "--quiet"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert text in ((out / f"{argv[0]}.csv").read_text() if code == 0 else err)
+    assert out.exists() == (code == 0)
 
 
 class TestVerifyAndRoundTrip:

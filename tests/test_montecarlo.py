@@ -21,20 +21,24 @@ from erlweak import (
     InsufficientAcceptanceError,
     PostselectedEstimate,
     Quadrature,
+    SymplecticMap,
     acceptance_probability,
     apply_to_points,
     coupling_map,
     exact_strong_correlation,
     gaussian_condition,
+    gaussian_regime_margin,
     joint_momentum_histogram,
     make_particle,
     make_pure_device,
     oracle_estimate,
+    postselected_means_gaussian,
     quadrature_moments,
     run_weak_experiment,
     sample_state,
     strong_measurement_correlation,
     tensor,
+    weak_value_gaussian,
     windowed_oracle,
 )
 from erlweak import montecarlo
@@ -439,6 +443,56 @@ def test_non_finite_field_rejected(field, value):
         value = Quadrature(value)
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
         dataclasses.replace(BASE, **{field: value})
+
+
+Q0, Q90 = Quadrature(0.0), Quadrature(HALF_PI)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: weak_value_gaussian(0.0, 0.0, 0.0, Q0, Q90, 1.0), ValueError, "sigma must be positive"),
+        (
+            lambda: postselected_means_gaussian(0.0, 0.0, -1.0, 1.0, 0.0, 0.1, Q0, Q90, 1.0),
+            ValueError,
+            "sigma must be positive",
+        ),
+        (
+            lambda: postselected_means_gaussian(0.0, 0.0, 1.0, 0.0, 0.0, 0.1, Q0, Q90, 1.0),
+            ValueError,
+            "delta_Q must be positive",
+        ),
+        (lambda: gaussian_regime_margin(0.1, 1.0, -1.0, Q0, Q90), ValueError, "sigma must be positive"),
+        (lambda: dataclasses.replace(BASE, epsilon=0.0), ValueError, "epsilon must be positive"),
+        (lambda: dataclasses.replace(BASE, n_samples=0), ValueError, "n_samples must be >= 1"),
+        (lambda: dataclasses.replace(BASE, seed=-1), ValueError, "seed must fit in 64 bits"),
+        (lambda: dataclasses.replace(BASE, seed=2**64), ValueError, "seed must fit in 64 bits"),
+        (lambda: SymplecticMap(np.eye(2)), ValueError, "matrix must be 4x4"),
+        (lambda: BASE.joint().marginal(2), IndexError, "mode 2 out of range for 2 modes"),
+        (
+            lambda: strong_measurement_correlation([1.0], dataclasses.replace(BASE, n_samples=1)),
+            ValueError,
+            "degenerate variance in correlation estimate",
+        ),
+    ],
+    ids=[
+        "weak-value-sigma",
+        "exact-means-sigma",
+        "exact-means-delta_Q",
+        "regime-margin-sigma",
+        "config-epsilon",
+        "config-n_samples",
+        "config-negative-seed",
+        "config-seed-past-64-bits",
+        "map-not-4x4",
+        "marginal-mode",
+        "correlation-of-one-draw",
+    ],
+)
+def test_public_input_check(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestEvolvedJointCache:
@@ -853,6 +907,12 @@ class TestStrongMeasurement:
         for r, delta_Q in zip(corr, seq):
             rho = exact_strong_correlation(delta_Q, config)
             assert abs(math.atanh(r) - math.atanh(rho)) < fisher_se
+
+    def test_state_that_underflows_is_named(self):
+        # delta_Q^2 underflows to 0 in the device state: the sampler reads the
+        # one checked coupled state, so the error names it
+        with pytest.raises(OverflowError, match="^the coupled state overflows or underflows: "):
+            strong_measurement_correlation([1e-200], BASE)
 
     def test_zero_coupling_uncorrelated(self):
         config = dataclasses.replace(BASE, g=0.0, n_samples=100_000)
