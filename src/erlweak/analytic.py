@@ -184,17 +184,26 @@ def first_order_shifts(
     return q_shift, p_shift
 
 
-def _conditional_mean(
-    joint: GaussianState, v: np.ndarray, b: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(E[x | v.x = b], gain) for a Gaussian x: mean + gain (b - v.mean),
-    with the regression gain cov v / (v.cov.v). The one Gaussian conditional
-    mean, which both oracles and `gaussian_condition` read."""
-    s = float(v @ joint.cov @ v)
+def _regression(state: GaussianState, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mu_B, gain) of a Gaussian x on B = v.x: the mean of B and the gain
+    cov v / (v.cov.v), so that E[x | B = b'] = mean + gain (b' - mu_B). The
+    one Gaussian regression, which both oracles and `gaussian_condition`
+    read. Several b' at once are mean + np.multiply.outer(bs - mu_B, gain),
+    the same bits row by row."""
+    s = float(v @ state.cov @ v)
     if s <= 0.0:
         raise SingularConditioningError("constraint direction has zero variance")
-    gain = joint.cov @ v / s
-    return joint.mean + gain * (b - v @ joint.mean), gain
+    return float(v @ state.mean), state.cov @ v / s
+
+
+def _read_means(
+    state: GaussianState, regression: tuple[float, np.ndarray], theta_A: Quadrature, b: float
+) -> tuple[float, float, float]:
+    """Device means (Q, P) and the particle's mean of A at B = b, read off
+    the `_regression` of the two-mode `state` on B."""
+    mu_B, gain = regression
+    mean = state.mean + gain * (b - mu_B)
+    return float(mean[2]), float(mean[3]), float(quadrature_vector(2, 0, theta_A) @ mean)
 
 
 def gaussian_condition(
@@ -203,13 +212,14 @@ def gaussian_condition(
     """Condition a Gaussian on the linear constraint
     cos(theta) q_mode + sin(theta) p_mode = b.
 
-    Standard Gaussian conditioning: the mean from `_conditional_mean`, and
+    Standard Gaussian conditioning: the mean from the `_regression`
+    (mu_B, gain), mean + gain (b - mu_B), and
         cov' = cov - cov v v^T cov / (v.cov.v)
     """
     v = quadrature_vector(joint.n_modes, mode, constraint)
-    mean, gain = _conditional_mean(joint, v, b)
+    mu_B, gain = _regression(joint, v)
     cov = joint.cov - np.outer(gain, v @ joint.cov)
-    return GaussianState._derived(mean, 0.5 * (cov + cov.T))
+    return GaussianState._derived(joint.mean + gain * (b - mu_B), 0.5 * (cov + cov.T))
 
 
 def oracle_postselected_means(
@@ -221,5 +231,5 @@ def oracle_postselected_means(
     This is the first-principles route; the printed closed forms are
     validated against it.
     """
-    mean, _ = _conditional_mean(joint_evolved, quadrature_vector(2, 0, theta_B), b)
-    return float(mean[2]), float(mean[3]), float(quadrature_vector(2, 0, theta_A) @ mean)
+    regression = _regression(joint_evolved, quadrature_vector(2, 0, theta_B))
+    return _read_means(joint_evolved, regression, theta_A, b)

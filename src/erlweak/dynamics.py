@@ -14,19 +14,22 @@ import numpy as np
 
 from .states import GaussianState, Quadrature, _finite, symplectic_form
 
-# |M^T J M - J| allowed, times max(1, max|M|)^2: the rounding of M^T J M
-# grows with the square of M's entries (as g^2 for a coupling map)
+# |M^T J M - J| allowed at each entry, times (|M|^T |J| |M|) there: the
+# rounding of an entry of M^T J M grows with the products that make it up
 SYMPLECTIC_TOL = 1e-12
 _FORM = symplectic_form(2)
 _FORM.setflags(write=False)
+_ABS_FORM = np.abs(_FORM)
+_ABS_FORM.setflags(write=False)
 
 
 @dataclasses.dataclass(frozen=True)
 class SymplecticMap:
     """Linear map on (q, p, Q, P) preserving the two-mode symplectic form.
 
-    The public constructor checks the shape and M^T J M = J to
-    SYMPLECTIC_TOL. `coupling_map` builds maps that are symplectic by
+    The public constructor checks the shape and M^T J M = J entry by entry,
+    to SYMPLECTIC_TOL times the rounding bound (|M|^T |J| |M|)_ij of that
+    entry. `coupling_map` builds maps that are symplectic by
     construction through `_derived`, which skips that check; its output is
     re-checked by `verify.run_repeatability` (criterion 6, 256 maps) and by
     `test_coupling_maps_pass_the_public_check` and
@@ -41,11 +44,13 @@ class SymplecticMap:
             raise ValueError("matrix must be 4x4")
         if not _finite(m):
             raise ValueError("matrix is not symplectic")
-        # |M^T J M - J| <= TOL s^2 for s = max(1, max|M|), evaluated as
-        # |N^T J N - J / s^2| <= TOL for N = M / s, which cannot overflow
+        # |M^T J M - J| <= TOL |M|^T |J| |M| entry by entry, evaluated as
+        # |N^T J N - J / s^2| <= TOL |N|^T |J| |N| for N = M / s and
+        # s = max(1, max|M|), which cannot overflow
         s = max(1.0, float(np.max(np.abs(m))))
         n = m / s
-        if not np.max(np.abs(n.T @ _FORM @ n - _FORM / s / s)) <= SYMPLECTIC_TOL:
+        bound = SYMPLECTIC_TOL * (np.abs(n.T) @ _ABS_FORM @ np.abs(n))
+        if not np.all(np.abs(n.T @ _FORM @ n - _FORM / s / s) <= bound):
             raise ValueError("matrix is not symplectic")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -35,10 +35,11 @@ import dataclasses
 import functools
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import oracle_postselected_means
+from .analytic import _read_means, _regression
 from .dynamics import SymplecticMap, apply_to_points, apply_to_state, coupling_map
 from .states import (
     GaussianState,
@@ -46,6 +47,7 @@ from .states import (
     make_particle,
     make_pure_device,
     quadrature_moments,
+    quadrature_vector,
     tensor,
 )
 
@@ -82,6 +84,18 @@ class InsufficientAcceptanceError(RuntimeError):
             "widen epsilon or increase n_samples"
         )
         self.acceptance_rate = acceptance_rate
+
+
+class _Coupled(NamedTuple):
+    """The coupled state of a config: the evolved joint state, the mean and
+    variance of B under it, the joint state before the coupling, and the
+    coupling map."""
+
+    evolved: GaussianState
+    mu_B: float
+    var_B: float
+    joint: GaussianState
+    smap: SymplecticMap
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,9 +140,8 @@ class ExperimentConfig:
         return tensor(self.particle(), self.device())
 
     @functools.cached_property
-    def _evolved(self) -> tuple[GaussianState, float, float, GaussianState, SymplecticMap]:
-        """(evolved joint state, mean of B, variance of B, joint state before
-        the coupling, coupling map), built and checked once: the one coupled
+    def _evolved(self) -> _Coupled:
+        """The `_Coupled` state, built and checked once: the one coupled
         state that every route, oracle or sampler, reads. Raises
         OverflowError where a finite config overflows or underflows any of
         them, or the particle and device states they are made of."""
@@ -143,12 +156,28 @@ class ExperimentConfig:
         values = [*evolved.mean.tolist(), *evolved.cov.ravel().tolist(), *moments]
         if not all(map(math.isfinite, values)):
             raise OverflowError(_OVERFLOW)
-        return evolved, *moments, joint, smap
+        return _Coupled(evolved, *moments, joint, smap)
+
+    @functools.cached_property
+    def _on_B(self) -> tuple[float, np.ndarray]:
+        """The `_regression` (mu_B, gain) of the evolved state on B, which
+        both oracles read. Raises SingularConditioningError where the
+        variance of B is not positive; such a config still samples."""
+        return _regression(self._evolved.evolved, quadrature_vector(2, 0, self.theta_B))
+
+    @functools.cached_property
+    def _window(self) -> tuple[float, float]:
+        """(probability, E[B | window]) for the window |B - b| <= resolved
+        epsilon under the evolved state."""
+        coupled = self._evolved
+        s = math.sqrt(coupled.var_B)
+        prob, shift = _normal_window((self.b - coupled.mu_B) / s, self.resolved_epsilon() / s)
+        return prob, coupled.mu_B + s * shift
 
     def evolved_joint(self) -> GaussianState:
         """The joint state after the coupling, built once per config and
         shared between callers (its mean and cov are read-only)."""
-        return self._evolved[0]
+        return self._evolved.evolved
 
     @property
     def delta_P(self) -> float:
@@ -156,13 +185,13 @@ class ExperimentConfig:
         return math.sqrt(1.0 + self.omega**2) / (2.0 * self.delta_Q)
 
     def __getstate__(self):
-        # the coupled state is a cache: pickles carry only the fields
-        return {k: v for k, v in self.__dict__.items() if k != "_evolved"}
+        # the coupled state, regression and window are caches: pickles carry only the fields
+        return {f.name: self.__dict__[f.name] for f in dataclasses.fields(self)}
 
     def resolved_epsilon(self) -> float:
         if self.epsilon is not None:
             return self.epsilon
-        return ADAPTIVE_EPSILON_FRACTION * math.sqrt(self._evolved[2])
+        return ADAPTIVE_EPSILON_FRACTION * math.sqrt(self._evolved.var_B)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -435,10 +464,10 @@ def run_weak_experiment(
     """
     epsilon = config.resolved_epsilon()
     n = config.n_samples
-    *_, joint, smap = config._evolved
+    coupled = config._evolved
     args = (
-        _source(joint, config.seed),
-        smap,
+        _source(coupled.joint, config.seed),
+        coupled.smap,
         config.theta_A,
         config.theta_B,
         config.b,
@@ -454,10 +483,9 @@ def run_weak_experiment(
 
 def oracle_estimate(config: ExperimentConfig) -> tuple[float, float, float]:
     """Point-conditioned (epsilon -> 0) oracle values (Q, P, A) for a config,
-    read off one conditioning of the evolved joint."""
-    return oracle_postselected_means(
-        config.evolved_joint(), config.theta_A, config.theta_B, config.b
-    )
+    read off the config's one regression of the evolved joint on B: the
+    bits of `oracle_postselected_means`."""
+    return _read_means(config._evolved.evolved, config._on_B, config.theta_A, config.b)
 
 
 def _pdf(x: float) -> float:
@@ -518,15 +546,6 @@ def _normal_window(centre: float, half_width: float) -> tuple[float, float]:
     return _pdf(lo) * tail, drop / tail
 
 
-def _b_window(config: ExperimentConfig) -> tuple[float, float]:
-    """(probability, E[B | window]) for the config's window
-    |B - b| <= resolved epsilon under the evolved state."""
-    _, mu_B, var_B, _, _ = config._evolved
-    s = math.sqrt(var_B)
-    prob, shift = _normal_window((config.b - mu_B) / s, config.resolved_epsilon() / s)
-    return prob, mu_B + s * shift
-
-
 def windowed_oracle(config: ExperimentConfig) -> tuple[float, float, float]:
     """Exact conditional means (Q, P, A) given the window |B - b| <= epsilon.
 
@@ -537,17 +556,17 @@ def windowed_oracle(config: ExperimentConfig) -> tuple[float, float, float]:
     Finite however far into the tail the window lies; raises only for a
     window that is empty in double precision.
     """
-    prob, mean_B = _b_window(config)
+    prob, mean_B = config._window
     if not math.isfinite(mean_B):
         raise InsufficientAcceptanceError(prob)
-    return oracle_postselected_means(config.evolved_joint(), config.theta_A, config.theta_B, mean_B)
+    return _read_means(config._evolved.evolved, config._on_B, config.theta_A, mean_B)
 
 
 def acceptance_probability(config: ExperimentConfig) -> float:
     """Exact probability of the postselection window under the evolved state.
     Keeps its relative accuracy in the tails until it underflows (about
     38 std of B from the mean)."""
-    return _b_window(config)[0]
+    return config._window[0]
 
 
 def joint_momentum_histogram(
@@ -593,8 +612,8 @@ def joint_momentum_histogram(
         if not (np.diff(edges) > 0).all():
             raise ValueError("histogram range too narrow: edges must be strictly increasing")
     # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
-    *_, joint, smap = config._evolved
-    args = (_source(joint, config.seed, smap.matrix[1::2]), p_edges, P_edges)
+    coupled = config._evolved
+    args = (_source(coupled.joint, config.seed, coupled.smap.matrix[1::2]), p_edges, P_edges)
     # the int64 chunk counts summed, then added once: whole numbers below 2**53, so exact
     counts += _run_chunks(_histogram_chunk, args, config.n_samples, chunk_size, sum)
     return counts, p_edges, P_edges
@@ -680,10 +699,10 @@ def strong_measurement_correlation(
     """
     out = []
     for delta_Q in delta_Q_sequence:
-        *_, joint, smap = dataclasses.replace(config, delta_Q=delta_Q)._evolved
+        coupled = dataclasses.replace(config, delta_Q=delta_Q)._evolved
         # (A, Q'): the quadrature A and row 2 of the coupling map, folded into the draw
-        readout = np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]])
-        source = _source(joint, config.seed, readout)
+        readout = np.array([[*config.theta_A.vector, 0.0, 0.0], coupled.smap.matrix[2]])
+        source = _source(coupled.joint, config.seed, readout)
         _, _, scatter = _run_chunks(_correlation_chunk, source, config.n_samples, chunk_size, _merge)
         if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):
             raise ValueError("degenerate variance in correlation estimate")

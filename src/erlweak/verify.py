@@ -30,13 +30,20 @@ import math
 import numpy as np
 
 from .analytic import (
+    _regression,
     first_order_shifts,
-    oracle_postselected_means,
     postselected_means_gaussian,
     weak_value_gaussian,
 )
 from .dynamics import apply_to_points, apply_to_state, coupling_map
-from .states import Quadrature, make_particle, make_pure_device, symplectic_form, tensor
+from .states import (
+    Quadrature,
+    make_particle,
+    make_pure_device,
+    quadrature_vector,
+    symplectic_form,
+    tensor,
+)
 
 PI = math.pi
 
@@ -85,23 +92,28 @@ class SuiteResult:
 def run_oracle_equivalence() -> SuiteResult:
     """Closed-form postselected means vs first-principles Gaussian conditioning.
     Each joint state is built once per (sigma, delta_Q, omega, mu_P), evolved
-    once per (g, theta_A) and conditioned once per (theta_B, b)."""
+    once per (g, theta_A) and regressed once per theta_B; the conditioned
+    means at every b are read off that one regression."""
     mu_q, mu_p = PARTICLE_MEAN
     theta_Bs = [Quadrature(theta) for theta in THETA_BS]
+    readouts = [quadrature_vector(2, 0, theta_B) for theta_B in theta_Bs]
+    bs = np.array(POSTSELECTIONS)
     closed, oracle = [], []
     for (sigma, delta_Q), omega, mu_P in itertools.product(SPREADS, OMEGAS, DEVICE_MEAN_MOMENTA):
         joint = tensor(make_particle(mu_q, mu_p, sigma), make_pure_device(delta_Q, mu_P, omega))
         for g, theta in itertools.product(COUPLINGS, THETA_AS):
             theta_A = Quadrature(theta)
             evolved = apply_to_state(coupling_map(g, theta_A), joint)
-            for theta_B, b in itertools.product(theta_Bs, POSTSELECTIONS):
-                closed.append(
-                    postselected_means_gaussian(
-                        mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
+            for theta_B, v in zip(theta_Bs, readouts):
+                mu_B, gain = _regression(evolved, v)
+                oracle.append(evolved.mean + np.multiply.outer(bs - mu_B, gain))  # a row per b
+                for b in POSTSELECTIONS:
+                    closed.append(
+                        postselected_means_gaussian(
+                            mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
+                        )
                     )
-                )
-                oracle.append(oracle_postselected_means(evolved, theta_A, theta_B, b)[:2])
-    x, y = np.array(closed), np.array(oracle)
+    x, y = np.array(closed), np.concatenate(oracle)[:, 2:]
     dev = np.abs(x - y) / np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
     return SuiteResult("oracle-equivalence", float(np.max(dev)), ORACLE_TOLERANCE, len(closed))
 

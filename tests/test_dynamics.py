@@ -69,17 +69,19 @@ def test_nonsymplectic_matrix_rejected():
 
 
 def _symplectic_in_exact_arithmetic(m: np.ndarray) -> bool:
-    """The public check |M^T J M - J| <= SYMPLECTIC_TOL max(1, max|M|)^2,
-    evaluated in rationals: no rounding, no overflow."""
+    """The public check |M^T J M - J| <= SYMPLECTIC_TOL (|M|^T |J| |M|) at
+    every entry, evaluated in rationals: no rounding, no overflow."""
     q = [[Fraction(x) for x in row] for row in m.tolist()]
     form = [[Fraction(int(x)) for x in row] for row in FORM.tolist()]
-    scale = max(Fraction(1), *(abs(x) for row in q for x in row)) ** 2
-    residual = max(
-        abs(sum(q[k][i] * form[k][l] * q[l][j] for k in range(4) for l in range(4)) - form[i][j])
+
+    def entry(i, j, f):
+        return sum(f(q[k][i]) * f(form[k][l]) * f(q[l][j]) for k in range(4) for l in range(4))
+
+    return all(
+        abs(entry(i, j, lambda x: x) - form[i][j]) <= Fraction(SYMPLECTIC_TOL) * entry(i, j, abs)
         for i in range(4)
         for j in range(4)
     )
-    return residual <= Fraction(SYMPLECTIC_TOL) * scale
 
 
 @pytest.mark.parametrize(
@@ -105,6 +107,14 @@ def test_public_check_of_large_entries_is_its_tolerance(matrix):
     else:
         with pytest.raises(ValueError, match="^matrix is not symplectic$"):
             SymplecticMap(matrix)
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1e13, 1.0, 1.0, 1.0]), np.diag([1e200, 1.0, 1.0, 1.0])])
+def test_badly_scaled_matrix_far_from_symplectic_rejected(matrix):
+    # M^T J M - J is 1e13 (1e200) at entry (0, 1), the size of the products
+    # that make it up; a bound of 1e-12 max|M|^2, 1e14 (1e388), would pass it
+    with pytest.raises(ValueError, match="^matrix is not symplectic$"):
+        SymplecticMap(matrix)
 
 
 @pytest.mark.parametrize("g", [300.0, 1000.0])

@@ -1,6 +1,7 @@
 import atexit
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import pickle
@@ -32,6 +33,7 @@ from erlweak import (
     make_particle,
     make_pure_device,
     oracle_estimate,
+    oracle_postselected_means,
     postselected_means_gaussian,
     quadrature_moments,
     run_weak_experiment,
@@ -522,9 +524,12 @@ class TestEvolvedJointCache:
 
     def test_pickle_round_trip(self):
         BASE.evolved_joint()
+        oracle_estimate(BASE)
+        windowed_oracle(BASE)
         acceptance_probability(BASE)
         fields = {f.name for f in dataclasses.fields(BASE)}
-        assert set(BASE.__getstate__()) == fields  # the cache stays behind
+        assert len(fields) == 13 and len(vars(BASE)) > 13  # caches filled
+        assert set(BASE.__getstate__()) == fields  # the caches stay behind
         restored = pickle.loads(pickle.dumps(BASE))
         assert set(vars(restored)) == fields
         assert restored == BASE
@@ -646,6 +651,37 @@ def test_oracle_estimate_is_the_mean_of_the_conditioned_state(fields, expected):
     mean = gaussian_condition(config.evolved_joint(), 0, config.theta_B, config.b).mean
     mean_A = float(quadrature_vector(2, 0, config.theta_A) @ mean)
     assert oracle_estimate(config) == (float(mean[2]), float(mean[3]), mean_A)
+
+
+def _regression_configs():
+    """Configs with mu_P != 0, b at -32, 0 and 32 std of B, and an adaptive
+    or an explicit window."""
+    for mu_P, z, epsilon in itertools.product((0.6, -0.9), (-32.0, 0.0, 32.0), (None, 0.3)):
+        config = ExperimentConfig(
+            0.2, -0.3, 0.7, 1.3, mu_P, 0.5, 0.8, Quadrature(0.3), Quadrature(1.9), 0.0, epsilon, 1, 0
+        )
+        mean_B, var_B = quadrature_moments(config.evolved_joint(), 0, config.theta_B)
+        yield dataclasses.replace(config, b=mean_B + z * math.sqrt(var_B))
+
+
+@pytest.mark.parametrize("config", list(_regression_configs()))
+def test_oracles_read_one_regression_with_the_bits_of_the_conditioning_oracle(config):
+    # a config regresses its evolved state on B once; each oracle, first call
+    # or cached, gives the bits of oracle_postselected_means, which regresses
+    # afresh, at b and at the window's E[B | window]
+    evolved = config.evolved_joint()
+    mean_B, var_B = quadrature_moments(evolved, 0, config.theta_B)
+    s = math.sqrt(var_B)
+    prob, shift = montecarlo._normal_window((config.b - mean_B) / s, config.resolved_epsilon() / s)
+    point = oracle_postselected_means(evolved, config.theta_A, config.theta_B, config.b)
+    window = oracle_postselected_means(evolved, config.theta_A, config.theta_B, mean_B + s * shift)
+    fresh = dataclasses.replace(config)
+    assert oracle_estimate(fresh) == point
+    assert (windowed_oracle(fresh), acceptance_probability(fresh)) == (window, prob)
+    fresh = dataclasses.replace(config)
+    assert (windowed_oracle(fresh), oracle_estimate(fresh)) == (window, point)
+    assert acceptance_probability(fresh) == prob
+    assert (oracle_estimate(fresh), windowed_oracle(fresh)) == (point, window)  # cached
 
 
 def _mp_window(config, epsilon):
