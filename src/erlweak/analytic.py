@@ -200,10 +200,15 @@ def _read_means(
     state: GaussianState, regression: tuple[float, np.ndarray], theta_A: Quadrature, b: float
 ) -> tuple[float, float, float]:
     """Device means (Q, P) and the particle's mean of A at B = b, read off
-    the `_regression` of the two-mode `state` on B."""
+    the `_regression` of the two-mode `state` on B. Raises OverflowError
+    where one of them is not finite."""
     mu_B, gain = regression
-    mean = state.mean + gain * (b - mu_B)
-    return float(mean[2]), float(mean[3]), float(quadrature_vector(2, 0, theta_A) @ mean)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = state.mean + gain * (b - mu_B)
+        means = float(mean[2]), float(mean[3]), float(quadrature_vector(2, 0, theta_A) @ mean)
+    if not all(map(math.isfinite, means)):
+        raise OverflowError("the oracle overflows: a conditional mean is out of float range")
+    return means
 
 
 def gaussian_condition(

@@ -39,6 +39,7 @@ from .bounds import RegimeMargin, gaussian_regime_margin
 from .montecarlo import (
     ExperimentConfig,
     InsufficientAcceptanceError,
+    _histogram_edges,
     acceptance_probability,
     chunk_plan,
     joint_momentum_histogram,
@@ -219,6 +220,9 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
         print(f"wrote {csv_path} and {manifest_path}")
 
 
+_CLOSED_FORM_OVERFLOW = "the closed form overflows: a power of a config field is out of float range"
+
+
 @contextlib.contextmanager
 def _closed_form():
     """Name the closed forms in the OverflowError that a finite config's
@@ -227,17 +231,24 @@ def _closed_form():
     try:
         yield
     except OverflowError as exc:
-        raise OverflowError(
-            "the closed form overflows: a power of a config field is out of float range"
-        ) from exc
+        raise OverflowError(_CLOSED_FORM_OVERFLOW) from exc
     except ZeroDivisionError as exc:
         raise ZeroDivisionError(
             "the closed form underflows: a denominator made of powers of config fields is 0"
         ) from exc
 
 
+def _finite(*values: float) -> None:
+    """The same OverflowError for closed-form values that overflowed by
+    multiplication, which Python floats do without raising."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(_CLOSED_FORM_OVERFLOW)
+
+
 def _first_order(config: ExperimentConfig) -> tuple[WeakValue, tuple[float, float], RegimeMargin]:
-    """(weak value, first-order (q, p) shifts of the device, regime margin)."""
+    """(weak value, first-order (q, p) shifts of the device, regime margin).
+    The margin's bound may be inf (see `gaussian_regime_margin`); the weak
+    value, the shifts and the margin's ratio are finite."""
     with _closed_form():
         wv = weak_value_gaussian(
             config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
@@ -246,6 +257,7 @@ def _first_order(config: ExperimentConfig) -> tuple[WeakValue, tuple[float, floa
         margin = gaussian_regime_margin(
             config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
         )
+    _finite(wv.re, wv.im, *shifts, margin.ratio)
     return wv, shifts, margin
 
 
@@ -304,8 +316,9 @@ def cmd_simulate(args) -> int:
         dev["max_abs_deviation"] = max(abs(x - o) for x, o in zip(means, oracle))
         # against the estimator's true expectation, with no O(epsilon^2) window bias
         names = ("mean_Q", "mean_P", "mean_A")
-        dev["z_vs_windowed_oracle"] = {
-            name: (x - w) / se for name, x, se, w in zip(names, means, ses, windowed_oracle(config))
+        dev["z_vs_windowed_oracle"] = {  # null where the SE is 0
+            name: (x - w) / se if se else None
+            for name, x, se, w in zip(names, means, ses, windowed_oracle(config))
         }
     row = [
         config.g,
@@ -357,6 +370,7 @@ def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool):
             )
         _, (fo_Q, p_shift), margin = _first_order(config)
         fo_P = config.mu_P + p_shift
+        _finite(exact_Q, exact_P, fo_P, exact_Q - fo_Q, exact_P - fo_P)
         row = [
             config.g,
             config.delta_Q,
@@ -432,10 +446,11 @@ def cmd_histogram(args) -> int:
         for key, rng in zip(("p_range", "P_range"), hist_range):
             if len(rng) != 2:
                 raise ConfigError(f"field 'histogram.{key}' must be [lo, hi]")
-    try:
-        counts, p_edges, P_edges = joint_momentum_histogram(config, bins, hist_range)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        try:  # a config error; the automatic box and the state fail at run time
+            _histogram_edges(bins, hist_range)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    counts, p_edges, P_edges = joint_momentum_histogram(config, bins, hist_range)
     # each edge formatted once: a "lo,hi" cell per bin of p' and of P
     p_bins, P_bins = (
         [f"{lo},{hi}" for lo, hi in itertools.pairwise(_cells(edges.tolist()))]

@@ -40,7 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import _read_means, _regression
-from .dynamics import SymplecticMap, apply_to_points, apply_to_state, coupling_map
+from .dynamics import SYMPLECTIC_TOL, SymplecticMap, _invariance_deviation
+from .dynamics import apply_to_points, apply_to_state, coupling_map
 from .states import (
     GaussianState,
     Quadrature,
@@ -58,7 +59,6 @@ DEFAULT_CHUNK = 1 << 18
 # oversubscribe the cores. Blocks drawn from one Generator give the same
 # stream and points as one draw per chunk.
 BLOCK = 1 << 13
-REPEATABILITY_TOL = 1e-12
 ADAPTIVE_EPSILON_FRACTION = 0.05
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -372,38 +372,37 @@ def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, mean, centred scatter matrix) of the draws in a (d, count)
     array, one coordinate per row: the part of a chunk that `_merge` merges.
     Centres `values` in place, so a chunk needs no second copy of its draws.
-    An empty array gives count 0, which `_merge` skips."""
+    An empty array gives count 0, which `_merge` skips. A sum that
+    overflows gives inf or nan, which `_merge` reports."""
     d, count = values.shape
     if count == 0:
         return 0, np.zeros(d), np.zeros((d, d))
-    mean = values.mean(axis=1)
-    values -= mean[:, None]
-    return count, mean, values @ values.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=1)
+        values -= mean[:, None]
+        return count, mean, values @ values.T
 
 
 def _merge(parts) -> tuple[int, np.ndarray, np.ndarray]:
     """The one reduction of sampled moments: merge `_moments` parts in chunk
     order into the (count, mean, centred scatter) of all their draws (Chan,
-    Golub & LeVeque 1983). Empty parts are skipped, so none gives count 0."""
+    Golub & LeVeque 1983). Empty parts are skipped, so none gives count 0.
+    Raises OverflowError where the mean or scatter of the parts, or of
+    their merge, is not finite."""
     n, mean, scatter = 0, 0.0, 0.0
-    for m, part_mean, part_scatter in parts:
-        if m == 0:
-            continue
-        delta = part_mean - mean
-        scatter = scatter + (part_scatter + np.outer(delta, delta) * (n * m / (n + m)))
-        n += m
-        mean = mean + delta * (m / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for m, part_mean, part_scatter in parts:
+            if m == 0:
+                continue
+            delta = part_mean - mean
+            scatter = scatter + (part_scatter + np.outer(delta, delta) * (n * m / (n + m)))
+            n += m
+            mean = mean + delta * (m / n)
+    if not (np.isfinite(mean).all() and np.isfinite(scatter).all()):
+        raise OverflowError(
+            "the sampled moments overflow: a sum of the draws or of their squares is out of range"
+        )
     return n, mean, scatter
-
-
-def _quadrature_into(
-    quad: Quadrature, q: np.ndarray, p: np.ndarray, out: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """quad.value(q, p) written into `out`, rounded as quad.value rounds it;
-    `work` is scratch of the same shape."""
-    np.multiply(q, math.cos(quad.theta), out=out)
-    np.multiply(p, math.sin(quad.theta), out=work)
-    return np.add(out, work, out=out)
 
 
 def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -416,26 +415,17 @@ def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndar
     source, smap, theta_A, theta_B, b, epsilon = args
     size = min(BLOCK, rows)
     evolved_buf = np.empty(4 * size)
-    a_before_buf, a_after_buf, b_buf, work_buf = np.empty((4, size))
-    same_buf = np.empty(size, dtype=bool)
+    work_buf = np.empty((5, size))
     accepted = np.empty((3, size))
     n_acc = 0
     for pts in _blocks(source, k, rows):
         m = pts.shape[1]
         evolved = apply_to_points(smap, pts, out=evolved_buf[: 4 * m].reshape(4, m))
-        work = work_buf[:m]
-        a_before = _quadrature_into(theta_A, pts[0], pts[1], a_before_buf[:m], work)
-        a_after = _quadrature_into(theta_A, evolved[0], evolved[1], a_after_buf[:m], work)
+        if not _invariance_deviation(theta_A, pts, evolved, work_buf[:, :m]) <= SYMPLECTIC_TOL:
+            raise AssertionError("repeatability violated: A or P changed under coupling")
 
-        # max |A' - A| / max(1, |A|) over the block, as one expression would round it
-        scale = np.maximum(np.abs(a_before, out=b_buf[:m]), 1.0, out=b_buf[:m])
-        shift = np.abs(np.subtract(a_after, a_before, out=work), out=work)
-        if np.max(np.divide(shift, scale, out=work)) > REPEATABILITY_TOL:
-            raise AssertionError("repeatability violated: A changed under coupling")
-        if not np.equal(evolved[3], pts[3], out=same_buf[:m]).all():
-            raise AssertionError("repeatability violated: P changed under coupling")
-
-        b_val = _quadrature_into(theta_B, evolved[0], evolved[1], b_buf[:m], work)
+        b_val = np.multiply(evolved[0], math.cos(theta_B.theta), out=work_buf[0, :m])
+        b_val += np.multiply(evolved[1], math.sin(theta_B.theta), out=work_buf[1, :m])
         distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
         keep = np.flatnonzero(distance <= epsilon)
         stop = n_acc + keep.size
@@ -444,7 +434,7 @@ def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndar
             grown[:, :n_acc] = accepted[:, :n_acc]
             accepted = grown
         accepted[:2, n_acc:stop] = evolved[2:, keep]
-        accepted[2, n_acc:stop] = a_after[keep]
+        accepted[2, n_acc:stop] = theta_A.value(evolved[0, keep], evolved[1, keep])
         n_acc = stop
     return _moments(accepted[:, :n_acc])
 
@@ -585,24 +575,43 @@ def joint_momentum_histogram(
     that holds them all. Counts are summed chunk by chunk, in parallel (see
     `_run_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples);
     each block is binned by `_bin_index`, not by a binary search. Raises
-    ValueError for bins < 2, an empty or non-finite range, or a range too
-    narrow for strictly increasing edges.
+    ValueError for the bins and range that `_histogram_edges` rejects, the
+    automatic box included, for bins < 2 and for a degenerate state.
     """
     if isinstance(bins, int):
         bins = (bins, bins)
     if bins[0] < 2 or bins[1] < 2:
         raise ValueError("bins must be >= 2 in each dimension")
-    if hist_range is not None:
-        (p_lo, p_hi), (P_lo, P_hi) = hist_range
-        if not all(map(math.isfinite, (p_lo, p_hi, P_lo, P_hi))):
-            raise ValueError("histogram range must be finite")
-        if not (p_lo < p_hi and P_lo < P_hi):
-            raise ValueError("empty histogram range")
     if hist_range is None:
         mu, cov = config.evolved_joint().mean, config.evolved_joint().cov
         half_p = 5.0 * math.sqrt(cov[1, 1])
         half_P = 5.0 * math.sqrt(cov[3, 3])
-        hist_range = ((mu[1] - half_p, mu[1] + half_p), (mu[3] - half_P, mu[3] + half_P))
+        box = ((mu[1] - half_p, mu[1] + half_p), (mu[3] - half_P, mu[3] + half_P))
+        try:
+            counts, p_edges, P_edges = _histogram_edges(bins, box)
+        except ValueError as exc:
+            raise ValueError(f"automatic histogram range (+-5 std): {exc}") from exc
+    else:
+        counts, p_edges, P_edges = _histogram_edges(bins, hist_range)
+    # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
+    coupled = config._evolved
+    args = (_source(coupled.joint, config.seed, coupled.smap.matrix[1::2]), p_edges, P_edges)
+    # the int64 chunk counts summed, then added once: whole numbers below 2**53, so exact
+    counts += _run_chunks(_histogram_chunk, args, config.n_samples, chunk_size, sum)
+    return counts, p_edges, P_edges
+
+
+def _histogram_edges(
+    bins: int | tuple[int, int], hist_range: tuple[tuple[float, float], tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(zero counts, p_edges, P_edges) of `np.histogram2d` with this `bins`
+    and `hist_range`. Raises ValueError for an empty or non-finite range,
+    or a range too narrow for strictly increasing edges."""
+    (p_lo, p_hi), (P_lo, P_hi) = hist_range
+    if not all(map(math.isfinite, (p_lo, p_hi, P_lo, P_hi))):
+        raise ValueError("histogram range must be finite")
+    if not (p_lo < p_hi and P_lo < P_hi):
+        raise ValueError("empty histogram range")
     empty = np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows: checked below
         counts, p_edges, P_edges = np.histogram2d(empty, empty, bins=bins, range=hist_range)
@@ -611,11 +620,6 @@ def joint_momentum_histogram(
             raise ValueError("histogram edges must be finite")
         if not (np.diff(edges) > 0).all():
             raise ValueError("histogram range too narrow: edges must be strictly increasing")
-    # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
-    coupled = config._evolved
-    args = (_source(coupled.joint, config.seed, coupled.smap.matrix[1::2]), p_edges, P_edges)
-    # the int64 chunk counts summed, then added once: whole numbers below 2**53, so exact
-    counts += _run_chunks(_histogram_chunk, args, config.n_samples, chunk_size, sum)
     return counts, p_edges, P_edges
 
 

@@ -184,6 +184,22 @@ class TestSimulate:
         comparison = json.loads((tmp_path / "f" / "manifest.json").read_text())["oracle_comparison"]
         assert "z_vs_windowed_oracle" not in comparison
 
+    def test_manifest_z_score_with_a_zero_se_is_null(self, tmp_path):
+        # p near 1e20 rounds to one float, so A = p takes one value
+        doc = base_config(
+            particle={"mu_p": 1e20},
+            coupling={"theta_A": HALF_PI},
+            postselection={"theta_B": 0.0},
+            sampling={"n_samples": 20_000},
+        )
+        path = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        z = json.loads((tmp_path / "o" / "manifest.json").read_text())["oracle_comparison"][
+            "z_vs_windowed_oracle"
+        ]
+        assert z["mean_A"] is None
+        assert math.isfinite(z["mean_Q"]) and math.isfinite(z["mean_P"])
+
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, base_config())
         main(["simulate", "--config", path, "--out", str(tmp_path / "s1"), "--seed", "99", "--quiet"])
@@ -322,9 +338,11 @@ class TestHistogramCommand:
             assert manifest["config"] == {**config_echo(parse_experiment(doc, 99)), "histogram": resolved}
         assert resolved == {**given, "p_range": [-5.0, 5.0], "P_range": [-3.0, 3.0]}
 
-    def test_bad_range_rejected(self, tmp_path):
+    @pytest.mark.parametrize("p_range", [[5, -5], [1e20, 1.0000000000000002e20]])
+    def test_bad_range_rejected(self, tmp_path, p_range):
+        # empty, or too narrow for 11 distinct bins
         doc = base_config()
-        doc["histogram"] = {"bins": 11, "p_range": [5, -5], "P_range": [-3, 3]}
+        doc["histogram"] = {"bins": 11, "p_range": p_range, "P_range": [-3, 3]}
         path = write_config(tmp_path, doc)
         assert main(["histogram", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
@@ -487,10 +505,23 @@ class TestRuntimeErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["weakvalue", "sweep"])
-    def test_closed_form_that_overflows_is_named(self, tmp_path, capsys, command):
-        # sigma^4 overflows in Python floats, whose own message names no cause
-        doc = base_config(particle={"sigma": 1e154})
-        doc["sweep"] = {"b": [1.0, 0.5]}
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            # sigma^4 overflows in Python floats, whose own message names no cause
+            {"particle": {"sigma": 1e154}},
+            # finite powers whose products overflow: p_shift = -inf, and
+            # exact_P = -inf with residual_P = nan
+            {"device": {"delta_Q": 1e-150}, "postselection": {"b": 1e20}},
+            # g^2 delta_P^2 = inf, so the regime ratio is inf, with finite shifts
+            {"particle": {"sigma": 0.3}, "device": {"delta_Q": 7.8, "omega": -9.4e119},
+             "coupling": {"g": 8.5e40}, "postselection": {"theta_B": 1.31, "b": 6.3}},
+        ],
+        ids=["power", "product", "regime-ratio"],
+    )
+    def test_closed_form_that_overflows_is_named(self, tmp_path, capsys, command, sections):
+        doc = base_config(**sections)
+        doc["sweep"] = {"theta_A": [doc["coupling"]["theta_A"]]}  # leaves the config as it is
         argv = [command, "--config", write_config(tmp_path, doc)]
         if command == "sweep":
             argv += ["--out", str(tmp_path / "o"), "--quiet"]
@@ -499,6 +530,68 @@ class TestRuntimeErrors:
             "error: OverflowError: the closed form overflows: "
             "a power of a config field is out of float range\n"
         )
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            # 74 squared deviations of Q' near 1.6e153 overflow their sum
+            ({"particle": {"sigma": 2.10}, "device": {"delta_Q": 1.6e153},
+              "coupling": {"g": 0.0, "theta_A": HALF_PI},
+              "postselection": {"theta_B": -3.79, "b": 0.0},
+              "sampling": {"n_samples": 2000, "seed": 25}},
+             "the sampled moments overflow: a sum of the draws or of their squares is out of range"),
+            # the conditional mean moves by the gain times b - mu_B: inf
+            ({"particle": {"mu_q": 2.0427837793130598e31, "mu_p": -1.4675462301333038,
+                           "sigma": 1.2891231823151736},
+              "device": {"delta_Q": 1.0840198350845482e148, "mu_P": -8.577717388899806e45,
+                         "omega": -0.9916264338296173},
+              "coupling": {"g": 3.4261826345304717e132, "theta_A": 0.804967313946193},
+              "postselection": {"theta_B": 3.4271459294034337, "b": 1.6670586017987565,
+                                "epsilon": 1.0154610731472313},
+              "sampling": {"n_samples": 2000, "seed": 742704959}},
+             "the oracle overflows: a conditional mean is out of float range"),
+            # the merge's outer product of the chunk means overflows
+            ({"particle": {"mu_q": 7.808012688253456e-57, "mu_p": -2.332830286873745,
+                           "sigma": 1.3807937172961038},
+              "device": {"delta_Q": 0.538571819848714, "mu_P": -4.622894133223559e162,
+                         "omega": 2.625911748901031},
+              "coupling": {"g": 1.1949359192329276, "theta_A": 4.153382727236075},
+              "postselection": {"theta_B": 1e-9, "b": 7.526853615144862e-60,
+                                "epsilon": 1.1492017626425681e179},
+              "sampling": {"n_samples": 2000, "seed": 74842596}},
+             "the sampled moments overflow: a sum of the draws or of their squares is out of range"),
+        ],
+        ids=["moments", "oracle", "merge"],
+    )
+    def test_sampled_moments_and_oracles_that_overflow_are_named(
+        self, tmp_path, capsys, sections, message
+    ):
+        # each wrote a non-finite cell or warned, as _evolved's own overflow does not
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", write_config(tmp_path, base_config(**sections))]
+        assert main([*argv, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: OverflowError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            # a degenerate joint covariance
+            {"particle": {"sigma": 2.46e15}, "device": {"omega": -1.41e54},
+             "coupling": {"g": -1.92, "theta_A": 0.3}, "postselection": {"theta_B": 1.0}},
+            # an automatic +-5 std box narrower than an ulp of its centre
+            {"particle": {"mu_p": 1e20}},
+        ],
+        ids=["degenerate", "automatic-box"],
+    )
+    def test_histogram_failure_at_run_time_exits_1(self, tmp_path, capsys, sections):
+        # exit 2 is for the bins and ranges that the config gives
+        out = tmp_path / "o"
+        argv = ["histogram", "--config", write_config(tmp_path, base_config(**sections))]
+        assert main([*argv, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["weakvalue", "sweep"])
     def test_closed_form_that_underflows_is_named(self, tmp_path, capsys, command):

@@ -1,0 +1,153 @@
+"""The accepted-domain property: `weakvalue`, `simulate` and `histogram`, run
+through `cli.main` on configs drawn over every field the schema reads, each
+end in exactly one of these ways, with no traceback and no RuntimeWarning:
+
+- exit 0, with every printed number and CSV cell finite, except the
+  regime's documented `bound=inf`;
+- exit 1, with one `error:` line and no --out, or `simulate`'s
+  `insufficient_acceptance` row, whose estimates are nan;
+- exit 2, with one `config error:` line and no --out, only for a config that
+  the schema rejects.
+
+The configs are drawn by one strategy per `CONFIG_FIELDS` reader, so they
+follow the schema's fields. The example budget is the active hypothesis
+profile's: hypothesis's default in tier-1, ten times that under the `ci`
+profile of tests/conftest.py.
+"""
+
+import contextlib
+import io
+import json
+import math
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from erlweak.cli import (
+    CONFIG_FIELDS,
+    ConfigError,
+    _angle,
+    _integer,
+    _number,
+    _window,
+    main,
+    parse_experiment,
+)
+
+PI = math.pi
+N_SAMPLES = 2000
+POSITIVE = ("sigma", "delta_Q")  # the schema rejects the other sign, so draw these positive
+
+wide = st.tuples(st.floats(-200.0, 200.0), st.sampled_from((1.0, -1.0))).map(
+    lambda t: t[1] * 10.0 ** t[0]
+)
+# log-uniform in 1e+-200 on 3 draws in 10, O(1) otherwise
+numbers = st.integers(0, 9).flatmap(lambda k: wide if k < 3 else st.floats(-10.0, 10.0))
+READERS = {
+    _number: numbers,
+    _angle: st.sampled_from((0.0, PI / 2, PI, 1e-9)) | st.floats(0.0, 2.0 * PI),
+    _window: st.none() | numbers.map(abs).filter(lambda x: x > 0.0),
+    _integer: st.integers(0, 2**64 - 1),
+}
+
+
+@st.composite
+def documents(draw):
+    doc = {}
+    for section, key, read in CONFIG_FIELDS:
+        value = N_SAMPLES if key == "n_samples" else draw(READERS[read])
+        doc.setdefault(section, {})[key] = abs(value) if key in POSITIVE else value
+    return doc
+
+
+def config(**fields):
+    """The README config at n = N_SAMPLES, with `fields` replaced."""
+    values = {
+        "mu_q": 0.0, "mu_p": 0.0, "sigma": 1.0, "delta_Q": 1.0, "mu_P": 0.0, "omega": 0.0,
+        "g": 0.1, "theta_A": 0.0, "theta_B": PI / 2, "b": 1.0, "epsilon": None,
+        "n_samples": N_SAMPLES, "seed": 42, **fields,
+    }
+    doc = {}
+    for section, key, _ in CONFIG_FIELDS:
+        doc.setdefault(section, {})[key] = values[key]
+    return doc
+
+
+def _finite_cells(line: str) -> bool:
+    return all(math.isfinite(float(cell)) for cell in line.split(",") if cell)
+
+
+@pytest.mark.parametrize("command", ["weakvalue", "simulate", "histogram"])
+@settings(derandomize=True, deadline=None)
+@given(doc=documents())
+# the A check's false alarm: |P| ~ 1e72 against |A| ~ 1
+@example(doc=config(sigma=2.504e-6, delta_Q=7.88e-74, omega=0.835, mu_P=2.52, g=0.0107,
+                    theta_A=PI / 2, theta_B=PI, b=2.44, seed=1))
+# a degenerate joint covariance, and an automatic box narrower than an ulp of its centre
+@example(doc=config(sigma=2.46e15, omega=-1.41e54, g=-1.92, theta_A=0.3, theta_B=1.0))
+@example(doc=config(mu_p=1e20))
+# sampled moments and oracles that overflow
+@example(doc=config(sigma=2.10, delta_Q=1.6e153, g=0.0, theta_A=PI / 2, theta_B=-3.79, b=0.0,
+                    seed=25))
+@example(doc=config(
+    mu_q=2.0427837793130598e31, mu_p=-1.4675462301333038, sigma=1.2891231823151736,
+    delta_Q=1.0840198350845482e148, mu_P=-8.577717388899806e45, omega=-0.9916264338296173,
+    g=3.4261826345304717e132, theta_A=0.804967313946193, theta_B=3.4271459294034337,
+    b=1.6670586017987565, epsilon=1.0154610731472313, seed=742704959,
+))
+@example(doc=config(
+    mu_q=7.808012688253456e-57, mu_p=-2.332830286873745, sigma=1.3807937172961038,
+    delta_Q=0.538571819848714, mu_P=-4.622894133223559e162, omega=2.625911748901031,
+    g=1.1949359192329276, theta_A=4.153382727236075, theta_B=1e-9,
+    b=7.526853615144862e-60, epsilon=1.1492017626425681e179, seed=74842596,
+))
+# a closed form that overflows by multiplication
+@example(doc=config(delta_Q=1e-150, b=1e20))
+def test_every_accepted_config_ends_in_a_documented_way(command, doc):
+    try:
+        parse_experiment(doc)
+        rejected = False
+    except ConfigError:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(path)]
+        if command != "weakvalue":
+            argv += ["--out", str(out), "--quiet"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        printed, errors = stdout.getvalue(), stderr.getvalue().splitlines()
+        csv = out / f"{command}.csv"
+        rows = csv.read_text().splitlines()[1:] if csv.exists() else []
+
+        assert (code == 2) == rejected, (code, errors)
+        if code == 0:
+            assert errors == []
+            values = dict(re.findall(r"(\w+)=(\S+)", printed))
+            values.pop("classification", None)
+            values.pop("bound", None)  # inf where the regime has no bound
+            assert all(math.isfinite(float(x)) for x in values.values()), printed
+            if command == "weakvalue":
+                assert len(values) == 5, printed
+            else:
+                assert rows and all(map(_finite_cells, rows)), rows[:3]
+        elif code == 1 and command == "simulate" and out.exists():
+            # too few draws in the window: the row is written, with nan estimates
+            assert errors == [] and len(rows) == 1
+            cells = rows[0].split(",")
+            assert cells[-1] == "insufficient_acceptance" and cells[6] == "0"
+            assert _finite_cells(",".join(cells[:7] + cells[13:-1])), rows
+        else:
+            assert code in (1, 2)
+            prefix = "error: " if code == 1 else "config error: "
+            assert len(errors) == 1 and errors[0].startswith(prefix), errors
+            assert not out.exists()

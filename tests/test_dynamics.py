@@ -95,13 +95,23 @@ def _symplectic_in_exact_arithmetic(m: np.ndarray) -> bool:
         np.full((4, 4), 1e300),
         coupling_map(1e200, Quadrature(0.7)).matrix,
         coupling_map(1e300, Quadrature(2.0)).matrix,
+        np.diag([1e200, 2e-200, 1.0, 1.0]),
+        np.diag([1e300, 2e-300, 1.0, 1.0]),
+        np.diag([1e307, 2e-307, 1.0, 1.0]),
+        np.diag([1e200, 1e-200, 1.0, 1.0]),
     ],
-    ids=["1e155", "1e300", "1e200-q", "1e200-qp", "1e308", "full-1e300", "coupling-1e200", "coupling-1e300"],
+    ids=[
+        "1e155", "1e300", "1e200-q", "1e200-qp", "1e308", "full-1e300", "coupling-1e200",
+        "coupling-1e300", "1e200-2e-200", "1e300-2e-300", "1e307-2e-307", "1e200-1e-200",
+    ],
 )
 def test_public_check_of_large_entries_is_its_tolerance(matrix):
     # max(1, max|M|)^2 overflowed in Python floats above about 1.34e154, so
-    # these raised OverflowError; the verdict is now the tolerance's own,
-    # with no numpy RuntimeWarning (pytest turns those into errors)
+    # the first eight raised OverflowError. Dividing M by its largest entry
+    # then underflowed the small entry of the 2e-200, 2e-300 and 2e-307
+    # diagonals, and M^T J M - J = 1 at entry (0, 1) went unseen; each column
+    # is now scaled by its own power of two. The verdict is the tolerance's
+    # own, with no numpy RuntimeWarning (pytest turns those into errors)
     if _symplectic_in_exact_arithmetic(matrix):
         assert SymplecticMap(matrix).matrix.tobytes() == matrix.tobytes()
     else:

@@ -387,6 +387,29 @@ class TestRunWeakExperiment:
         orders = [math.log2(b1 / b2) for b1, b2 in zip(biases, biases[1:])]
         assert min(orders) > 1.8
 
+    def test_coupling_that_moves_A_raises(self, monkeypatch):
+        # the coupling followed by the shear q <- q + 1e-9 p is symplectic and
+        # moves A = q by 1e-9 p, far above the rounding of the terms of A
+        shear = np.eye(4)
+        shear[0, 1] = 1e-9
+        monkeypatch.setattr(
+            montecarlo,
+            "coupling_map",
+            lambda g, theta_A: SymplecticMap(shear @ coupling_map(g, theta_A).matrix),
+        )
+        with pytest.raises(AssertionError, match="^repeatability violated: A or P changed"):
+            run_weak_experiment(dataclasses.replace(BASE, n_samples=10_000))
+
+    def test_A_check_is_scaled_by_the_terms_that_cancel(self):
+        # |P| is about 1e72 and |A| about 1: g sin(theta_A) P cancels in A(x')
+        # with a rounding near 1e56, which a bound of 1e-12 max(1, |A|) took
+        # for a change of A
+        config = ExperimentConfig(
+            0.0, 0.0, 2.504e-6, 7.88e-74, 2.52, 0.835, 0.0107,
+            Quadrature(HALF_PI), Quadrature(math.pi), 2.44, None, 2000, 1,
+        )
+        assert run_weak_experiment(config).n_accepted >= 2
+
     def test_insufficient_acceptance(self):
         config = dataclasses.replace(BASE, b=40.0, epsilon=0.01, n_samples=1_000)
         with pytest.raises(InsufficientAcceptanceError) as excinfo:

@@ -29,6 +29,12 @@ def coupling_map_moving_P(g, theta_A):
     return SymplecticMap(dynamics.coupling_map(g, theta_A).matrix @ shear)
 
 
+def coupling_map_with_shear(g, theta_A):
+    shear = np.eye(4)
+    shear[0, 1] = 1e-9  # q' = q + 1e-9 p: symplectic, moves A
+    return SymplecticMap(shear @ dynamics.coupling_map(g, theta_A).matrix)
+
+
 def closed_form_nan_at_one_tuple(*args, mu_P=0.0):
     mean_Q, mean_P = analytic.postselected_means_gaussian(*args, mu_P=mu_P)
     sigma, _, omega, g, theta_A, theta_B, b = args[2:]
@@ -67,6 +73,7 @@ def apply_to_points_nan_at_one_point(smap, pts):
         ("postselected_means_gaussian", closed_form_without_mu_P, "run_oracle_equivalence"),
         ("first_order_shifts", perturbed_first_order_shifts, "run_weak_coupling_order"),
         ("coupling_map", coupling_map_moving_P, "run_repeatability"),
+        ("coupling_map", coupling_map_with_shear, "run_repeatability"),
         ("postselected_means_gaussian", closed_form_nan_at_one_tuple, "run_oracle_equivalence"),
         ("first_order_shifts", first_order_shifts_nan_at_one_g, "run_weak_coupling_order"),
         ("apply_to_points", apply_to_points_nan_at_one_point, "run_repeatability"),
