@@ -22,8 +22,10 @@ from .dynamics import (
     coupling_map,
 )
 from .montecarlo import (
+    EmptyWindowError,
     ExperimentConfig,
     InsufficientAcceptanceError,
+    LostPrecisionError,
     PostselectedEstimate,
     acceptance_probability,
     exact_strong_correlation,

@@ -138,6 +138,11 @@ def postselected_means_discrete(
     return float(mean_Q.real), float(mean_P.real)
 
 
+def _delta_P(delta_Q: float, omega: float) -> float:
+    """Momentum spread sqrt(1 + omega^2) / (2 delta_Q) of the pure device."""
+    return math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+
+
 def postselected_means_gaussian(
     mu_q: float,
     mu_p: float,
@@ -165,12 +170,22 @@ def postselected_means_gaussian(
     if delta_Q <= 0:
         raise ValueError("delta_Q must be positive")
     angles = _angles(theta_A, theta_B)
+    bound = _gaussian_bound(sigma, *angles[2:])
+    return _postselected_means(
+        mu_q, mu_p, sigma, omega, g, b, mu_P, angles, _delta_P(delta_Q, omega), bound
+    )
+
+
+def _postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, delta_P, bound):
+    """The arithmetic of `postselected_means_gaussian` after its scalar
+    factors: the `_angles`, delta_P and the `_gaussian_bound`. Operators
+    only, so it runs on floats or on numpy arrays that broadcast against
+    each other, with the same bits per element."""
     ca, sa, cb, sb, sd = angles
     mu_q = mu_q + g * mu_P * sa
     mu_p = mu_p - g * mu_P * ca
     re, im = _weak_value(mu_q, mu_p, sigma, b, angles)
-    delta_P = math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
-    r = g**2 * delta_P**2 / _gaussian_bound(sigma, cb, sb, sd)
+    r = g**2 * delta_P**2 / bound
     mean_Q = g * (re + omega * im + r * (mu_q * ca + mu_p * sa)) / (1.0 + r)
     return mean_Q, mu_P + 2.0 * g * delta_P**2 * im / (1.0 + r)
 
@@ -184,28 +199,34 @@ def first_order_shifts(
     return q_shift, p_shift
 
 
-def _regression(state: GaussianState, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """(mu_B, gain) of a Gaussian x on B = v.x: the mean of B and the gain
-    cov v / (v.cov.v), so that E[x | B = b'] = mean + gain (b' - mu_B). The
-    one Gaussian regression, which both oracles and `gaussian_condition`
-    read. Several b' at once are mean + np.multiply.outer(bs - mu_B, gain),
-    the same bits row by row."""
-    s = float(v @ state.cov @ v)
-    if s <= 0.0:
+def _regression(mean: np.ndarray, cov: np.ndarray, v: np.ndarray):
+    """(mu_B, var_B, gain) of a Gaussian x with moments (mean, cov) on
+    B = v.x: the mean and variance of B and the gain cov v / var_B, so that
+    E[x | B = b'] = mean + gain (b' - mu_B). The one Gaussian regression,
+    which both oracles, `gaussian_condition` and `verify` read. It takes
+    stacks too: mean (..., n), cov (..., n, n) and v (..., n) broadcast
+    against each other. Each item has the bits of the 1-d products
+    v @ cov @ v, v @ mean and cov @ v / var_B, as numpy runs a matmul with a
+    unit-length axis on the kernel of the 1-d one. mu_B and var_B come out
+    as arrays, 0-d for one state. Raises SingularConditioningError where a
+    var_B is not positive."""
+    row, col = v[..., None, :], v[..., None]
+    var_B = row @ cov @ col
+    if any(s <= 0.0 for s in var_B.ravel().tolist()):  # cheaper than a numpy reduction
         raise SingularConditioningError("constraint direction has zero variance")
-    return float(v @ state.mean), state.cov @ v / s
+    return (row @ mean[..., None])[..., 0, 0], var_B[..., 0, 0], (cov @ col / var_B)[..., 0]
 
 
 def _read_means(
-    state: GaussianState, regression: tuple[float, np.ndarray], theta_A: Quadrature, b: float
+    state: GaussianState, mu_B: float, gain: np.ndarray, readout: np.ndarray, b: float
 ) -> tuple[float, float, float]:
     """Device means (Q, P) and the particle's mean of A at B = b, read off
-    the `_regression` of the two-mode `state` on B. Raises OverflowError
-    where one of them is not finite."""
-    mu_B, gain = regression
+    the `_regression` (mu_B, gain) of the two-mode `state` on B; `readout`
+    is the vector of A. Raises OverflowError where one of them is not
+    finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mean = state.mean + gain * (b - mu_B)
-        means = float(mean[2]), float(mean[3]), float(quadrature_vector(2, 0, theta_A) @ mean)
+        means = float(mean[2]), float(mean[3]), float(readout @ mean)
     if not all(map(math.isfinite, means)):
         raise OverflowError("the oracle overflows: a conditional mean is out of float range")
     return means
@@ -222,7 +243,7 @@ def gaussian_condition(
         cov' = cov - cov v v^T cov / (v.cov.v)
     """
     v = quadrature_vector(joint.n_modes, mode, constraint)
-    mu_B, gain = _regression(joint, v)
+    mu_B, _, gain = _regression(joint.mean, joint.cov, v)
     cov = joint.cov - np.outer(gain, v @ joint.cov)
     return GaussianState._derived(joint.mean + gain * (b - mu_B), 0.5 * (cov + cov.T))
 
@@ -236,5 +257,7 @@ def oracle_postselected_means(
     This is the first-principles route; the printed closed forms are
     validated against it.
     """
-    regression = _regression(joint_evolved, quadrature_vector(2, 0, theta_B))
-    return _read_means(joint_evolved, regression, theta_A, b)
+    mu_B, _, gain = _regression(
+        joint_evolved.mean, joint_evolved.cov, quadrature_vector(2, 0, theta_B)
+    )
+    return _read_means(joint_evolved, mu_B, gain, quadrature_vector(2, 0, theta_A), b)

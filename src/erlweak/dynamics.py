@@ -87,9 +87,17 @@ def apply_to_state(smap: SymplecticMap, joint: GaussianState) -> GaussianState:
     """Push a two-mode Gaussian through the map: mean -> M mean, cov -> M cov M^T."""
     if joint.n_modes != 2:
         raise ValueError(f"expected a 2-mode joint state, got {joint.n_modes} modes")
-    m = smap.matrix
-    cov = m @ joint.cov @ m.T
-    return GaussianState._derived(m @ joint.mean, 0.5 * (cov + cov.T))
+    return GaussianState._derived(*_push_moments(smap.matrix, joint.mean, joint.cov))
+
+
+def _push_moments(m: np.ndarray, mean: np.ndarray, cov: np.ndarray):
+    """(M mean, M cov M^T symmetrised) of a Gaussian's moments under a map
+    M: the one evolution of moments, which `apply_to_state` and `verify`
+    read. It takes stacks too: m (..., 4, 4), mean (..., 4) and cov (..., 4,
+    4) broadcast against each other, and each item has the bits of its own
+    call (M @ mean runs as M @ mean[:, None], the same matrix-vector kernel)."""
+    cov = m @ cov @ m.swapaxes(-1, -2)
+    return (m @ mean[..., None])[..., 0], 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def apply_to_points(

@@ -39,12 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import _read_means, _regression
+from .analytic import SingularConditioningError, _delta_P, _read_means, _regression
 from .dynamics import SYMPLECTIC_TOL, SymplecticMap, _invariance_deviation
 from .dynamics import apply_to_points, apply_to_state, coupling_map
 from .states import (
     GaussianState,
     Quadrature,
+    _finite,
     make_particle,
     make_pure_device,
     quadrature_moments,
@@ -86,14 +87,35 @@ class InsufficientAcceptanceError(RuntimeError):
         self.acceptance_rate = acceptance_rate
 
 
+class EmptyWindowError(InsufficientAcceptanceError):
+    """The postselection window is empty in double precision, so it has no
+    exact acceptance or windowed oracle, whatever the sampler accepted."""
+
+    def __init__(self):
+        RuntimeError.__init__(
+            self,
+            "the postselection window |B - b| <= epsilon is empty in double precision: "
+            "its ends round to one value in std of B, so it has no windowed oracle",
+        )
+        self.acceptance_rate = 0.0
+
+
+class LostPrecisionError(ArithmeticError):
+    """The coupled state lost its precision: the variance of B, positive in
+    exact arithmetic, cancels to a number that is not."""
+
+
 class _Coupled(NamedTuple):
-    """The coupled state of a config: the evolved joint state, the mean and
-    variance of B under it, the joint state before the coupling, and the
+    """The coupled state of a config: the evolved joint state, its
+    `_regression` on B (the mean and variance of B, and the gain), the
+    read-out vector of A, the joint state before the coupling, and the
     coupling map."""
 
     evolved: GaussianState
     mu_B: float
     var_B: float
+    gain: np.ndarray
+    readout_A: np.ndarray
     joint: GaussianState
     smap: SymplecticMap
 
@@ -142,28 +164,35 @@ class ExperimentConfig:
     @functools.cached_property
     def _evolved(self) -> _Coupled:
         """The `_Coupled` state, built and checked once: the one coupled
-        state that every route, oracle or sampler, reads. Raises
+        state that every route, oracle or sampler, reads, with its one
+        regression on B and the one read-out vector of A and of B. Raises
         OverflowError where a finite config overflows or underflows any of
-        them, or the particle and device states they are made of."""
+        them, or the particle and device states they are made of, and
+        LostPrecisionError where the variance of B, positive in exact
+        arithmetic, rounds to a number that is not (-inf included): the
+        evolved covariance is then not positive semidefinite."""
         try:  # Python-float powers of the checked fields, and the factories' finite check
             joint = self.joint()
         except (ArithmeticError, ValueError) as exc:
             raise OverflowError(_OVERFLOW) from exc
         smap = coupling_map(self.g, self.theta_A)
+        readout_B = quadrature_vector(2, 0, self.theta_B)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             evolved = apply_to_state(smap, joint)
-            moments = quadrature_moments(evolved, 0, self.theta_B)
-        values = [*evolved.mean.tolist(), *evolved.cov.ravel().tolist(), *moments]
-        if not all(map(math.isfinite, values)):
+            if not (_finite(evolved.mean) and _finite(evolved.cov)):
+                raise OverflowError(_OVERFLOW)
+            try:
+                mu_B, var_B, gain = _regression(evolved.mean, evolved.cov, readout_B)
+            except SingularConditioningError as exc:
+                raise LostPrecisionError(
+                    "the coupled state lost its precision: the variance of B, "
+                    "positive in exact arithmetic, cancels to a number that is not"
+                ) from exc
+        mu_B, var_B = float(mu_B), float(var_B)
+        if not (math.isfinite(mu_B) and math.isfinite(var_B)):
             raise OverflowError(_OVERFLOW)
-        return _Coupled(evolved, *moments, joint, smap)
-
-    @functools.cached_property
-    def _on_B(self) -> tuple[float, np.ndarray]:
-        """The `_regression` (mu_B, gain) of the evolved state on B, which
-        both oracles read. Raises SingularConditioningError where the
-        variance of B is not positive; such a config still samples."""
-        return _regression(self._evolved.evolved, quadrature_vector(2, 0, self.theta_B))
+        readout_A = quadrature_vector(2, 0, self.theta_A)
+        return _Coupled(evolved, mu_B, var_B, gain, readout_A, joint, smap)
 
     @functools.cached_property
     def _window(self) -> tuple[float, float]:
@@ -182,7 +211,7 @@ class ExperimentConfig:
     @property
     def delta_P(self) -> float:
         """Momentum spread of the pure device: sqrt(1 + omega^2) / (2 delta_Q)."""
-        return math.sqrt(1.0 + self.omega**2) / (2.0 * self.delta_Q)
+        return _delta_P(self.delta_Q, self.omega)
 
     def __getstate__(self):
         # the coupled state, regression and window are caches: pickles carry only the fields
@@ -475,7 +504,8 @@ def oracle_estimate(config: ExperimentConfig) -> tuple[float, float, float]:
     """Point-conditioned (epsilon -> 0) oracle values (Q, P, A) for a config,
     read off the config's one regression of the evolved joint on B: the
     bits of `oracle_postselected_means`."""
-    return _read_means(config._evolved.evolved, config._on_B, config.theta_A, config.b)
+    coupled = config._evolved
+    return _read_means(coupled.evolved, coupled.mu_B, coupled.gain, coupled.readout_A, config.b)
 
 
 def _pdf(x: float) -> float:
@@ -543,13 +573,13 @@ def windowed_oracle(config: ExperimentConfig) -> tuple[float, float, float]:
     E[X | window] = E[X | B = E[B | window]]: the point oracle at the
     truncated-normal mean of B. This is the true expectation of the Monte
     Carlo estimator and quantifies the O(epsilon^2) window bias exactly.
-    Finite however far into the tail the window lies; raises only for a
-    window that is empty in double precision.
+    Finite however far into the tail the window lies; raises
+    EmptyWindowError only for a window that is empty in double precision.
     """
-    prob, mean_B = config._window
+    mean_B, coupled = config._window[1], config._evolved
     if not math.isfinite(mean_B):
-        raise InsufficientAcceptanceError(prob)
-    return _read_means(config._evolved.evolved, config._on_B, config.theta_A, mean_B)
+        raise EmptyWindowError()
+    return _read_means(coupled.evolved, coupled.mu_B, coupled.gain, coupled.readout_A, mean_B)
 
 
 def acceptance_probability(config: ExperimentConfig) -> float:

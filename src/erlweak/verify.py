@@ -5,7 +5,12 @@ the same functions.
 - oracle equivalence (criterion 1): the printed closed-form device means
   against exact Gaussian conditioning of the evolved joint state, on the
   1944-tuple product of the axes below (every argument of the closed form
-  but the particle mean, with mu_P = 0 and mu_P != 0);
+  but the particle mean, with mu_P = 0 and mu_P != 0). The grid is evolved,
+  regressed and compared in one stacked pass: the closed form's arithmetic
+  runs once on arrays that broadcast over the grid, and the 18 joint states
+  are evolved under the 12 coupling maps and regressed on the 3 theta_B as
+  stacks, by the library's own helpers, so each tuple has the bits of its
+  scalar calls;
 - weak-coupling order (criterion 2): the residuals against the first-order
   shifts shrink at least as g^2.5 as g is halved;
 - delta_P limit (criterion 3): as delta_P is halved, <Q>_b -> g Re[A_W] and
@@ -36,13 +41,17 @@ import math
 import numpy as np
 
 from .analytic import (
+    _angles,
+    _delta_P,
+    _postselected_means,
     _regression,
     first_order_shifts,
     postselected_means_gaussian,
     weak_value_gaussian,
 )
-from .dynamics import SYMPLECTIC_TOL, _invariance_deviation, _symplectic_deviation
-from .dynamics import apply_to_points, apply_to_state, coupling_map
+from .bounds import _gaussian_bound
+from .dynamics import SYMPLECTIC_TOL, _invariance_deviation, _push_moments, _symplectic_deviation
+from .dynamics import coupling_map
 from .states import (
     Quadrature,
     make_particle,
@@ -94,33 +103,60 @@ class SuiteResult:
         return self.max_deviation <= self.tolerance
 
 
-def run_oracle_equivalence() -> SuiteResult:
-    """Closed-form postselected means vs first-principles Gaussian conditioning.
-    Each joint state is built once per (sigma, delta_Q, omega, mu_P), evolved
-    once per (g, theta_A) and regressed once per theta_B; the conditioned
-    means at every b are read off that one regression."""
+def _grid_closed_forms() -> np.ndarray:
+    """The closed-form means (Q, P) of every tuple of the oracle grid, in the
+    order of the product of SPREADS, OMEGAS, DEVICE_MEAN_MOMENTA, COUPLINGS,
+    THETA_AS, THETA_BS and POSTSELECTIONS: the scalar factors of
+    `postselected_means_gaussian` taken once per distinct value, then its
+    arithmetic once, on arrays that broadcast over the grid."""
+    axes = (SPREADS, OMEGAS, DEVICE_MEAN_MOMENTA, COUPLINGS, THETA_AS, THETA_BS, POSTSELECTIONS)
+    # index arrays of spread, omega, mu_P, g, theta_A, theta_B and b, each along its own axis
+    i_s, i_w, i_m, i_g, i_a, i_t, i_b = np.ix_(*(range(len(axis)) for axis in axes))
+    angles = [[_angles(Quadrature(x), Quadrature(y)) for y in THETA_BS] for x in THETA_AS]
+    delta_P = [[_delta_P(delta_Q, omega) for omega in OMEGAS] for _, delta_Q in SPREADS]
+    bound = [[[_gaussian_bound(s, *ab[2:]) for ab in row] for row in angles] for s, _ in SPREADS]
+    means = _postselected_means(
+        *PARTICLE_MEAN,
+        np.array(SPREADS)[i_s, 0],
+        np.array(OMEGAS)[i_w],
+        np.array(COUPLINGS)[i_g],
+        np.array(POSTSELECTIONS)[i_b],
+        np.array(DEVICE_MEAN_MOMENTA)[i_m],
+        np.moveaxis(np.array(angles), -1, 0)[:, i_a, i_t],
+        np.array(delta_P)[i_s, i_w],
+        np.array(bound)[i_s, i_a, i_t],
+    )
+    return np.stack(means, axis=-1).reshape(-1, 2)
+
+
+def _grid_conditional_means() -> np.ndarray:
+    """E[(q, p, Q, P) | B = b] of the evolved joint state at every tuple of
+    the oracle grid, in the order of `_grid_closed_forms`: the 18 joint
+    states evolved under the 12 coupling maps and regressed on the 3
+    theta_B as stacks, every b read off each regression."""
     mu_q, mu_p = PARTICLE_MEAN
-    theta_Bs = [Quadrature(theta) for theta in THETA_BS]
-    readouts = [quadrature_vector(2, 0, theta_B) for theta_B in theta_Bs]
-    bs = np.array(POSTSELECTIONS)
-    closed, oracle = [], []
-    for (sigma, delta_Q), omega, mu_P in itertools.product(SPREADS, OMEGAS, DEVICE_MEAN_MOMENTA):
-        joint = tensor(make_particle(mu_q, mu_p, sigma), make_pure_device(delta_Q, mu_P, omega))
-        for g, theta in itertools.product(COUPLINGS, THETA_AS):
-            theta_A = Quadrature(theta)
-            evolved = apply_to_state(coupling_map(g, theta_A), joint)
-            for theta_B, v in zip(theta_Bs, readouts):
-                mu_B, gain = _regression(evolved, v)
-                oracle.append(evolved.mean + np.multiply.outer(bs - mu_B, gain))  # a row per b
-                for b in POSTSELECTIONS:
-                    closed.append(
-                        postselected_means_gaussian(
-                            mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
-                        )
-                    )
-    x, y = np.array(closed), np.concatenate(oracle)[:, 2:]
+    joints = [
+        tensor(make_particle(mu_q, mu_p, sigma), make_pure_device(delta_Q, mu_P, omega))
+        for (sigma, delta_Q), omega, mu_P in itertools.product(SPREADS, OMEGAS, DEVICE_MEAN_MOMENTA)
+    ]
+    maps = [coupling_map(g, Quadrature(t)).matrix for g, t in itertools.product(COUPLINGS, THETA_AS)]
+    mean, cov = _push_moments(
+        np.array(maps),
+        np.array([joint.mean for joint in joints])[:, None],
+        np.array([joint.cov for joint in joints])[:, None],
+    )
+    readouts = np.array([quadrature_vector(2, 0, Quadrature(t)) for t in THETA_BS])
+    mu_B, _, gain = _regression(mean[..., None, :], cov[..., None, :, :], readouts)
+    shift = np.array(POSTSELECTIONS) - mu_B[..., None]  # (joint, map, theta_B, b)
+    return (mean[..., None, None, :] + shift[..., None] * gain[..., None, :]).reshape(-1, 4)
+
+
+def run_oracle_equivalence() -> SuiteResult:
+    """Closed-form postselected means vs first-principles Gaussian
+    conditioning, each route one array pass over the grid."""
+    x, y = _grid_closed_forms(), _grid_conditional_means()[:, 2:]
     dev = np.abs(x - y) / np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-    return SuiteResult("oracle-equivalence", float(np.max(dev)), ORACLE_TOLERANCE, len(closed))
+    return SuiteResult("oracle-equivalence", float(np.max(dev)), ORACLE_TOLERANCE, len(x))
 
 
 def run_delta_p_limit() -> SuiteResult:
@@ -175,15 +211,15 @@ def run_weak_coupling_order() -> SuiteResult:
 def run_repeatability() -> SuiteResult:
     """Each coupling map on the grid is symplectic and leaves A and P of
     every lattice point unchanged, by the checks that `SymplecticMap` and
-    the sampler make: each angle's maps in one call of each."""
+    the sampler make: each angle's maps in one call of each, their images of
+    the lattice in one stacked product (the bits of `apply_to_points`)."""
     pts = np.array(list(itertools.product(LATTICE, repeat=4))).T  # (4, 625)
     devs = []
     for theta in MAP_ANGLES:
         quad = Quadrature(theta)
-        smaps = [coupling_map(g, quad) for g in MAP_COUPLINGS]
-        devs.append(_symplectic_deviation(np.array([smap.matrix for smap in smaps])))
-        evolved = np.array([apply_to_points(smap, pts) for smap in smaps])
-        devs.append(_invariance_deviation(quad, pts, evolved))
+        matrices = np.array([coupling_map(g, quad).matrix for g in MAP_COUPLINGS])
+        devs.append(_symplectic_deviation(matrices))
+        devs.append(_invariance_deviation(quad, pts, matrices @ pts))  # (16, 4, 625)
     n = len(MAP_COUPLINGS) * len(MAP_ANGLES) * (1 + pts.shape[1])
     return SuiteResult("repeatability-symplecticity", float(np.max(devs)), SYMPLECTIC_TOL, n)
 

@@ -15,6 +15,8 @@ import pytest
 from erlweak import montecarlo
 from erlweak.cli import CONFIG_FIELDS, config_echo, main, parse_experiment
 from erlweak.montecarlo import ExperimentConfig, acceptance_probability, oracle_estimate
+from erlweak.dynamics import apply_to_state, coupling_map
+from erlweak.states import quadrature_moments
 
 HALF_PI = math.pi / 2
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
@@ -571,6 +573,55 @@ class TestRuntimeErrors:
         argv = ["simulate", "--config", write_config(tmp_path, base_config(**sections))]
         assert main([*argv, "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: OverflowError: {message}\n"
+        assert not out.exists()
+
+    # Var(B) = v.cov.v cancels to -1.76e71: cos(pi/2) = 6e-17 weighs
+    # entries of the coupled covariance near 1e300 against Var(p') ~ 0.003
+    LOST_PRECISION = {
+        "particle": {"mu_q": -3.77e-168, "mu_p": 7.91, "sigma": 8.94},
+        "device": {"delta_Q": 5.54e90, "mu_P": 0.0, "omega": -7.17},
+        "coupling": {"g": -1.4141414e150, "theta_A": HALF_PI},
+        "postselection": {"theta_B": HALF_PI, "b": -2.30, "epsilon": None},
+        "sampling": {"n_samples": 2000, "seed": 1},
+    }
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--mc"], ["histogram"]])
+    def test_variance_of_B_that_cancels_below_zero_is_named(self, tmp_path, capsys, argv):
+        # the evolved covariance is not positive semidefinite in double
+        # precision, so every command that samples rejects it
+        doc = base_config(**self.LOST_PRECISION)
+        doc["sweep"] = {"b": [-2.30]}
+        config = parse_experiment(doc)
+        evolved = apply_to_state(coupling_map(config.g, config.theta_A), config.joint())
+        assert quadrature_moments(evolved, 0, config.theta_B)[1] < 0.0
+        out = tmp_path / "o"
+        assert main([*argv, "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: LostPrecisionError: the coupled state lost its precision: the variance of B, "
+            "positive in exact arithmetic, cancels to a number that is not\n"
+        )
+        assert not out.exists()
+
+    def test_window_that_is_empty_in_double_precision_is_named(self, tmp_path, capsys):
+        # every draw is accepted (B cancels two terms near 1e108 point by
+        # point), while the window lies 1.6e91 std of B from its mean and its
+        # ends round to one value there: no windowed oracle, and not a lack
+        # of acceptance
+        doc = base_config(
+            particle={"mu_q": 1.49e-25, "mu_p": 0.0, "sigma": 3.43},
+            device={"delta_Q": 9.67, "mu_P": -1.86e124, "omega": 3.42},
+            coupling={"g": 0.796, "theta_A": math.pi},
+            postselection={"theta_B": math.pi, "b": 7.29e-6, "epsilon": 0.5},
+            sampling={"n_samples": 2000, "seed": 2431564717},
+        )
+        assert montecarlo.run_weak_experiment(parse_experiment(doc)).n_accepted == 2000
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: the postselection window |B - b| <= epsilon is empty in double precision: "
+            "its ends round to one value in std of B, so it has no windowed oracle\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,18 +1,19 @@
-"""The accepted-domain property: `weakvalue`, `simulate` and `histogram`, run
-through `cli.main` on configs drawn over every field the schema reads, each
-end in exactly one of these ways, with no traceback and no RuntimeWarning:
+"""The accepted-domain property: `weakvalue`, `simulate`, `sweep` (closed
+forms only) and `histogram`, run through `cli.main` on configs drawn over
+every field the schema reads, each end in exactly one of these ways, with no
+traceback and no RuntimeWarning:
 
 - exit 0, with every printed number and CSV cell finite, except the
-  regime's documented `bound=inf`;
+  regime's documented `bound=inf` and `sweep`'s regime class;
 - exit 1, with one `error:` line and no --out, or `simulate`'s
   `insufficient_acceptance` row, whose estimates are nan;
 - exit 2, with one `config error:` line and no --out, only for a config that
   the schema rejects.
 
 The configs are drawn by one strategy per `CONFIG_FIELDS` reader, so they
-follow the schema's fields. The example budget is the active hypothesis
-profile's: hypothesis's default in tier-1, ten times that under the `ci`
-profile of tests/conftest.py.
+follow the schema's fields, plus one strategy for a sweep axis. The example
+budget is the active hypothesis profile's: hypothesis's default in tier-1,
+ten times that under the `ci` profile of tests/conftest.py.
 """
 
 import contextlib
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from erlweak.cli import (
     CONFIG_FIELDS,
+    SWEEP_KEYS,
     ConfigError,
     _angle,
     _integer,
@@ -42,18 +44,26 @@ from erlweak.cli import (
 PI = math.pi
 N_SAMPLES = 2000
 POSITIVE = ("sigma", "delta_Q")  # the schema rejects the other sign, so draw these positive
+SWEEP_SPREADS = ("delta_Q", "delta_P")  # the schema rejects a sweep spread that is not positive
 
 wide = st.tuples(st.floats(-200.0, 200.0), st.sampled_from((1.0, -1.0))).map(
     lambda t: t[1] * 10.0 ** t[0]
 )
 # log-uniform in 1e+-200 on 3 draws in 10, O(1) otherwise
 numbers = st.integers(0, 9).flatmap(lambda k: wide if k < 3 else st.floats(-10.0, 10.0))
+positive = numbers.map(abs).filter(lambda x: x > 0.0)
 READERS = {
     _number: numbers,
     _angle: st.sampled_from((0.0, PI / 2, PI, 1e-9)) | st.floats(0.0, 2.0 * PI),
-    _window: st.none() | numbers.map(abs).filter(lambda x: x > 0.0),
+    _window: st.none() | positive,
     _integer: st.integers(0, 2**64 - 1),
 }
+# one axis of SWEEP_KEYS, with one to three values that the schema accepts
+sweep_axes = st.sampled_from(SWEEP_KEYS).flatmap(
+    lambda key: st.lists(positive if key in SWEEP_SPREADS else numbers, min_size=1, max_size=3).map(
+        lambda values: {key: values}
+    )
+)
 
 
 @st.composite
@@ -62,11 +72,13 @@ def documents(draw):
     for section, key, read in CONFIG_FIELDS:
         value = N_SAMPLES if key == "n_samples" else draw(READERS[read])
         doc.setdefault(section, {})[key] = abs(value) if key in POSITIVE else value
+    doc["sweep"] = draw(sweep_axes)
     return doc
 
 
 def config(**fields):
-    """The README config at n = N_SAMPLES, with `fields` replaced."""
+    """The README config at n = N_SAMPLES, with `fields` replaced, and a
+    sweep axis that leaves it as it is."""
     values = {
         "mu_q": 0.0, "mu_p": 0.0, "sigma": 1.0, "delta_Q": 1.0, "mu_P": 0.0, "omega": 0.0,
         "g": 0.1, "theta_A": 0.0, "theta_B": PI / 2, "b": 1.0, "epsilon": None,
@@ -75,6 +87,7 @@ def config(**fields):
     doc = {}
     for section, key, _ in CONFIG_FIELDS:
         doc.setdefault(section, {})[key] = values[key]
+    doc["sweep"] = {"g": [values["g"]]}
     return doc
 
 
@@ -82,7 +95,7 @@ def _finite_cells(line: str) -> bool:
     return all(math.isfinite(float(cell)) for cell in line.split(",") if cell)
 
 
-@pytest.mark.parametrize("command", ["weakvalue", "simulate", "histogram"])
+@pytest.mark.parametrize("command", ["weakvalue", "simulate", "sweep", "histogram"])
 @settings(derandomize=True, deadline=None)
 @given(doc=documents())
 # the A check's false alarm: |P| ~ 1e72 against |A| ~ 1
@@ -108,6 +121,9 @@ def _finite_cells(line: str) -> bool:
 ))
 # a closed form that overflows by multiplication
 @example(doc=config(delta_Q=1e-150, b=1e20))
+# a variance of B that cancels to -1.76e71
+@example(doc=config(mu_q=-3.77e-168, mu_p=7.91, sigma=8.94, delta_Q=5.54e90, omega=-7.17,
+                    g=-1.4141414e150, theta_A=PI / 2, theta_B=PI / 2, b=-2.30, seed=1))
 def test_every_accepted_config_ends_in_a_documented_way(command, doc):
     try:
         parse_experiment(doc)
@@ -139,7 +155,8 @@ def test_every_accepted_config_ends_in_a_documented_way(command, doc):
             if command == "weakvalue":
                 assert len(values) == 5, printed
             else:
-                assert rows and all(map(_finite_cells, rows)), rows[:3]
+                cells = [row.rsplit(",", 1)[0] if command == "sweep" else row for row in rows]
+                assert rows and all(map(_finite_cells, cells)), rows[:3]
         elif code == 1 and command == "simulate" and out.exists():
             # too few draws in the window: the row is written, with nan estimates
             assert errors == [] and len(rows) == 1

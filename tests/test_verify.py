@@ -1,21 +1,23 @@
 """Negative controls for the verify suites: each suite fails when one of its
 ingredients is wrong, or returns NaN at a single check, and `erlweak verify`
-then reports the failure. The oracle suite, which reads every b off one
-regression per (evolved state, theta_B), also equals its per-tuple
-reference bit for bit."""
+then reports the failure. The oracle suite, which runs each route as one
+array pass over its grid and reads every b off one regression per (evolved
+state, theta_B), equals its per-tuple reference bit for bit, and so does
+each of its two array passes."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from erlweak import SymplecticMap, analytic, dynamics, states, verify
+from erlweak import SymplecticMap, analytic, bounds, dynamics, states, verify
 from erlweak.cli import main
 
 
-def closed_form_without_mu_P(*args, mu_P=0.0):
-    return analytic.postselected_means_gaussian(*args)
+def closed_form_without_mu_P(mu_q, mu_p, sigma, omega, g, b, mu_P, *factors):
+    return analytic._postselected_means(mu_q, mu_p, sigma, omega, g, b, 0.0 * mu_P, *factors)
 
 
 def perturbed_first_order_shifts(weak_value, g, delta_P, omega):
@@ -35,14 +37,11 @@ def coupling_map_with_shear(g, theta_A):
     return SymplecticMap(shear @ dynamics.coupling_map(g, theta_A).matrix)
 
 
-def closed_form_nan_at_one_tuple(*args, mu_P=0.0):
-    mean_Q, mean_P = analytic.postselected_means_gaussian(*args, mu_P=mu_P)
-    sigma, _, omega, g, theta_A, theta_B, b = args[2:]
-    if (sigma, omega, g, theta_A.theta, theta_B.theta, b, mu_P) == (
-        2.0, 1.0, 0.5, 0.0, verify.PI / 2, 0.0, 0.6
-    ):
-        return math.nan, mean_P
-    return mean_Q, mean_P
+def closed_form_nan_at_one_tuple(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, *factors):
+    mean_Q, mean_P = analytic._postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, *factors)
+    ca, sa, cb, sb, sd = angles  # theta_A = 0 and theta_B = pi / 2 below
+    at = (sigma == 2.0) & (omega == 1.0) & (g == 0.5) & (sa == 0.0) & (sb == 1.0) & (b == 0.0)
+    return np.where(at & (mu_P == 0.6), math.nan, mean_Q), mean_P
 
 
 def first_order_shifts_nan_at_one_g(weak_value, g, delta_P, omega):
@@ -50,33 +49,33 @@ def first_order_shifts_nan_at_one_g(weak_value, g, delta_P, omega):
     return q_shift, math.nan if g == 0.05 else p_shift
 
 
-def regression_with_scaled_gain(state, v):
-    mu_B, gain = analytic._regression(state, v)
-    return mu_B, gain * (1.0 + 1e-6)
+def regression_with_scaled_gain(mean, cov, v):
+    mu_B, var_B, gain = analytic._regression(mean, cov, v)
+    return mu_B, var_B, gain * (1.0 + 1e-6)
 
 
-def regression_nan_at_one_theta_B(state, v):
-    mu_B, gain = analytic._regression(state, v)
-    at_half_pi = np.array_equal(v[:2], states.Quadrature(verify.PI / 2).vector)
-    return (math.nan if at_half_pi else mu_B), gain
+def regression_nan_at_one_theta_B(mean, cov, v):
+    mu_B, var_B, gain = analytic._regression(mean, cov, v)
+    at_half_pi = np.all(v[..., :2] == states.Quadrature(verify.PI / 2).vector, axis=-1)
+    return np.where(at_half_pi, math.nan, mu_B), var_B, gain
 
 
-def apply_to_points_nan_at_one_point(smap, pts):
-    evolved = np.array(dynamics.apply_to_points(smap, pts))
-    evolved[3, 5] = math.nan
-    return evolved
+def evolved_points_nan_at_one_point(quad, pts, evolved):
+    evolved = np.array(evolved)
+    evolved[..., 3, 5] = math.nan
+    return dynamics._invariance_deviation(quad, pts, evolved)
 
 
 @pytest.mark.parametrize(
     "name, replacement, suite",
     [
-        ("postselected_means_gaussian", closed_form_without_mu_P, "run_oracle_equivalence"),
+        ("_postselected_means", closed_form_without_mu_P, "run_oracle_equivalence"),
         ("first_order_shifts", perturbed_first_order_shifts, "run_weak_coupling_order"),
         ("coupling_map", coupling_map_moving_P, "run_repeatability"),
         ("coupling_map", coupling_map_with_shear, "run_repeatability"),
-        ("postselected_means_gaussian", closed_form_nan_at_one_tuple, "run_oracle_equivalence"),
+        ("_postselected_means", closed_form_nan_at_one_tuple, "run_oracle_equivalence"),
         ("first_order_shifts", first_order_shifts_nan_at_one_g, "run_weak_coupling_order"),
-        ("apply_to_points", apply_to_points_nan_at_one_point, "run_repeatability"),
+        ("_invariance_deviation", evolved_points_nan_at_one_point, "run_repeatability"),
         ("_regression", regression_with_scaled_gain, "run_oracle_equivalence"),
         ("_regression", regression_nan_at_one_theta_B, "run_oracle_equivalence"),
     ],
@@ -119,3 +118,60 @@ def test_oracle_suite_equals_its_per_tuple_reference():
     assert result.n_checks == len(closed) == 1944
     assert result.max_deviation == float(np.max(dev))
     assert result.passed
+
+
+def _per_tuple_grid():
+    """The oracle grid's tuples as the scalar routes see them: the closed form
+    per tuple, and per (joint, map, theta_B) one evolved state and its
+    regression read at every b."""
+    mu_q, mu_p = verify.PARTICLE_MEAN
+    bs = np.array(verify.POSTSELECTIONS)
+    closed, conditional = [], []
+    for (sigma, delta_Q), omega, mu_P in itertools.product(
+        verify.SPREADS, verify.OMEGAS, verify.DEVICE_MEAN_MOMENTA
+    ):
+        joint = states.tensor(
+            states.make_particle(mu_q, mu_p, sigma), states.make_pure_device(delta_Q, mu_P, omega)
+        )
+        for g, theta_A in itertools.product(verify.COUPLINGS, verify.THETA_AS):
+            theta_A = states.Quadrature(theta_A)
+            evolved = dynamics.apply_to_state(dynamics.coupling_map(g, theta_A), joint)
+            for theta_B in map(states.Quadrature, verify.THETA_BS):
+                v = states.quadrature_vector(2, 0, theta_B)
+                mu_B, _, gain = analytic._regression(evolved.mean, evolved.cov, v)
+                conditional.append(evolved.mean + np.multiply.outer(bs - mu_B, gain))
+                closed += [
+                    analytic.postselected_means_gaussian(
+                        mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P=mu_P
+                    )
+                    for b in bs.tolist()
+                ]
+    return np.array(closed), np.concatenate(conditional)
+
+
+def test_array_passes_equal_the_scalar_routes_bit_for_bit():
+    # the closed form on broadcast arrays equals its 1944 scalar calls, and
+    # the stacked evolution and regressions equal apply_to_state and
+    # _regression state by state, on all 1944 x 4 conditional means; the
+    # theta_A = theta_B = pi/8 tuples, whose bound is inf, warn nothing
+    closed, conditional = _per_tuple_grid()
+    eighth = states.Quadrature(verify.PI / 8)
+    assert math.isinf(bounds._gaussian_bound(1.0, *analytic._angles(eighth, eighth)[2:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid_closed, grid_conditional = verify._grid_closed_forms(), verify._grid_conditional_means()
+    assert closed.shape == (1944, 2) and conditional.shape == (1944, 4)
+    assert np.array_equal(grid_closed, closed)
+    assert np.array_equal(grid_conditional, conditional)
+
+
+def test_stacked_regression_rejects_a_non_positive_variance_anywhere_in_the_stack():
+    mean, cov = np.zeros((3, 4)), np.array([np.eye(4)] * 3)
+    v = states.quadrature_vector(2, 0, states.Quadrature(0.0))
+    analytic._regression(mean, cov, v)
+    cov[1, 0, 0] = 0.0  # Var(q) = 0 in the middle state only
+    with pytest.raises(analytic.SingularConditioningError):
+        analytic._regression(mean, cov, v)
+    cov[1, 0, 0] = -1e-300
+    with pytest.raises(analytic.SingularConditioningError):
+        analytic._regression(mean, cov, v)
