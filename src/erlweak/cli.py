@@ -39,7 +39,10 @@ from .bounds import RegimeMargin, gaussian_regime_margin
 from .montecarlo import (
     ExperimentConfig,
     InsufficientAcceptanceError,
+    PostselectedEstimate,
     _histogram_edges,
+    _postselect,
+    _sampling_passes,
     acceptance_probability,
     chunk_plan,
     joint_momentum_histogram,
@@ -48,7 +51,6 @@ from .montecarlo import (
     windowed_oracle,
 )
 from .states import Quadrature
-from .verify import run_all
 
 
 class ConfigError(Exception):
@@ -189,8 +191,9 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
     writes `<command>.csv` there, the header then one line per row of str
     cells, then manifest.json, and prints both paths unless --quiet. The
     manifest holds the config echo, its seed, `extra`, and a `run` block for
-    `runs` sampler calls of sampling.n_samples each: the processes that ran
-    their chunks, the number of chunks, and the Python and numpy versions."""
+    `runs` sampling passes of sampling.n_samples draws each: the processes
+    that ran their chunks, the number of chunks drawn, and the Python and
+    numpy versions."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.command}.csv"
@@ -344,56 +347,73 @@ SWEEP_HEADER = (
 )
 
 
-def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool):
-    """One row of str cells per grid point of the sweep, in grid order."""
+def _sweep_configs(base: ExperimentConfig, axes: dict):
+    """The config of each grid point of the sweep, in grid order."""
     readers = {key: read for _, key, read in CONFIG_FIELDS}
     for combo in itertools.product(*axes.values()):
         point = dict(zip(axes, combo))
         if "delta_P" in point:
             # pure device at this omega: delta_Q fixed by delta_P
             point["delta_Q"] = math.sqrt(1.0 + base.omega**2) / (2.0 * point.pop("delta_P"))
-        config = dataclasses.replace(
+        yield dataclasses.replace(
             base, **{k: Quadrature(v) if readers[k] is _angle else v for k, v in point.items()}
         )
-        with _closed_form():
-            exact_Q, exact_P = postselected_means_gaussian(
-                config.mu_q,
-                config.mu_p,
-                config.sigma,
-                config.delta_Q,
-                config.omega,
-                config.g,
-                config.theta_A,
-                config.theta_B,
-                config.b,
-                mu_P=config.mu_P,
-            )
-        _, (fo_Q, p_shift), margin = _first_order(config)
-        fo_P = config.mu_P + p_shift
-        _finite(exact_Q, exact_P, fo_P, exact_Q - fo_Q, exact_P - fo_P)
-        row = [
-            config.g,
+
+
+def _closed_form_row(config: ExperimentConfig) -> list:
+    """The closed-form cells of a sweep row, as values."""
+    with _closed_form():
+        exact_Q, exact_P = postselected_means_gaussian(
+            config.mu_q,
+            config.mu_p,
+            config.sigma,
             config.delta_Q,
             config.omega,
-            config.theta_A.theta,
-            config.theta_B.theta,
+            config.g,
+            config.theta_A,
+            config.theta_B,
             config.b,
-            exact_Q,
-            exact_P,
-            fo_Q,
-            fo_P,
-            exact_Q - fo_Q,
-            exact_P - fo_P,
-            margin.ratio,
-            margin.classification,
-        ]
+            mu_P=config.mu_P,
+        )
+    _, (fo_Q, p_shift), margin = _first_order(config)
+    fo_P = config.mu_P + p_shift
+    _finite(exact_Q, exact_P, fo_P, exact_Q - fo_Q, exact_P - fo_P)
+    return [
+        config.g,
+        config.delta_Q,
+        config.omega,
+        config.theta_A.theta,
+        config.theta_B.theta,
+        config.b,
+        exact_Q,
+        exact_P,
+        fo_Q,
+        fo_P,
+        exact_Q - fo_Q,
+        exact_P - fo_P,
+        margin.ratio,
+        margin.classification,
+    ]
+
+
+def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool) -> tuple[list[list[str]], int]:
+    """One row of str cells per grid point of the sweep, in grid order, and
+    the number of sampling passes that `mc` made: one per run of
+    consecutive points that differ only in theta_B and b (the innermost
+    axes), which share their draws (see `_sampling_passes`). A point whose
+    window accepts fewer than 2 draws gets nan Monte Carlo cells."""
+    rows, passes = [], 0
+    for group in _sampling_passes(_sweep_configs(base, axes)):
+        values = [_closed_form_row(config) for config in group]
         if mc:
-            try:
-                est = run_weak_experiment(config)
-                row += [est.mean_Q, est.se_Q, est.mean_P, est.se_P]
-            except InsufficientAcceptanceError:
-                row += ["nan"] * 4
-        yield _cells(row)
+            passes += 1
+            for row, est in zip(values, _postselect(group)):
+                if isinstance(est, PostselectedEstimate):
+                    row += [est.mean_Q, est.se_Q, est.mean_P, est.se_P]
+                else:
+                    row += ["nan"] * 4
+        rows += map(_cells, values)
+    return rows, passes
 
 
 def cmd_sweep(args) -> int:
@@ -410,13 +430,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep over delta_Q or delta_P, not both")
 
     header = SWEEP_HEADER + (",mc_Q,mc_se_Q,mc_P,mc_se_P" if args.mc else "")
-    rows = list(_sweep_rows(base, axes, args.mc))  # all of them, so a failing point writes nothing
-    runs = math.prod(map(len, axes.values())) if args.mc else 0
-    _write_outputs(args, header, rows, {**config_echo(base), "sweep": axes}, runs)
+    rows, passes = _sweep_rows(base, axes, args.mc)  # all of them, so a failing point writes nothing
+    _write_outputs(args, header, rows, {**config_echo(base), "sweep": axes}, passes)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all  # only here: importing it adds to every `import erlweak.cli`
+
     results = run_all()
     all_pass = True
     for res in results:

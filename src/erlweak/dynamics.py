@@ -18,6 +18,9 @@ SYMPLECTIC_TOL = 1e-12  # of the rounding scale, in both coupling checks below
 _FORM = symplectic_form(2)
 _FORM.setflags(write=False)
 _TINY = math.ulp(0.0)  # floors a rounding scale of 0, whose deviation is 0 too
+_L, _K = np.nonzero(_FORM.T)  # the (k, l) with J_kl != 0, in the order of l
+_SIGN = _FORM[_K, _L]
+_NO_EXPONENT = -(2**30)  # of a product that is 0: below every exponent
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,16 +113,23 @@ def apply_to_points(
 
 def _symplectic_deviation(m: np.ndarray) -> float:
     """The largest |M^T J M - J|_ij over its rounding bound (|M|^T |J| |M|)_ij
-    of a finite 4 x 4 map or stack of them, 0/0 as 0. Column j of M is scaled
-    by 2^-e_j to a largest entry in [0.5, 1) and J_ij by 2^-(e_i + e_j), so no
-    product overflows or underflows against another column (ldexp keeps 0 at 0)."""
-    _, e = np.frexp(np.max(np.abs(m), axis=-2))
-    n = np.ldexp(m, -e[..., None, :])
-    n_t = np.swapaxes(n, -1, -2)
+    of a finite 4 x 4 map or stack of them, 0/0 as 0. Entry (i, j) sums the
+    four products M_ki J_kl M_lj with J_kl = +-1. Each is formed from the
+    mantissas of its two factors and scaled by 2^(e - e_ij), e its exponent
+    and e_ij the largest exponent of the entry's nonzero products, and J_ij
+    by 2^-e_ij, so no product overflows, nor underflows against the largest
+    of its own entry (ldexp keeps 0 at 0)."""
+    frac, e = np.frexp(m)
+    products = frac[..., _K, :, None] * frac[..., _L, None, :]  # (..., pair, i, j)
+    exponents = np.where(products != 0, e[..., _K, :, None] + e[..., _L, None, :], _NO_EXPONENT)
+    top = exponents.max(axis=-3)
+    top[top == _NO_EXPONENT] = 0  # an entry whose products are all 0
+    terms = np.ldexp(products, exponents - top[..., None, :, :])
     with np.errstate(over="ignore"):  # a scaled J entry, or a ratio, out of range: inf
-        form = np.ldexp(_FORM, -(e[..., :, None] + e[..., None, :]))
-        bound = np.maximum(np.abs(n_t) @ np.abs(_FORM) @ np.abs(n), _TINY)
-        return float(np.max(np.abs(n_t @ _FORM @ n - form) / bound))
+        form = np.ldexp(_FORM, -top)
+        bound = np.maximum(np.abs(terms).sum(axis=-3), _TINY)
+        deviation = np.abs((_SIGN[:, None, None] * terms).sum(axis=-3) - form) / bound
+    return float(np.max(deviation))
 
 
 def _invariance_deviation(quad: Quadrature, pts, evolved, work=None) -> float:

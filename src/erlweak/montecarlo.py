@@ -15,8 +15,9 @@ a chunk, `_blocks` draws the substream in blocks of `BLOCK` rows z of
 standard normals and yields factor @ z^T + offset, for a factor that each
 sampler builds once per call from the Cholesky factor L of the joint state
 (see `_source`). `sample_state` and the rejection sampler take the points
-themselves (factor L); the rejection sampler then evolves, checks and
-windows every point in block buffers. The histogram and the correlation
+themselves (factor L); the rejection sampler then evolves and checks
+every point once in block buffers and windows it for each of the configs
+that share the draws (`_postselect`). The histogram and the correlation
 draw only the two coordinates they read, (p', P') and (A, Q'): with R their
 2 x 4 read-out, which holds the coupling's rows, the factor is R L. Every
 block of a chunk reuses the same buffers, so a yielded block is valid only
@@ -33,7 +34,9 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 import os
 from typing import NamedTuple
 
@@ -60,6 +63,9 @@ DEFAULT_CHUNK = 1 << 18
 # oversubscribe the cores. Blocks drawn from one Generator give the same
 # stream and points as one draw per chunk.
 BLOCK = 1 << 13
+# Windows that share one sampling pass. Each keeps its chunk's accepted
+# (Q', P', A), so a chunk holds at most this many times 3 values per draw.
+WINDOWS_PER_PASS = 8
 ADAPTIVE_EPSILON_FRACTION = 0.05
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -434,38 +440,91 @@ def _merge(parts) -> tuple[int, np.ndarray, np.ndarray]:
     return n, mean, scatter
 
 
-def _experiment_chunk(args, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Chunk k of `run_weak_experiment`: the `_moments` of its accepted
-    (Q', P', A), after checking at every point that the coupling left A and
-    P unchanged. Each block is evolved, checked and windowed in buffers the
-    chunk allocates once; the accepted values fill a (3, m) buffer that
+# A config's draw fields, the ones that fix its draws, its coupled points and
+# their check: all but the window's. Configs whose draw fields are equal
+# share one sampling pass (see `_postselect`).
+_draw_fields = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("theta_B", "b", "epsilon"))
+)
+
+
+def _sampling_passes(configs):
+    """The configs, in order, in the runs that `_postselect` samples in one
+    pass each: consecutive configs with equal draw fields, at most
+    WINDOWS_PER_PASS at a time."""
+    for _, run in itertools.groupby(configs, _draw_fields):
+        run = list(run)
+        for start in range(0, len(run), WINDOWS_PER_PASS):
+            yield run[start : start + WINDOWS_PER_PASS]
+
+
+def _experiment_chunk(args, k: int, rows: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Chunk k of `_postselect`: for each window (theta_B, b, epsilon), the
+    `_moments` of its accepted (Q', P', A), after checking at every point
+    that the coupling left A and P unchanged. Each block is drawn, evolved
+    and checked once, in buffers the chunk allocates once, then windowed by
+    each window in turn; a window's accepted values fill a (3, m) buffer that
     starts at one block and doubles when full, so a chunk that accepts a few
     per cent of its draws holds no chunk-sized buffer."""
-    source, smap, theta_A, theta_B, b, epsilon = args
+    source, smap, theta_A, windows = args
     size = min(BLOCK, rows)
     evolved_buf = np.empty(4 * size)
     work_buf = np.empty((5, size))
-    accepted = np.empty((3, size))
-    n_acc = 0
+    accepted = [np.empty((3, size)) for _ in windows]
+    n_acc = [0] * len(windows)
     for pts in _blocks(source, k, rows):
         m = pts.shape[1]
         evolved = apply_to_points(smap, pts, out=evolved_buf[: 4 * m].reshape(4, m))
         if not _invariance_deviation(theta_A, pts, evolved, work_buf[:, :m]) <= SYMPLECTIC_TOL:
             raise AssertionError("repeatability violated: A or P changed under coupling")
+        for i, (theta_B, b, epsilon) in enumerate(windows):
+            b_val = np.multiply(evolved[0], math.cos(theta_B.theta), out=work_buf[0, :m])
+            b_val += np.multiply(evolved[1], math.sin(theta_B.theta), out=work_buf[1, :m])
+            distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
+            keep = np.flatnonzero(distance <= epsilon)
+            stop = n_acc[i] + keep.size
+            if stop > accepted[i].shape[1]:
+                grown = np.empty((3, min(rows, 2 * stop)))
+                grown[:, : n_acc[i]] = accepted[i][:, : n_acc[i]]
+                accepted[i] = grown
+            accepted[i][:2, n_acc[i] : stop] = evolved[2:, keep]
+            accepted[i][2, n_acc[i] : stop] = theta_A.value(evolved[0, keep], evolved[1, keep])
+            n_acc[i] = stop
+    return [_moments(values[:, :n]) for values, n in zip(accepted, n_acc)]
 
-        b_val = np.multiply(evolved[0], math.cos(theta_B.theta), out=work_buf[0, :m])
-        b_val += np.multiply(evolved[1], math.sin(theta_B.theta), out=work_buf[1, :m])
-        distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
-        keep = np.flatnonzero(distance <= epsilon)
-        stop = n_acc + keep.size
-        if stop > accepted.shape[1]:
-            grown = np.empty((3, min(rows, 2 * stop)))
-            grown[:, :n_acc] = accepted[:, :n_acc]
-            accepted = grown
-        accepted[:2, n_acc:stop] = evolved[2:, keep]
-        accepted[2, n_acc:stop] = theta_A.value(evolved[0, keep], evolved[1, keep])
-        n_acc = stop
-    return _moments(accepted[:, :n_acc])
+
+def _postselect(
+    configs: list[ExperimentConfig], chunk_size: int = DEFAULT_CHUNK
+) -> list[PostselectedEstimate | InsufficientAcceptanceError]:
+    """The one rejection sampler: `run_weak_experiment` of each of configs
+    whose draw fields are equal (see `_draw_fields`), from one pass over
+    their shared draws, which the first config's fields fix. Each draw is
+    coupled and checked once, then windowed by every config, and each
+    window's chunk moments are merged in chunk order, so each result has the
+    bits of its own one-window pass. Gives each config's estimate, or the
+    InsufficientAcceptanceError that `run_weak_experiment` raises for it.
+    Memory is O(chunk_size) per window, so callers pass at most
+    WINDOWS_PER_PASS configs (see `_sampling_passes`)."""
+    first, n = configs[0], configs[0].n_samples
+    windows = tuple((config.theta_B, config.b, config.resolved_epsilon()) for config in configs)
+    coupled = first._evolved
+    args = (_source(coupled.joint, first.seed), coupled.smap, first.theta_A, windows)
+
+    def merge_each(results):  # each window's parts, merged in chunk order
+        streams = itertools.tee(results, len(windows))
+        return [_merge(parts[i] for parts in stream) for i, stream in enumerate(streams)]
+
+    out = []
+    for (_, _, epsilon), (n_acc, mean, scatter) in zip(
+        windows, _run_chunks(_experiment_chunk, args, n, chunk_size, merge_each)
+    ):
+        rate = n_acc / n
+        if n_acc < 2:
+            out.append(InsufficientAcceptanceError(rate))
+            continue
+        se = np.sqrt(np.diag(scatter) / ((n_acc - 1) * n_acc))
+        out.append(PostselectedEstimate(*mean.tolist(), *se.tolist(), n_acc, n, rate, epsilon))
+    return out
 
 
 def run_weak_experiment(
@@ -473,7 +532,8 @@ def run_weak_experiment(
 ) -> PostselectedEstimate:
     """Sample the joint state, evolve each point, postselect on
     |B(q', p') - b| <= epsilon, and estimate conditional means of
-    Q', P' and A(q', p') with normal-theory standard errors.
+    Q', P' and A(q', p') with normal-theory standard errors: the one-window
+    pass of `_postselect`.
 
     Per-point repeatability (A and P unchanged by the coupling) is asserted
     on every sampled point. Chunks run in parallel (see `_run_chunks`) and
@@ -481,23 +541,10 @@ def run_weak_experiment(
     chunk order, so memory is O(chunk_size) at any acceptance. Each SE is
     sqrt(scatter_ii / ((n - 1) n)) for n accepted draws.
     """
-    epsilon = config.resolved_epsilon()
-    n = config.n_samples
-    coupled = config._evolved
-    args = (
-        _source(coupled.joint, config.seed),
-        coupled.smap,
-        config.theta_A,
-        config.theta_B,
-        config.b,
-        epsilon,
-    )
-    n_acc, mean, scatter = _run_chunks(_experiment_chunk, args, n, chunk_size, _merge)
-    rate = n_acc / n
-    if n_acc < 2:
-        raise InsufficientAcceptanceError(rate)
-    se = np.sqrt(np.diag(scatter) / ((n_acc - 1) * n_acc))
-    return PostselectedEstimate(*mean.tolist(), *se.tolist(), n_acc, n, rate, epsilon)
+    (estimate,) = _postselect([config], chunk_size)
+    if isinstance(estimate, InsufficientAcceptanceError):
+        raise estimate
+    return estimate
 
 
 def oracle_estimate(config: ExperimentConfig) -> tuple[float, float, float]:

@@ -19,7 +19,7 @@ the same functions.
   symplectic and leave A and P of every point of a lattice unchanged, by
   the two checks of `dynamics` that `SymplecticMap` and the sampler make.
   Its deviation is the larger of |M^T J M - J|_ij / (|M|^T |J| |M|)_ij,
-  with each column of M scaled by its own power of two, and of
+  each entry's products scaled by a power of two of their own, and of
   |A(Mx) - A(x)| / (|c q| + |s p| + |c q'| + |s p'|), inf where P' != P:
   a fraction of the rounding scale of the terms that cancel, against
   SYMPLECTIC_TOL = 1e-12.

@@ -1,6 +1,7 @@
 import builtins
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from erlweak import montecarlo
 from erlweak.cli import CONFIG_FIELDS, config_echo, main, parse_experiment
 from erlweak.montecarlo import ExperimentConfig, acceptance_probability, oracle_estimate
 from erlweak.dynamics import apply_to_state, coupling_map
-from erlweak.states import quadrature_moments
+from erlweak.states import Quadrature, quadrature_moments
 
 HALF_PI = math.pi / 2
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
@@ -816,9 +817,17 @@ class TestWorkerIndependence:
         for name in commands:
             (pooled_csvs, pooled_run), (serial_csvs, serial_run) = pooled[name], serial[name]
             assert pooled_csvs and pooled_csvs == serial_csvs, name
-            chunks = 3 * (2 if name == "sweep" else 1)
+            chunks = 3  # the sweep's two b values share one sampling pass
             assert serial_run == {"workers": 1, "chunks": chunks, **VERSIONS}
             assert pooled_run == {"workers": min(montecarlo._usable_cpus(), 3), "chunks": chunks, **VERSIONS}
+
+    def test_sweep_draws_once_per_run_of_windows(self, tmp_path):
+        # theta_B and b are the innermost axes: each g value makes one
+        # sampling pass of 3 chunks for its 2 x 2 windows
+        doc = base_config(sampling={"n_samples": self.N})
+        doc["sweep"] = {"g": [0.1, 0.2], "theta_B": [0.3, HALF_PI], "b": [0.0, 1.0]}
+        run = self._run(tmp_path, "passes", ["sweep", "--mc"], doc)[1]
+        assert run["chunks"] == 2 * 3 and montecarlo.WINDOWS_PER_PASS >= 4
 
     def test_closed_form_sweep_runs_no_chunks(self, tmp_path):
         doc = base_config()
@@ -826,14 +835,51 @@ class TestWorkerIndependence:
         assert self._run(tmp_path, "closed", ["sweep"], doc)[1] == {"workers": 0, "chunks": 0, **VERSIONS}
 
 
-def test_import_loads_no_scipy():
-    # nor multiprocessing: the chunk pool imports it on first use, which keeps
-    # start-up short for the commands that never sample
+class TestSharedSamplingPass:
+    """`sweep --mc` draws, couples and checks once for points that differ
+    only in theta_B and b; each row's mc_* cells keep the bits of the
+    point's own `run_weak_experiment`."""
+
+    N = montecarlo.DEFAULT_CHUNK + 20_000  # two chunks, so the pool runs them
+    THETA_BS = (HALF_PI, 0.4)
+    BS = (0.0, 0.6, 40.0)  # 40 std of B from its mean: the window accepts nothing
+
+    @pytest.mark.parametrize("epsilon", [None, 0.2], ids=["adaptive", "explicit"])
+    @pytest.mark.parametrize("pool", [False, True], ids=["one-worker", "pool"])
+    def test_mc_cells_equal_each_points_own_run(self, tmp_path, monkeypatch, epsilon, pool):
+        if not pool:
+            monkeypatch.setattr(montecarlo, "WORKERS", 1)
+        doc = base_config(
+            coupling={"g": 0.3, "theta_A": 0.2},
+            device={"omega": 0.5, "mu_P": 0.6},
+            postselection={"epsilon": epsilon},
+            sampling={"n_samples": self.N},
+        )
+        doc["sweep"] = {"theta_B": list(self.THETA_BS), "b": list(self.BS)}
+        path, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["sweep", "--mc", "--config", path, "--out", str(out), "--quiet"]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        base = parse_experiment(doc)
+        for row, (theta_B, b) in zip(rows, itertools.product(self.THETA_BS, self.BS), strict=True):
+            cells = np.array([float(x) for x in row.split(",")[-4:]])
+            config = dataclasses.replace(base, theta_B=Quadrature(theta_B), b=b)
+            try:
+                est = montecarlo.run_weak_experiment(config)
+            except montecarlo.InsufficientAcceptanceError:
+                assert b == 40.0 and np.isnan(cells).all(), row
+                continue
+            assert est.n_accepted > 1000 and b != 40.0
+            assert np.array_equal(cells, [est.mean_Q, est.se_Q, est.mean_P, est.se_P]), row
+
+
+def _loaded_by_import_of_cli(*prefixes):
+    """The modules under `prefixes` that `import erlweak.cli` loads in a
+    fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, erlweak.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -842,4 +888,16 @@ def test_import_loads_no_scipy():
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    # nor multiprocessing: the chunk pool imports it on first use, which keeps
+    # start-up short for the commands that never sample
+    assert _loaded_by_import_of_cli("scipy", "multiprocessing") == "[]"
+
+
+def test_import_loads_no_verify():
+    # `erlweak verify` imports its suites when it runs, so the other
+    # commands do not compile or load them
+    assert _loaded_by_import_of_cli("erlweak.verify") == "[]"

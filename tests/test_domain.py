@@ -1,17 +1,21 @@
-"""The accepted-domain property: `weakvalue`, `simulate`, `sweep` (closed
-forms only) and `histogram`, run through `cli.main` on configs drawn over
+"""The accepted-domain property: `weakvalue`, `simulate`, `sweep`,
+`sweep --mc` and `histogram`, run through `cli.main` on configs drawn over
 every field the schema reads, each end in exactly one of these ways, with no
 traceback and no RuntimeWarning:
 
 - exit 0, with every printed number and CSV cell finite, except the
-  regime's documented `bound=inf` and `sweep`'s regime class;
+  regime's documented `bound=inf`, `sweep`'s regime class, and the four
+  `mc_*` cells of a `sweep --mc` row whose window accepted fewer than 2
+  draws, which are exactly `nan`;
 - exit 1, with one `error:` line and no --out, or `simulate`'s
   `insufficient_acceptance` row, whose estimates are nan;
 - exit 2, with one `config error:` line and no --out, only for a config that
   the schema rejects.
 
 The configs are drawn by one strategy per `CONFIG_FIELDS` reader, so they
-follow the schema's fields, plus one strategy for a sweep axis. The example
+follow the schema's fields, plus one strategy for a sweep axis: any of
+`SWEEP_KEYS` for the closed forms, theta_B or b for `sweep --mc`, so that a
+sampling pass windows several points. The example
 budget is the active hypothesis profile's: hypothesis's default in tier-1,
 ten times that under the `ci` profile of tests/conftest.py.
 """
@@ -66,13 +70,19 @@ sweep_axes = st.sampled_from(SWEEP_KEYS).flatmap(
 )
 
 
+# `sweep --mc`: one axis of the window's fields, whose points share their draws
+window_axes = st.sampled_from(("theta_B", "b")).flatmap(
+    lambda key: st.lists(numbers, min_size=1, max_size=3).map(lambda values: {key: values})
+)
+
+
 @st.composite
-def documents(draw):
+def documents(draw, axes=sweep_axes):
     doc = {}
     for section, key, read in CONFIG_FIELDS:
         value = N_SAMPLES if key == "n_samples" else draw(READERS[read])
         doc.setdefault(section, {})[key] = abs(value) if key in POSITIVE else value
-    doc["sweep"] = draw(sweep_axes)
+    doc["sweep"] = draw(axes)
     return doc
 
 
@@ -125,6 +135,21 @@ def _finite_cells(line: str) -> bool:
 @example(doc=config(mu_q=-3.77e-168, mu_p=7.91, sigma=8.94, delta_Q=5.54e90, omega=-7.17,
                     g=-1.4141414e150, theta_A=PI / 2, theta_B=PI / 2, b=-2.30, seed=1))
 def test_every_accepted_config_ends_in_a_documented_way(command, doc):
+    _ends_in_a_documented_way([command], doc)
+
+
+@settings(derandomize=True, deadline=None)
+@given(doc=documents(window_axes))
+# three windows of one pass: the last accepts nothing, the others tens of draws
+@example(doc={**config(), "sweep": {"b": [0.0, 1.0, 40.0]}})
+@example(doc={**config(epsilon=0.3, mu_P=0.6), "sweep": {"theta_B": [0.0, PI / 2, 2.0]}})
+def test_every_accepted_sweep_mc_ends_in_a_documented_way(doc):
+    _ends_in_a_documented_way(["sweep", "--mc"], doc)
+
+
+def _ends_in_a_documented_way(command, doc):
+    """Run `command` on `doc` through `cli.main` and check that it ends in
+    one of the ways the module docstring lists."""
     try:
         parse_experiment(doc)
         rejected = False
@@ -133,8 +158,8 @@ def test_every_accepted_config_ends_in_a_documented_way(command, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
-        argv = [command, "--config", str(path)]
-        if command != "weakvalue":
+        argv = [*command, "--config", str(path)]
+        if command != ["weakvalue"]:
             argv += ["--out", str(out), "--quiet"]
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
@@ -142,7 +167,7 @@ def test_every_accepted_config_ends_in_a_documented_way(command, doc):
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv)
         printed, errors = stdout.getvalue(), stderr.getvalue().splitlines()
-        csv = out / f"{command}.csv"
+        csv = out / f"{command[0]}.csv"
         rows = csv.read_text().splitlines()[1:] if csv.exists() else []
 
         assert (code == 2) == rejected, (code, errors)
@@ -152,12 +177,21 @@ def test_every_accepted_config_ends_in_a_documented_way(command, doc):
             values.pop("classification", None)
             values.pop("bound", None)  # inf where the regime has no bound
             assert all(math.isfinite(float(x)) for x in values.values()), printed
-            if command == "weakvalue":
+            if command == ["weakvalue"]:
                 assert len(values) == 5, printed
+            elif command == ["sweep", "--mc"]:
+                # the regime class, then the mc_* cells: nan exactly where the
+                # window accepted fewer than 2 draws
+                assert rows
+                for row in rows:
+                    cells = row.split(",")
+                    assert _finite_cells(",".join(cells[:13])), row
+                    mc = cells[14:]
+                    assert len(mc) == 4 and (_finite_cells(",".join(mc)) or mc == ["nan"] * 4), row
             else:
-                cells = [row.rsplit(",", 1)[0] if command == "sweep" else row for row in rows]
+                cells = [row.rsplit(",", 1)[0] if command == ["sweep"] else row for row in rows]
                 assert rows and all(map(_finite_cells, cells)), rows[:3]
-        elif code == 1 and command == "simulate" and out.exists():
+        elif code == 1 and command == ["simulate"] and out.exists():
             # too few draws in the window: the row is written, with nan estimates
             assert errors == [] and len(rows) == 1
             cells = rows[0].split(",")

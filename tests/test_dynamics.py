@@ -21,7 +21,7 @@ from erlweak import (
     symplectic_form,
     tensor,
 )
-from erlweak.dynamics import SYMPLECTIC_TOL
+from erlweak.dynamics import SYMPLECTIC_TOL, _symplectic_deviation
 
 FORM = symplectic_form(2)
 
@@ -117,6 +117,21 @@ def test_public_check_of_large_entries_is_its_tolerance(matrix):
     else:
         with pytest.raises(ValueError, match="^matrix is not symplectic$"):
             SymplecticMap(matrix)
+
+
+def test_entry_whose_products_all_underflow_is_checked():
+    # entry (0, 2) of M^T J M is M_20 M_32 = 9.68e-170 * -1.87e-199, about
+    # -1.8e-368 in exact arithmetic and all of its rounding bound: with the
+    # columns scaled, that product still underflowed and 0/0 passed the map.
+    # Each entry's products are now scaled by their own largest exponent,
+    # for one map and for the stacks of `verify.run_repeatability`
+    m = np.eye(4)
+    m[0, 3], m[1, 3], m[2, 0], m[2, 1], m[3, 2] = -7.22e-170, -9.68e-170, 9.68e-170, -7.22e-170, -1.87e-199
+    assert not _symplectic_in_exact_arithmetic(m)
+    with pytest.raises(ValueError, match="^matrix is not symplectic$"):
+        SymplecticMap(m)
+    stack = np.stack([coupling_map(0.3, Quadrature(0.7)).matrix, m])
+    assert _symplectic_deviation(m) == _symplectic_deviation(stack) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("matrix", [np.diag([1e13, 1.0, 1.0, 1.0]), np.diag([1e200, 1.0, 1.0, 1.0])])

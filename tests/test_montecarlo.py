@@ -160,11 +160,10 @@ class TestBlocks:
         a_after = config.theta_A.value(evolved[:, 0], evolved[:, 1])
         keep = np.abs(config.theta_B.value(evolved[:, 0], evolved[:, 1]) - config.b) <= config.epsilon
         ref = np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]])
-        args = (
-            montecarlo._source(joint, config.seed), smap, config.theta_A, config.theta_B, config.b, config.epsilon
-        )
+        window = (config.theta_B, config.b, config.epsilon)
+        args = (montecarlo._source(joint, config.seed), smap, config.theta_A, (window,))
         monkeypatch.setattr(montecarlo, "_moments", lambda values: values.T.copy())
-        got = montecarlo._experiment_chunk(args, 0, rows)
+        (got,) = montecarlo._experiment_chunk(args, 0, rows)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         return got.shape[0], rows
 
@@ -302,9 +301,11 @@ class TestChunkPool:
     def _interrupt(self, code, delay, timeout):
         # Ctrl-C: SIGINT to the child's whole process group, `delay` s after
         # it prints "ready". Returns its exit code, None if it had not exited
-        # within `timeout` s, and its stderr
+        # within `timeout` s, and its stderr. A child that has not exited is
+        # sent SIGUSR1 before SIGKILL, on which faulthandler writes the stack
+        # of each of its threads to that stderr: where a hang waits
         proc = subprocess.Popen(
-            [sys.executable, "-c", self.RUN + "print('ready', flush=True)\n" + code],
+            [sys.executable, "-c", self.DUMP + self.RUN + "print('ready', flush=True)\n" + code],
             env=self._env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -319,10 +320,25 @@ class TestChunkPool:
                 proc.wait(timeout=timeout)
         finally:
             returncode = proc.poll()
+            if returncode is None:
+                proc.send_signal(signal.SIGUSR1)
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    proc.wait(timeout=1)  # time for the dump; the hang goes on
             with contextlib.suppress(ProcessLookupError):  # the group is gone
                 os.killpg(proc.pid, signal.SIGKILL)
             stderr = proc.communicate()[1]
         return returncode, stderr
+
+    DUMP = "import faulthandler, signal\nfaulthandler.register(signal.SIGUSR1)\n"
+
+    def test_a_hang_leaves_its_stack(self):
+        # a child that ignores the interrupt (from microseconds after "ready",
+        # so the interrupt waits 0.5 s) is reported as not exited, with the
+        # stack it hung in
+        code = "import time\nsignal.signal(signal.SIGINT, signal.SIG_IGN)\ntime.sleep(30)\n"
+        returncode, stderr = self._interrupt(code, 0.5, 0.5)
+        assert returncode is None
+        assert "most recent call first" in stderr and 'File "<string>"' in stderr, stderr
 
     def test_interrupt_while_chunks_run_does_not_hang_exit(self):
         # the interrupt terminates a pool that has tasks out, wherever it
@@ -409,6 +425,16 @@ class TestRunWeakExperiment:
             Quadrature(HALF_PI), Quadrature(math.pi), 2.44, None, 2000, 1,
         )
         assert run_weak_experiment(config).n_accepted >= 2
+
+    def test_sampling_passes_split_runs_of_shared_draws(self):
+        # consecutive configs that differ only in their windows share a pass,
+        # at most WINDOWS_PER_PASS at a time; another draw field starts anew
+        per_pass = montecarlo.WINDOWS_PER_PASS
+        windows = [dataclasses.replace(BASE, b=0.1 * k, epsilon=0.1 + k) for k in range(per_pass + 3)]
+        other = dataclasses.replace(BASE, g=0.2)
+        passes = list(montecarlo._sampling_passes([*windows, other, windows[0]]))
+        assert [len(p) for p in passes] == [per_pass, 3, 1, 1]
+        assert [c for p in passes for c in p] == [*windows, other, windows[0]]
 
     def test_insufficient_acceptance(self):
         config = dataclasses.replace(BASE, b=40.0, epsilon=0.01, n_samples=1_000)
