@@ -34,9 +34,8 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import functools
-import itertools
+import itertools  # already loaded by numpy (and at start-up): binding it costs no import
 import math
-import operator
 import os
 from typing import NamedTuple
 
@@ -440,12 +439,16 @@ def _merge(parts) -> tuple[int, np.ndarray, np.ndarray]:
     return n, mean, scatter
 
 
-# A config's draw fields, the ones that fix its draws, its coupled points and
-# their check: all but the window's. Configs whose draw fields are equal
-# share one sampling pass (see `_postselect`).
-_draw_fields = operator.attrgetter(
-    *(f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("theta_B", "b", "epsilon"))
+# The fields that fix a config's draws, its coupled points and their check:
+# all but the window's. Configs whose draw fields are equal share one
+# sampling pass (see `_postselect`).
+_DRAW_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("theta_B", "b", "epsilon")
 )
+
+
+def _draw_fields(config: ExperimentConfig) -> tuple:
+    return tuple(getattr(config, name) for name in _DRAW_FIELDS)
 
 
 def _sampling_passes(configs):
@@ -510,7 +513,7 @@ def _postselect(
     coupled = first._evolved
     args = (_source(coupled.joint, first.seed), coupled.smap, first.theta_A, windows)
 
-    def merge_each(results):  # each window's parts, merged in chunk order
+    def merge_each(results):  # each window's parts, merged in chunk order as they come
         streams = itertools.tee(results, len(windows))
         return [_merge(parts[i] for parts in stream) for i, stream in enumerate(streams)]
 
