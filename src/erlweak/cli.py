@@ -39,7 +39,7 @@ from .bounds import RegimeMargin, gaussian_regime_margin
 from .montecarlo import (
     ExperimentConfig,
     InsufficientAcceptanceError,
-    PostselectedEstimate,
+    _estimate,
     _histogram_edges,
     _postselect,
     _sampling_passes,
@@ -407,10 +407,11 @@ def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool) -> tuple[list[list
         values = [_closed_form_row(config) for config in group]
         if mc:
             passes += 1
-            for row, est in zip(values, _postselect(group)):
-                if isinstance(est, PostselectedEstimate):
+            for row, window in zip(values, _postselect(group)):
+                try:
+                    est = _estimate(*window)
                     row += [est.mean_Q, est.se_Q, est.mean_P, est.se_P]
-                else:
+                except InsufficientAcceptanceError:
                     row += ["nan"] * 4
         rows += map(_cells, values)
     return rows, passes

@@ -63,8 +63,13 @@ DEFAULT_CHUNK = 1 << 18
 # stream and points as one draw per chunk.
 BLOCK = 1 << 13
 # Windows that share one sampling pass. Each keeps its chunk's accepted
-# (Q', P', A), so a chunk holds at most this many times 3 values per draw.
-WINDOWS_PER_PASS = 8
+# (Q', P', A), up to 6.3 MB for a default chunk at full acceptance, so a
+# pass may hold this many times the values of a one-window pass. On an
+# 8-point b sweep at n = 2**21 with 2 workers (2-vCPU VM), a cap of 4
+# against 8 took the same 1.1 s at full acceptance and 0.72 against 0.50 s
+# at 4 %, for a peak RSS of 67 against 88 MB at full acceptance (46 MB with
+# one window per pass).
+WINDOWS_PER_PASS = 4
 ADAPTIVE_EPSILON_FRACTION = 0.05
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -496,38 +501,39 @@ def _experiment_chunk(args, k: int, rows: int) -> list[tuple[int, np.ndarray, np
     return [_moments(values[:, :n]) for values, n in zip(accepted, n_acc)]
 
 
-def _postselect(
-    configs: list[ExperimentConfig], chunk_size: int = DEFAULT_CHUNK
-) -> list[PostselectedEstimate | InsufficientAcceptanceError]:
-    """The one rejection sampler: `run_weak_experiment` of each of configs
-    whose draw fields are equal (see `_draw_fields`), from one pass over
-    their shared draws, which the first config's fields fix. Each draw is
-    coupled and checked once, then windowed by every config, and each
-    window's chunk moments are merged in chunk order, so each result has the
-    bits of its own one-window pass. Gives each config's estimate, or the
-    InsufficientAcceptanceError that `run_weak_experiment` raises for it.
-    Memory is O(chunk_size) per window, so callers pass at most
-    WINDOWS_PER_PASS configs (see `_sampling_passes`)."""
+def _postselect(configs: list[ExperimentConfig], chunk_size: int = DEFAULT_CHUNK) -> list[tuple]:
+    """The one rejection sampler: one pass over the draws that configs with
+    equal draw fields (see `_draw_fields`) share, which the first config's
+    fields fix. Each config's coupled state is built and checked first, as
+    its own pass would; then each draw is coupled and checked once, and
+    windowed by every config. Gives each config's window as (accepted
+    count, mean, centred scatter, n, epsilon), its chunk moments merged in
+    chunk order, so each has the bits of its own one-window pass (see
+    `_estimate`). Memory is O(chunk_size) per window, so callers pass at
+    most WINDOWS_PER_PASS configs (see `_sampling_passes`)."""
     first, n = configs[0], configs[0].n_samples
+    coupled = [config._evolved for config in configs]  # each built and checked, as alone
     windows = tuple((config.theta_B, config.b, config.resolved_epsilon()) for config in configs)
-    coupled = first._evolved
-    args = (_source(coupled.joint, first.seed), coupled.smap, first.theta_A, windows)
+    args = (_source(coupled[0].joint, first.seed), coupled[0].smap, first.theta_A, windows)
 
     def merge_each(results):  # each window's parts, merged in chunk order as they come
         streams = itertools.tee(results, len(windows))
         return [_merge(parts[i] for parts in stream) for i, stream in enumerate(streams)]
 
-    out = []
-    for (_, _, epsilon), (n_acc, mean, scatter) in zip(
-        windows, _run_chunks(_experiment_chunk, args, n, chunk_size, merge_each)
-    ):
-        rate = n_acc / n
-        if n_acc < 2:
-            out.append(InsufficientAcceptanceError(rate))
-            continue
-        se = np.sqrt(np.diag(scatter) / ((n_acc - 1) * n_acc))
-        out.append(PostselectedEstimate(*mean.tolist(), *se.tolist(), n_acc, n, rate, epsilon))
-    return out
+    merged = _run_chunks(_experiment_chunk, args, n, chunk_size, merge_each)
+    return [(*moments, n, epsilon) for moments, (_, _, epsilon) in zip(merged, windows)]
+
+
+def _estimate(
+    n_acc: int, mean: np.ndarray, scatter: np.ndarray, n: int, epsilon: float
+) -> PostselectedEstimate:
+    """The PostselectedEstimate of one window of `_postselect`. Raises
+    InsufficientAcceptanceError where it accepted fewer than 2 of n draws."""
+    rate = n_acc / n
+    if n_acc < 2:
+        raise InsufficientAcceptanceError(rate)
+    se = np.sqrt(np.diag(scatter) / ((n_acc - 1) * n_acc))
+    return PostselectedEstimate(*mean.tolist(), *se.tolist(), n_acc, n, rate, epsilon)
 
 
 def run_weak_experiment(
@@ -544,10 +550,8 @@ def run_weak_experiment(
     chunk order, so memory is O(chunk_size) at any acceptance. Each SE is
     sqrt(scatter_ii / ((n - 1) n)) for n accepted draws.
     """
-    (estimate,) = _postselect([config], chunk_size)
-    if isinstance(estimate, InsufficientAcceptanceError):
-        raise estimate
-    return estimate
+    (window,) = _postselect([config], chunk_size)
+    return _estimate(*window)
 
 
 def oracle_estimate(config: ExperimentConfig) -> tuple[float, float, float]:

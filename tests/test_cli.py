@@ -603,6 +603,24 @@ class TestRuntimeErrors:
         )
         assert not out.exists()
 
+    def test_variance_of_B_that_cancels_below_zero_is_named_past_a_groups_first_point(
+        self, tmp_path, capsys
+    ):
+        # theta_B = 0 is sound and pi/2 is not; with an explicit epsilon
+        # nothing but the check of each point's own coupled state sees it,
+        # and pi/2 shares its draws with the first point of its group
+        doc = base_config(**self.LOST_PRECISION)
+        doc["postselection"]["epsilon"] = 0.1
+        doc["sweep"] = {"theta_B": [0.0, HALF_PI]}
+        out = tmp_path / "o"
+        argv = ["sweep", "--mc", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: LostPrecisionError: the coupled state lost its precision: the variance of B, "
+            "positive in exact arithmetic, cancels to a number that is not\n"
+        )
+        assert not out.exists()
+
     def test_window_that_is_empty_in_double_precision_is_named(self, tmp_path, capsys):
         # every draw is accepted (B cancels two terms near 1e108 point by
         # point), while the window lies 1.6e91 std of B from its mean and its
