@@ -93,12 +93,19 @@ def weak_value_gaussian(
 
 
 def weak_value_discrete(inp: DiscreteSpectrumInput) -> WeakValue:
-    """Weak value sum_j alpha_j <b|a_j> a_j / sum_j alpha_j <b|a_j>."""
-    d = np.array(inp.amplitudes) * np.array(inp.overlaps)
-    denom = d.sum()
-    if abs(denom) == 0.0:
-        raise DegeneratePostselectionError("postselection amplitude is zero")
-    w = (d * np.array(inp.eigenvalues)).sum() / denom
+    """Weak value sum_j alpha_j <b|a_j> a_j / sum_j alpha_j <b|a_j>. Raises
+    OverflowError where a product, a sum or the quotient is out of range."""
+    with np.errstate(all="ignore"):  # checked below
+        d = np.array(inp.amplitudes) * np.array(inp.overlaps)
+        denom = d.sum()
+        if abs(denom) == 0.0:
+            raise DegeneratePostselectionError("postselection amplitude is zero")
+        w = (d * np.array(inp.eigenvalues)).sum() / denom
+    if not np.isfinite(w):
+        raise OverflowError(
+            "the discrete weak value overflows: a product of amplitudes, overlaps "
+            "and eigenvalues or their quotient is out of range"
+        )
     return WeakValue(float(w.real), float(w.imag))
 
 

@@ -175,6 +175,45 @@ def parse_experiment(doc: dict, seed_override: int | None = None) -> ExperimentC
         raise ConfigError(str(exc)) from exc
 
 
+def parse_discrete(doc: dict) -> tuple[list[complex], list[complex], list[float]]:
+    """(amplitudes, overlaps, eigenvalues) of the `discrete` section, which
+    `weakvalue` reads in place of the experiment: three lists of equal
+    length, each amplitude and overlap a number or an [re, im] pair."""
+    disc = _section(doc, "discrete")
+    amplitudes, overlaps = (
+        _list(disc, "discrete", key, _complex) for key in ("amplitudes", "overlaps")
+    )
+    eigenvalues = _list(disc, "discrete", "eigenvalues", _number)
+    if not len(amplitudes) == len(overlaps) == len(eigenvalues):
+        raise ConfigError(
+            "fields 'discrete.amplitudes', 'discrete.overlaps' and "
+            "'discrete.eigenvalues' must have equal lengths"
+        )
+    return amplitudes, overlaps, eigenvalues
+
+
+def parse_histogram(doc: dict) -> tuple[int, tuple | None]:
+    """(bins, hist_range) of the optional `histogram` section: 61 bins
+    unless given, and the automatic box (None) unless p_range or P_range
+    is. An explicit range must give finite, strictly increasing edges;
+    the automatic box and the state fail at run time instead."""
+    hist = _section(doc, "histogram") if "histogram" in doc else {}
+    bins = hist.get("bins", 61)
+    if isinstance(bins, bool) or not isinstance(bins, int) or bins < 2:
+        raise ConfigError("field 'histogram.bins' must be an integer >= 2")
+    if not ("p_range" in hist or "P_range" in hist):
+        return bins, None
+    hist_range = tuple(_list(hist, "histogram", key, _number) for key in ("p_range", "P_range"))
+    for key, rng in zip(("p_range", "P_range"), hist_range):
+        if len(rng) != 2:
+            raise ConfigError(f"field 'histogram.{key}' must be [lo, hi]")
+    try:
+        _histogram_edges(bins, hist_range)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return bins, hist_range
+
+
 def config_echo(config: ExperimentConfig) -> dict:
     """The config document of `config`, laid out by CONFIG_FIELDS, with
     each angle as its radians."""
@@ -267,17 +306,7 @@ def _first_order(config: ExperimentConfig) -> tuple[WeakValue, tuple[float, floa
 def cmd_weakvalue(args) -> int:
     doc = load_document(args.config)
     if "discrete" in doc:
-        disc = _section(doc, "discrete")
-        amplitudes, overlaps = (
-            _list(disc, "discrete", key, _complex) for key in ("amplitudes", "overlaps")
-        )
-        eigenvalues = _list(disc, "discrete", "eigenvalues", _number)
-        if not len(amplitudes) == len(overlaps) == len(eigenvalues):
-            raise ConfigError(
-                "fields 'discrete.amplitudes', 'discrete.overlaps' and "
-                "'discrete.eigenvalues' must have equal lengths"
-            )
-        wv = weak_value_discrete(DiscreteSpectrumInput(amplitudes, overlaps, eigenvalues))
+        wv = weak_value_discrete(DiscreteSpectrumInput(*parse_discrete(doc)))
         print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
         return 0
 
@@ -458,20 +487,7 @@ HISTOGRAM_HEADER = "p_lo,p_hi,P_lo,P_hi,count"
 def cmd_histogram(args) -> int:
     doc = load_document(args.config)
     config = parse_experiment(doc, args.seed)
-    hist = _section(doc, "histogram") if "histogram" in doc else {}
-    bins = hist.get("bins", 61)
-    if isinstance(bins, bool) or not isinstance(bins, int) or bins < 2:
-        raise ConfigError("field 'histogram.bins' must be an integer >= 2")
-    hist_range = None
-    if "p_range" in hist or "P_range" in hist:
-        hist_range = tuple(_list(hist, "histogram", key, _number) for key in ("p_range", "P_range"))
-        for key, rng in zip(("p_range", "P_range"), hist_range):
-            if len(rng) != 2:
-                raise ConfigError(f"field 'histogram.{key}' must be [lo, hi]")
-        try:  # a config error; the automatic box and the state fail at run time
-            _histogram_edges(bins, hist_range)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    bins, hist_range = parse_histogram(doc)
     counts, p_edges, P_edges = joint_momentum_histogram(config, bins, hist_range)
     # each edge formatted once: a "lo,hi" cell per bin of p' and of P
     p_bins, P_bins = (

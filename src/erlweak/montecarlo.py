@@ -24,9 +24,12 @@ block of a chunk reuses the same buffers, so a yielded block is valid only
 until the next one. A chunk keeps at most the values its moments need (the
 accepted (Q', P', A), or (A, Q')), so memory is O(chunk) per worker at any
 acceptance; only `sample_state` materialises n points. The histogram bins
-each block by an arithmetic index corrected against the edges
-(`_bin_index`), with counts equal to `np.histogram2d`'s exactly, and counts
-a buffer of at least `BLOCK` flat cell indices at a time.
+each block by an arithmetic index (`_bins`), trusted wherever a rounding
+margin measured once per histogram on the edges (`_bin_margin`) proves it
+right. Only the draws next to an edge, or every draw where the margin
+proves nothing, are corrected against the edges (`_edge_correct`). The
+counts equal `np.histogram2d`'s exactly, and a buffer of at least `BLOCK`
+flat cell indices is counted at a time.
 """
 
 from __future__ import annotations
@@ -657,8 +660,12 @@ def joint_momentum_histogram(
     are not counted: the automatic box (+-5 std of each marginal) misses
     about 1.15e-6 of them, so the total equals n_samples only for a range
     that holds them all. Counts are summed chunk by chunk, in parallel (see
-    `_run_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples);
-    each block is binned by `_bin_index`, not by a binary search. Raises
+    `_run_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples).
+    Each block is binned by `_bins`, not by a binary search: an arithmetic
+    index, trusted wherever the rounding margin of the edges
+    (`_bin_margin`, measured once here) proves it right. Only the draws next
+    to an edge are corrected against the edges, and every draw of a
+    coordinate whose margin is 1/4 or more or not finite. Raises
     ValueError for the bins and range that `_histogram_edges` rejects, the
     automatic box included, for bins < 2 and for a degenerate state.
     """
@@ -679,7 +686,8 @@ def joint_momentum_histogram(
         counts, p_edges, P_edges = _histogram_edges(bins, hist_range)
     # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
     coupled = config._evolved
-    args = (_source(coupled.joint, config.seed, coupled.smap.matrix[1::2]), p_edges, P_edges)
+    source = _source(coupled.joint, config.seed, coupled.smap.matrix[1::2])
+    args = (source, (p_edges, P_edges), _bin_margin((p_edges, P_edges)))
     # the int64 chunk counts summed, then added once: whole numbers below 2**53, so exact
     counts += _run_chunks(_histogram_chunk, args, config.n_samples, chunk_size, sum)
     return counts, p_edges, P_edges
@@ -707,13 +715,65 @@ def _histogram_edges(
     return counts, p_edges, P_edges
 
 
+def _bin_margin(edges: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(s, o, top, trust) of `_bins`'s guess for each of d edge arrays, as a
+    (4, d, 1) array, measured once per histogram. The guess
+    g(x) = fl(fl(x s) + o), with s = n / (hi - lo) (at most the largest float)
+    and o = 1/2 - lo s, puts edge k near k + 1/2; top = n + 1. Below 1/4
+    the margin delta = max_k |g(e_k) - (k + 1/2)| is exact, a multiple of
+    2**-54 as every g(e_k) >= 1/4 is, and so is trust = 1/2 - delta: a g
+    with |g - rint(g)| < trust is exactly a g more than delta from every
+    half-integer. trust is 0, and trusts no g, where delta >= 1/4 (a
+    subnormal or overflowing span, or edges far from uniform) or is nan."""
+    margin = []
+    for e in edges:
+        n = e.size - 1
+        with np.errstate(all="ignore"):
+            s = min(n / (e[-1] - e[0]), np.finfo(float).max)  # lo s is not nan at lo = 0
+            o = 0.5 - e[0] * s
+            delta = np.abs(e * s + o - np.arange(0.5, n + 1.0)).max()
+        margin.append((s, o, n + 1.0, 0.5 - delta if delta < 0.25 else 0.0))
+    return np.array(margin).T[:, :, None]
+
+
+def _bins(x: np.ndarray, edges, margin: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The `_bin_index` of each draw of the (d, m) array x, row i binned by
+    edges[i] with `margin` its `_bin_margin`, as whole floats in work[1] of
+    the (2, d, m) float buffer `work`. The guess g(x) is clamped to top
+    (nan and +inf go there), then to 0, and rounded to the nearest integer
+    j. Where |g - j| < trust, j is exact: g is monotone in x and more than
+    delta from every half-integer, so g(e_(j-1)) < g(x) < g(e_j) gives
+    e_(j-1) < x < e_j. Only the other draws, next to an edge (all of them
+    where trust is 0), are corrected from j by `_edge_correct`."""
+    s, o, top, trust = margin
+    guess, index = work
+    with np.errstate(all="ignore"):  # overflow, or a non-finite s or o: clamped or untrusted
+        np.multiply(x, s, out=guess)
+        guess += o
+    np.fmin(guess, top, out=guess)  # before fmax, which would send nan to 0
+    np.fmax(guess, 0.0, out=guess)
+    np.rint(guess, out=index)
+    guess -= index
+    near = np.abs(guess, out=guess) >= trust
+    if near.any():
+        for i, where in enumerate(near):
+            where = np.flatnonzero(where)
+            index[i, where] = _edge_correct(x[i, where], edges[i], index[i, where].astype(np.intp))
+    return index
+
+
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """`np.histogram`'s bin index of each x: searchsorted(edges, x, "right"),
     less 1 where x equals the last edge. So 1..n are the bins (the last one
     closed), 0 is below the first edge and n + 1 above the last edge or nan.
+    edges are n + 1 finite, non-decreasing values. The histogram's binning,
+    `_bins`, for one coordinate."""
+    work = np.empty((2, 1, x.size))
+    return _bins(x[None], (edges,), _bin_margin((edges,)), work)[0].astype(np.intp)
 
-    edges are n + 1 finite, non-decreasing values. The arithmetic index
-    (x - lo) * n / (hi - lo) is only a first guess. Each pass then moves an
+
+def _edge_correct(x: np.ndarray, edges: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """`_bin_index` of each x, from a guess j in 0..n + 1. Each pass moves an
     index down where x is below its lower edge and up where x is at or above
     its upper edge, until none moves (usually after one pass), so the result
     is exact however the edges were rounded. In `guarded`, index j runs from
@@ -721,17 +781,8 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     nextafter(hi, inf), which closes the last bin, and index n + 1 up to nan,
     which no x reaches.
     """
-    n = edges.size - 1
-    lo, hi = edges[0], edges[-1]
-    guarded = np.concatenate(([-np.inf], edges[:-1], [np.nextafter(hi, np.inf), np.nan]))
+    guarded = np.concatenate(([-np.inf], edges[:-1], [np.nextafter(edges[-1], np.inf), np.nan]))
     upper = guarded[1:]  # upper[j] == guarded[j + 1]
-    with np.errstate(all="ignore"):  # overflow or 0 * inf: a guess of 0 or n + 1
-        guess = x - lo
-        guess *= n / (hi - lo)
-    guess += 1.0
-    np.fmin(guess, n + 1.0, out=guess)  # nan -> n + 1
-    np.fmax(guess, 0.0, out=guess)
-    j = guess.astype(np.intp)
     while True:
         up = x >= upper[j]
         down = x < guarded[j]
@@ -743,24 +794,28 @@ def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
     """Chunk k of `joint_momentum_histogram`: its (p', P') counts, binned as
-    `np.histogram2d` bins them (see `_bin_index`). Flat cell indices are
-    gathered in a buffer of max(BLOCK, cells) entries and counted by one
-    `bincount` each time it fills, so the O(cells) cost of a count is paid
-    once per at least `cells` draws."""
-    source, p_edges, P_edges = args
-    width = P_edges.size + 1  # bins of P plus one below and one above
-    cells = (p_edges.size + 1) * width
+    `np.histogram2d` bins them, by `_bins` with the edges' margin, in one
+    (2, 2, BLOCK) buffer. Flat cell indices are gathered in a buffer of
+    max(BLOCK, cells) entries and counted by one `bincount` each time it
+    fills, so the O(cells) cost of a count is paid once per at least
+    `cells` draws."""
+    source, edges, margin = args
+    width = edges[1].size + 1  # bins of P plus one below and one above
+    cells = (edges[0].size + 1) * width
     counts = np.zeros(cells, dtype=np.int64)
     flat = np.empty(min(rows, max(BLOCK, cells)), dtype=np.intp)
+    work = np.empty((2, 2, min(rows, BLOCK)))
     filled = 0
-    for p, P in _blocks(source, k, rows):
-        if filled + p.size > flat.size:
+    for block in _blocks(source, k, rows):
+        m = block.shape[1]
+        if filled + m > flat.size:
             counts += np.bincount(flat[:filled], minlength=cells)
             filled = 0
-        index = flat[filled : filled + p.size]
-        np.multiply(_bin_index(p, p_edges), width, out=index)
-        index += _bin_index(P, P_edges)
-        filled += p.size
+        index = _bins(block, edges, margin, work[:, :, :m])
+        index[0] *= width
+        index[0] += index[1]
+        flat[filled : filled + m] = index[0]  # whole numbers below 2**53: exact
+        filled += m
     counts += np.bincount(flat[:filled], minlength=cells)
     return counts.reshape(-1, width)[1:-1, 1:-1]
 

@@ -1,5 +1,6 @@
 from hypothesis import settings
 
 # `pytest --hypothesis-profile=ci`: ten times hypothesis's default examples.
-# CI runs tests/test_domain.py, the accepted-domain property, under it.
+# CI runs the accepted-domain properties (tests/test_domain.py) and the
+# histogram binning property (tests/test_montecarlo.py) under it.
 settings.register_profile("ci", max_examples=10 * settings.default.max_examples)

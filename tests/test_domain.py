@@ -1,7 +1,8 @@
 """The accepted-domain property: `weakvalue`, `simulate`, `sweep`,
 `sweep --mc` and `histogram`, run through `cli.main` on configs drawn over
-every field the schema reads, each end in exactly one of these ways, with no
-traceback and no RuntimeWarning:
+every field the schema reads, `histogram`'s explicit ranges and
+`weakvalue`'s `discrete` section included, each end in exactly one of these
+ways, with no traceback and no RuntimeWarning:
 
 - exit 0, with every printed number and CSV cell finite, except the
   regime's documented `bound=inf`, `sweep`'s regime class, and the four
@@ -15,7 +16,11 @@ traceback and no RuntimeWarning:
 The configs are drawn by one strategy per `CONFIG_FIELDS` reader, so they
 follow the schema's fields, plus one strategy for a sweep axis: any of
 `SWEEP_KEYS` for the closed forms, theta_B or b for `sweep --mc`, so that a
-sampling pass windows several points. The example
+sampling pass windows several points. A `histogram` section draws bins and
+both ranges, each ordinary, a few ulps wide, far from 0 against its width,
+or subnormal; a `discrete` section draws lists of numbers and [re, im]
+pairs, of equal lengths or not, with a zero postselection amplitude on one
+draw in ten. The example
 budget is the active hypothesis profile's: hypothesis's default in tier-1,
 ten times that under the `ci` profile of tests/conftest.py.
 """
@@ -42,7 +47,9 @@ from erlweak.cli import (
     _number,
     _window,
     main,
+    parse_discrete,
     parse_experiment,
+    parse_histogram,
 )
 
 PI = math.pi
@@ -74,6 +81,37 @@ sweep_axes = st.sampled_from(SWEEP_KEYS).flatmap(
 window_axes = st.sampled_from(("theta_B", "b")).flatmap(
     lambda key: st.lists(numbers, min_size=1, max_size=3).map(lambda values: {key: values})
 )
+
+
+# a histogram range [lo, hi]: ordinary (perhaps empty), a few ulps wide, far
+# from 0 against its width, or a whole number of subnormals
+spans = st.one_of(
+    st.lists(numbers, min_size=2, max_size=2),
+    st.tuples(numbers, st.integers(1, 300)).map(lambda t: [t[0], t[0] + t[1] * math.ulp(t[0])]),
+    st.tuples(st.sampled_from((1e8, -1e8, 1e15, -3e300)), st.floats(-12.0, 3.0)).map(
+        lambda t: [t[0], t[0] + 10.0 ** t[1]]
+    ),
+    st.tuples(st.integers(-50, 50), st.integers(1, 500)).map(
+        lambda t: [t[0] * 5e-324, (t[0] + t[1]) * 5e-324]
+    ),
+)
+histograms = st.fixed_dictionaries({"bins": st.integers(0, 80), "p_range": spans, "P_range": spans})
+# a discrete amplitude or overlap: a number or an [re, im] pair
+complexes = numbers | st.lists(numbers, min_size=2, max_size=2)
+
+
+@st.composite
+def discrete_documents(draw):
+    """A `weakvalue` config of a `discrete` section alone. Each list has
+    the drawn length, or one more on one draw in five; on one draw in ten
+    every overlap is 0, and so is the postselection amplitude."""
+    n = draw(st.integers(1, 4))
+    sizes = [n + draw(st.sampled_from((0, 0, 0, 0, 1))) for _ in range(3)]
+    amplitudes, overlaps = (draw(st.lists(complexes, min_size=k, max_size=k)) for k in sizes[:2])
+    if draw(st.integers(0, 9)) == 0:
+        overlaps = [0.0] * len(overlaps)
+    eigenvalues = draw(st.lists(numbers, min_size=sizes[2], max_size=sizes[2]))
+    return {"discrete": {"amplitudes": amplitudes, "overlaps": overlaps, "eigenvalues": eigenvalues}}
 
 
 @st.composite
@@ -147,14 +185,53 @@ def test_every_accepted_sweep_mc_ends_in_a_documented_way(doc):
     _ends_in_a_documented_way(["sweep", "--mc"], doc)
 
 
+@settings(derandomize=True, deadline=None)
+@given(doc=documents(), hist=histograms, readme=st.booleans())
+# draws inside a far-offset range, and a subnormal one: edges the guess can trust near
+# the draws, and edges it trusts nowhere
+@example(doc=config(mu_p=1e8, sigma=500.0, g=1e-4), readme=False,
+         hist={"bins": 61, "p_range": [1e8 - 2e-3, 1e8 + 2e-3], "P_range": [-2.0, 2.0]})
+@example(doc=config(), readme=False,
+         hist={"bins": 7, "p_range": [0.0, 5e-323], "P_range": [-5e-323, 5e-323]})
+# edges that are not strictly increasing: a config error
+@example(doc=config(), readme=False,
+         hist={"bins": 7, "p_range": [1.0, 1.0 + 3 * 2.0**-52], "P_range": [-1.0, 1.0]})
+def test_every_accepted_histogram_range_ends_in_a_documented_way(doc, hist, readme):
+    # the README config on half the draws, so that most draws fall in an O(1) range
+    _ends_in_a_documented_way(["histogram"], {**(config() if readme else doc), "histogram": hist})
+
+
+@settings(derandomize=True, deadline=None)
+@given(doc=discrete_documents())
+# a postselection amplitude that cancels to 0, and one whose product overflows
+@example(doc={"discrete": {"amplitudes": [0.6, 0.6], "overlaps": [[0.3, 0.1], [-0.3, -0.1]],
+                           "eigenvalues": [1.0, -1.0]}})
+@example(doc={"discrete": {"amplitudes": [0.0, 1e154], "overlaps": [0.0, 1e155],
+                           "eigenvalues": [0.0, 1.0]}})
+def test_every_accepted_discrete_section_ends_in_a_documented_way(doc):
+    _ends_in_a_documented_way(["weakvalue"], doc)
+
+
+def _rejected(command, doc) -> bool:
+    """Whether the schema rejects `doc` for `command`: the experiment, and
+    for `histogram` its section too, or the `discrete` section alone where
+    `weakvalue` has one."""
+    try:
+        if command == ["weakvalue"] and "discrete" in doc:
+            parse_discrete(doc)
+        else:
+            parse_experiment(doc)
+            if command == ["histogram"]:
+                parse_histogram(doc)
+    except ConfigError:
+        return True
+    return False
+
+
 def _ends_in_a_documented_way(command, doc):
     """Run `command` on `doc` through `cli.main` and check that it ends in
     one of the ways the module docstring lists."""
-    try:
-        parse_experiment(doc)
-        rejected = False
-    except ConfigError:
-        rejected = True
+    rejected = _rejected(command, doc)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
@@ -178,7 +255,7 @@ def _ends_in_a_documented_way(command, doc):
             values.pop("bound", None)  # inf where the regime has no bound
             assert all(math.isfinite(float(x)) for x in values.values()), printed
             if command == ["weakvalue"]:
-                assert len(values) == 5, printed
+                assert len(values) == (2 if "discrete" in doc else 5), printed
             elif command == ["sweep", "--mc"]:
                 # the regime class, then the mc_* cells: nan exactly where the
                 # window accepted fewer than 2 draws

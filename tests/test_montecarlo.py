@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erlweak import (
     ExperimentConfig,
@@ -974,6 +976,139 @@ class TestBinIndex:
             assert g.dtype == r.dtype
             np.testing.assert_array_equal(g, r)
         assert 0 < got[0].sum() < n
+
+
+class TestTrustedBinIndex:
+    """The histogram's binning trusts its arithmetic guess
+    g(x) = fl(fl(x s) + o) where g lies more than the edges' margin
+    delta = max_k |g(e_k) - (k + 1/2)| from every half-integer, and sends
+    only the other draws to `_edge_correct`. The index stays exact where
+    delta is tiny, large, or too large to trust."""
+
+    RANGES = {  # (bins, range) of each kind of margin
+        "tiny": (61, (-3.4113, 3.8729)),  # O(1), like the automatic +-5 std box
+        "far offset": (61, (1e8, 1e8 + 1e-3)),  # x s ~ 6e12 keeps 10 bits below the point
+        "untrusted": (7, (0.0, 5e-323)),  # a subnormal span: n / span overflows
+    }
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _corrected():
+        """The draws that reach `_edge_correct` in the block, one array per call."""
+        seen = []
+        edge_correct = montecarlo._edge_correct
+
+        def counting(x, edges, j):
+            seen.append(x.copy())
+            return edge_correct(x, edges, j)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_edge_correct", counting)
+            yield seen
+
+    @staticmethod
+    def _edges(bins, hist_range):
+        return np.histogram2d(np.empty(0), np.empty(0), bins=bins, range=(hist_range,) * 2)[1]
+
+    @staticmethod
+    def _guess_and_delta(edges, x):
+        """(clamped g(x), delta) for these edges."""
+        s, o, top, _ = montecarlo._bin_margin((edges,))[:, 0, 0]
+        assert top == edges.size
+        with np.errstate(all="ignore"):
+            delta = np.max(np.abs(edges * s + o - np.arange(edges.size) - 0.5))
+            return np.fmax(np.fmin(x * s + o, top), 0.0), delta
+
+    @classmethod
+    def _assert_only_draws_next_to_an_edge_are_corrected(cls, edges, x):
+        """Bin x exactly, correcting exactly the x whose guess is within
+        delta of a half-integer, or every x where delta is not below 1/4;
+        return the corrected x."""
+        with cls._corrected() as seen:
+            TestBinIndex._assert_matches_searchsorted(edges, x)
+        guess, delta = cls._guess_and_delta(edges, x)
+        near = x[np.abs(guess - np.floor(guess) - 0.5) <= delta] if delta < 0.25 else x
+        seen = np.concatenate([np.empty(0), *seen])
+        np.testing.assert_array_equal(np.sort(seen), np.sort(near))
+        return seen
+
+    def test_margin_of_each_kind(self):
+        delta, trust = {}, {}
+        for kind, spec in self.RANGES.items():
+            edges = self._edges(*spec)
+            delta[kind] = self._guess_and_delta(edges, edges)[1]
+            trust[kind] = montecarlo._bin_margin((edges,))[3, 0, 0]
+        assert 0 < delta["tiny"] < 1e-13  # a few ulp of n
+        assert 1e-5 < delta["far offset"] < 0.25
+        assert not delta["untrusted"] < 0.25 and trust["untrusted"] == 0
+        for kind in ("tiny", "far offset"):
+            assert trust[kind] == 0.5 - delta[kind]
+
+    @pytest.mark.parametrize("kind", RANGES)
+    def test_only_draws_next_to_an_edge_are_corrected(self, kind):
+        edges = self._edges(*self.RANGES[kind])
+        x = TestBinIndex._probes(edges, np.random.default_rng(5), n=20_000)
+        seen = self._assert_only_draws_next_to_an_edge_are_corrected(edges, x)
+        # every edge, and (with a margin to trust) not every draw
+        assert np.isin(edges, seen).all()
+        assert (seen.size == x.size) == (kind == "untrusted")
+
+    @pytest.mark.parametrize("kind", RANGES)
+    def test_histogram_equals_histogram2d(self, kind, monkeypatch):
+        bins, span = self.RANGES[kind]
+        hist_range = (span, self.RANGES["tiny"][1])
+        rng = np.random.default_rng(7)
+        n = 6000
+        pts = np.empty((2, n))
+        for row, (edges_bins, edges_span) in enumerate(((bins, span), (13, hist_range[1]))):
+            pts[row] = rng.choice(TestBinIndex._probes(self._edges(edges_bins, edges_span), rng), n)
+
+        def blocks(source, k, rows):  # chunks of 2500 draws in (p', P') blocks of 900
+            for s in range(2500 * k, 2500 * k + rows, 900):
+                yield np.ascontiguousarray(pts[:, s : min(s + 900, 2500 * k + rows)])
+
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)
+        monkeypatch.setattr(montecarlo, "_blocks", blocks)
+        config = dataclasses.replace(BASE, n_samples=n)
+        got = joint_momentum_histogram(config, (bins, 13), hist_range, chunk_size=2500)
+        ref = np.histogram2d(pts[0], pts[1], bins=(bins, 13), range=hist_range)
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
+        assert 0 < got[0].sum() < n
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        bins=st.integers(2, 300),
+        lo=st.floats(-1e300, 1e300) | st.sampled_from((0.0, 1e8, -1e15)),
+        log_span=st.floats(-323.5, 300.0),
+        log_relative=st.none() | st.floats(-16.0, 0.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_only_draws_next_to_an_edge_are_corrected(
+        self, bins, lo, log_span, log_relative, seed
+    ):
+        # np.histogram2d's edges of any finite range, whatever their margin:
+        # a span in absolute terms, or relative to |lo| (a far offset)
+        span = 10.0**log_span if log_relative is None else abs(lo) * 10.0**log_relative
+        with np.errstate(all="ignore"):
+            edges = self._edges(bins, (lo, lo + span))
+        if np.isfinite(edges).all() and edges[0] < edges[-1]:
+            x = TestBinIndex._probes(edges, np.random.default_rng(seed), n=500)
+            self._assert_only_draws_next_to_an_edge_are_corrected(edges, x)
+
+    def test_automatic_box_corrects_no_draw(self, monkeypatch):
+        # a config of the histogram benchmark's kind, on its automatic +-5 std box
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)
+        config = dataclasses.replace(
+            BASE, mu_q=0.2, mu_p=-0.3, sigma=1.3, delta_Q=0.8, mu_P=0.2, omega=0.4, g=0.7,
+            theta_A=Quadrature(2.0), n_samples=2**18,
+        )
+        with self._corrected() as seen:
+            counts, p_edges, P_edges = joint_momentum_histogram(config, 61)
+        assert seen == []
+        assert counts.sum() > 0.999 * config.n_samples
+        for edges in (p_edges, P_edges):
+            assert 0 < self._guess_and_delta(edges, edges)[1] < 1e-13
 
 
 class TestStrongMeasurement:
