@@ -24,12 +24,10 @@ block of a chunk reuses the same buffers, so a yielded block is valid only
 until the next one. A chunk keeps at most the values its moments need (the
 accepted (Q', P', A), or (A, Q')), so memory is O(chunk) per worker at any
 acceptance; only `sample_state` materialises n points. The histogram bins
-each block by an arithmetic index (`_bins`), trusted wherever a rounding
-margin measured once per histogram on the edges (`_bin_margin`) proves it
-right. Only the draws next to an edge, or every draw where the margin
-proves nothing, are corrected against the edges (`_edge_correct`). The
-counts equal `np.histogram2d`'s exactly, and a buffer of at least `BLOCK`
-flat cell indices is counted at a time.
+each block by an arithmetic index, trusted where the edges' rounding margin
+proves it, and corrects only the draws next to an edge against the edges
+(`_bins`), with counts equal to `np.histogram2d`'s exactly; it counts a
+buffer of at least `BLOCK` flat cell indices at a time.
 """
 
 from __future__ import annotations
@@ -662,10 +660,9 @@ def joint_momentum_histogram(
     that holds them all. Counts are summed chunk by chunk, in parallel (see
     `_run_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples).
     Each block is binned by `_bins`, not by a binary search: an arithmetic
-    index, trusted wherever the rounding margin of the edges
-    (`_bin_margin`, measured once here) proves it right. Only the draws next
-    to an edge are corrected against the edges, and every draw of a
-    coordinate whose margin is 1/4 or more or not finite. Raises
+    index more than the edges' margin (`_bin_margin`, measured once here)
+    from every half-integer is exact, and only the other draws, next to an
+    edge, are corrected against the edges (all where the margin is >= 1/4). Raises
     ValueError for the bins and range that `_histogram_edges` rejects, the
     automatic box included, for bins < 2 and for a degenerate state.
     """
@@ -716,15 +713,13 @@ def _histogram_edges(
 
 
 def _bin_margin(edges: tuple[np.ndarray, ...]) -> np.ndarray:
-    """(s, o, top, trust) of `_bins`'s guess for each of d edge arrays, as a
-    (4, d, 1) array, measured once per histogram. The guess
-    g(x) = fl(fl(x s) + o), with s = n / (hi - lo) (at most the largest float)
-    and o = 1/2 - lo s, puts edge k near k + 1/2; top = n + 1. Below 1/4
-    the margin delta = max_k |g(e_k) - (k + 1/2)| is exact, a multiple of
-    2**-54 as every g(e_k) >= 1/4 is, and so is trust = 1/2 - delta: a g
-    with |g - rint(g)| < trust is exactly a g more than delta from every
-    half-integer. trust is 0, and trusts no g, where delta >= 1/4 (a
-    subnormal or overflowing span, or edges far from uniform) or is nan."""
+    """(s, o, top, trust) of `_bins`'s guess g(x) = fl(fl(x s) + o) for each
+    of d edge arrays, a (4, d, 1) array: s = n / (hi - lo) (at most the
+    largest float), o = 1/2 - lo s and top = n + 1. Below 1/4 the margin
+    delta = max_k |g(e_k) - (k + 1/2)| is exact, a multiple of 2**-54 as
+    each g(e_k) >= 1/4 is, and so is trust = 1/2 - delta: |g - rint(g)| <
+    trust says exactly that g is more than delta from every half-integer.
+    trust is 0, which trusts no g, where delta >= 1/4 or is nan."""
     margin = []
     for e in edges:
         n = e.size - 1
@@ -737,17 +732,15 @@ def _bin_margin(edges: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _bins(x: np.ndarray, edges, margin: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The `_bin_index` of each draw of the (d, m) array x, row i binned by
-    edges[i] with `margin` its `_bin_margin`, as whole floats in work[1] of
-    the (2, d, m) float buffer `work`. The guess g(x) is clamped to top
-    (nan and +inf go there), then to 0, and rounded to the nearest integer
-    j. Where |g - j| < trust, j is exact: g is monotone in x and more than
-    delta from every half-integer, so g(e_(j-1)) < g(x) < g(e_j) gives
-    e_(j-1) < x < e_j. Only the other draws, next to an edge (all of them
+    """`_bin_index` of each draw of the (d, m) array x, row i by edges[i] and
+    its `_bin_margin`, as whole floats in work[1] of the (2, d, m) buffer
+    `work`. The guess g is clamped to top (nan and +inf), then to 0, and
+    rounded to j. Where |g - j| < trust, j is exact, as g is monotone:
+    g(e_(j-1)) < g(x) < g(e_j). Only the other draws, next to an edge (all
     where trust is 0), are corrected from j by `_edge_correct`."""
     s, o, top, trust = margin
     guess, index = work
-    with np.errstate(all="ignore"):  # overflow, or a non-finite s or o: clamped or untrusted
+    with np.errstate(all="ignore"):  # overflow, or an untrusted margin's inf: clamped
         np.multiply(x, s, out=guess)
         guess += o
     np.fmin(guess, top, out=guess)  # before fmax, which would send nan to 0
@@ -794,11 +787,12 @@ def _edge_correct(x: np.ndarray, edges: np.ndarray, j: np.ndarray) -> np.ndarray
 
 def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
     """Chunk k of `joint_momentum_histogram`: its (p', P') counts, binned as
-    `np.histogram2d` bins them, by `_bins` with the edges' margin, in one
-    (2, 2, BLOCK) buffer. Flat cell indices are gathered in a buffer of
-    max(BLOCK, cells) entries and counted by one `bincount` each time it
-    fills, so the O(cells) cost of a count is paid once per at least
-    `cells` draws."""
+    `np.histogram2d` bins them by `_bins`, which trusts the arithmetic index
+    where the margin proves it and corrects against the edges only the draws
+    next to an edge, in one (2, 2, BLOCK) buffer. Flat cell indices are
+    gathered in a buffer of max(BLOCK, cells) entries and counted by one
+    `bincount` each time it fills, so the O(cells) cost of a count is paid
+    once per at least `cells` draws."""
     source, edges, margin = args
     width = edges[1].size + 1  # bins of P plus one below and one above
     cells = (edges[0].size + 1) * width
