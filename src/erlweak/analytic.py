@@ -146,7 +146,8 @@ def postselected_means_discrete(
 
 
 def _delta_P(delta_Q: float, omega: float) -> float:
-    """Momentum spread sqrt(1 + omega^2) / (2 delta_Q) of the pure device."""
+    """Momentum spread sqrt(1 + omega^2) / (2 delta_Q) of the pure device.
+    The relation is its own inverse: _delta_P(delta_P, omega) is delta_Q."""
     return math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
 
 

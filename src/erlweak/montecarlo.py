@@ -25,9 +25,9 @@ until the next one. A chunk keeps at most the values its moments need (the
 accepted (Q', P', A), or (A, Q')), so memory is O(chunk) per worker at any
 acceptance; only `sample_state` materialises n points. The histogram bins
 each block by an arithmetic index, trusted where the edges' rounding margin
-proves it, and corrects only the draws next to an edge against the edges
-(`_bins`), with counts equal to `np.histogram2d`'s exactly; it counts a
-buffer of at least `BLOCK` flat cell indices at a time.
+proves it, and bins only the draws next to an edge by numpy's own binary
+search of the edges (`_bins`), so its counts equal `np.histogram2d`'s
+exactly; it counts a buffer of at least `BLOCK` flat cell indices at a time.
 """
 
 from __future__ import annotations
@@ -517,9 +517,8 @@ def _postselect(configs: list[ExperimentConfig], chunk_size: int = DEFAULT_CHUNK
     windows = tuple((config.theta_B, config.b, config.resolved_epsilon()) for config in configs)
     args = (_source(coupled[0].joint, first.seed), coupled[0].smap, first.theta_A, windows)
 
-    def merge_each(results):  # each window's parts, merged in chunk order as they come
-        streams = itertools.tee(results, len(windows))
-        return [_merge(parts[i] for parts in stream) for i, stream in enumerate(streams)]
+    def merge_each(results):  # each window's parts, merged in chunk order
+        return [_merge(parts) for parts in zip(*results)]
 
     merged = _run_chunks(_experiment_chunk, args, n, chunk_size, merge_each)
     return [(*moments, n, epsilon) for moments, (_, _, epsilon) in zip(merged, windows)]
@@ -659,10 +658,10 @@ def joint_momentum_histogram(
     about 1.15e-6 of them, so the total equals n_samples only for a range
     that holds them all. Counts are summed chunk by chunk, in parallel (see
     `_run_chunks`), so memory is O(BLOCK) rows per worker, not O(n_samples).
-    Each block is binned by `_bins`, not by a binary search: an arithmetic
-    index more than the edges' margin (`_bin_margin`, measured once here)
-    from every half-integer is exact, and only the other draws, next to an
-    edge, are corrected against the edges (all where the margin is >= 1/4). Raises
+    Each block is binned by `_bins`: an arithmetic index more than the
+    edges' margin (`_bin_margin`, measured once here) from every
+    half-integer is exact, and only the other draws, next to an edge, take
+    numpy's binary search (all where the margin is >= 1/4). Raises
     ValueError for the bins and range that `_histogram_edges` rejects, the
     automatic box included, for bins < 2 and for a degenerate state.
     """
@@ -732,12 +731,14 @@ def _bin_margin(edges: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _bins(x: np.ndarray, edges, margin: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """`_bin_index` of each draw of the (d, m) array x, row i by edges[i] and
-    its `_bin_margin`, as whole floats in work[1] of the (2, d, m) buffer
-    `work`. The guess g is clamped to top (nan and +inf), then to 0, and
-    rounded to j. Where |g - j| < trust, j is exact, as g is monotone:
-    g(e_(j-1)) < g(x) < g(e_j). Only the other draws, next to an edge (all
-    where trust is 0), are corrected from j by `_edge_correct`."""
+    """np.histogram's bin index of each draw of the (d, m) array x, row i by
+    edges[i] and its `_bin_margin`, as whole floats in work[1] of the
+    (2, d, m) buffer `work`: 1..n are the bins (the last one closed), 0 is
+    below the first edge and n + 1 above the last edge or nan. The guess g
+    is clamped to top (nan and +inf), then to 0, and rounded to j. Where
+    |g - j| < trust, j is exact, as g is monotone: g(e_(j-1)) < g(x) <
+    g(e_j). Only the other draws, next to an edge (all where trust is 0),
+    are binned by `_edge_correct`, numpy's own rule."""
     s, o, top, trust = margin
     guess, index = work
     with np.errstate(all="ignore"):  # overflow, or an untrusted margin's inf: clamped
@@ -751,48 +752,25 @@ def _bins(x: np.ndarray, edges, margin: np.ndarray, work: np.ndarray) -> np.ndar
     if near.any():
         for i, where in enumerate(near):
             where = np.flatnonzero(where)
-            index[i, where] = _edge_correct(x[i, where], edges[i], index[i, where].astype(np.intp))
+            index[i, where] = _edge_correct(x[i, where], edges[i])
     return index
 
 
-def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """`np.histogram`'s bin index of each x: searchsorted(edges, x, "right"),
-    less 1 where x equals the last edge. So 1..n are the bins (the last one
-    closed), 0 is below the first edge and n + 1 above the last edge or nan.
-    edges are n + 1 finite, non-decreasing values. The histogram's binning,
-    `_bins`, for one coordinate."""
-    work = np.empty((2, 1, x.size))
-    return _bins(x[None], (edges,), _bin_margin((edges,)), work)[0].astype(np.intp)
-
-
-def _edge_correct(x: np.ndarray, edges: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """`_bin_index` of each x, from a guess j in 0..n + 1. Each pass moves an
-    index down where x is below its lower edge and up where x is at or above
-    its upper edge, until none moves (usually after one pass), so the result
-    is exact however the edges were rounded. In `guarded`, index j runs from
-    guarded[j] to guarded[j + 1]: index 0 from -inf, index n up to
-    nextafter(hi, inf), which closes the last bin, and index n + 1 up to nan,
-    which no x reaches.
-    """
-    guarded = np.concatenate(([-np.inf], edges[:-1], [np.nextafter(edges[-1], np.inf), np.nan]))
-    upper = guarded[1:]  # upper[j] == guarded[j + 1]
-    while True:
-        up = x >= upper[j]
-        down = x < guarded[j]
-        if not (up.any() or down.any()):
-            return j
-        j += up
-        j -= down
+def _edge_correct(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """`np.histogram2d`'s bin index of each x: searchsorted(edges, x,
+    "right"), less 1 where x equals the last edge, which closes the last bin.
+    nan sorts above every edge, to n + 1."""
+    return np.searchsorted(edges, x, "right") - (x == edges[-1])
 
 
 def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
     """Chunk k of `joint_momentum_histogram`: its (p', P') counts, binned as
     `np.histogram2d` bins them by `_bins`, which trusts the arithmetic index
-    where the margin proves it and corrects against the edges only the draws
-    next to an edge, in one (2, 2, BLOCK) buffer. Flat cell indices are
-    gathered in a buffer of max(BLOCK, cells) entries and counted by one
-    `bincount` each time it fills, so the O(cells) cost of a count is paid
-    once per at least `cells` draws."""
+    where the margin proves it and bins only the draws next to an edge by
+    numpy's `searchsorted` rule, in one (2, 2, BLOCK) buffer. Flat cell
+    indices are gathered in a buffer of max(BLOCK, cells) entries and
+    counted by one `bincount` each time it fills, so the O(cells) cost of a
+    count is paid once per at least `cells` draws."""
     source, edges, margin = args
     width = edges[1].size + 1  # bins of P plus one below and one above
     cells = (edges[0].size + 1) * width

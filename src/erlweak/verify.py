@@ -169,7 +169,7 @@ def run_delta_p_limit() -> SuiteResult:
     devs_q, devs_p = [], []
     delta_P = 0.4
     for _ in range(N_HALVINGS):
-        delta_Q = 1.0 / (2.0 * delta_P)
+        delta_Q = _delta_P(delta_P, 0.0)
         mean_Q, mean_P = postselected_means_gaussian(
             mu_q, mu_p, sigma, delta_Q, 0.0, g, theta_A, theta_B, b
         )
@@ -192,7 +192,7 @@ def run_weak_coupling_order() -> SuiteResult:
     wv = weak_value_gaussian(0.0, 0.0, sigma, theta_A, theta_B, b)
     orders = []
     for omega in (0.0, 1.0):
-        delta_P = math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+        delta_P = _delta_P(delta_Q, omega)
         residuals = []
         for g in HALVED_COUPLINGS:
             exact = postselected_means_gaussian(

@@ -341,6 +341,40 @@ class TestHistogramCommand:
             assert manifest["config"] == {**config_echo(parse_experiment(doc, 99)), "histogram": resolved}
         assert resolved == {**given, "p_range": [-5.0, 5.0], "P_range": [-3.0, 3.0]}
 
+    @pytest.mark.parametrize(
+        "particle, hist, expected",
+        [
+            ({}, None, "84f7a141600fc414639645c106f513aa552d7fe3cd104a46e1e643b99cf4d599"),
+            (
+                {"mu_p": 1e12},
+                {"bins": 61, "p_range": [1e12 - 5, 1e12 + 5], "P_range": [-5, 5]},
+                "a2eb3d447c6fe953ec4eb4d874a94da8634f71dde172039cbe0124f49bdc1683",
+            ),
+        ],
+        ids=["automatic box", "far offset"],
+    )
+    def test_csv_pinned(self, tmp_path, monkeypatch, particle, hist, expected):
+        # the bytes on the README config, as the simulate and sweep pins: on
+        # its automatic box, where the arithmetic index bins every draw, and
+        # on a range far from 0, where some draws are binned by `_edge_correct`
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)  # in this process, to count them
+        fallback = []
+        edge_correct = montecarlo._edge_correct
+
+        def counting(x, edges):
+            fallback.append(x.size)
+            return edge_correct(x, edges)
+
+        monkeypatch.setattr(montecarlo, "_edge_correct", counting)
+        doc = base_config(particle=particle, sampling={"n_samples": 1_000_000, "seed": 42})
+        if hist is not None:
+            doc["histogram"] = hist
+        path = write_config(tmp_path, doc)
+        assert main(["histogram", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        csv = (tmp_path / "o" / "histogram.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == expected
+        assert (sum(fallback) > 0) == (hist is not None)
+
     @pytest.mark.parametrize("p_range", [[5, -5], [1e20, 1.0000000000000002e20]])
     def test_bad_range_rejected(self, tmp_path, p_range):
         # empty, or too narrow for 11 distinct bins

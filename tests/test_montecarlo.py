@@ -218,7 +218,7 @@ class TestChunkPool:
         merge = montecarlo._merge
 
         def interrupted(parts):
-            next(parts)
+            next(iter(parts))
             raise KeyboardInterrupt
 
         monkeypatch.setattr(montecarlo, "_merge", interrupted)
@@ -908,13 +908,15 @@ class TestHistogram:
 
 
 class TestBinIndex:
-    """`_bin_index` is the bin index np.histogram2d takes from a binary
+    """`_bins` gives the bin index np.histogram2d takes from a binary
     search: searchsorted(edges, x, "right"), one less on the last edge."""
 
     @staticmethod
     def _assert_matches_searchsorted(edges, x):
         expected = np.searchsorted(edges, x, "right") - (x == edges[-1])
-        np.testing.assert_array_equal(montecarlo._bin_index(x, edges), expected)
+        work = np.empty((2, 1, x.size))
+        got = montecarlo._bins(x[None], (edges,), montecarlo._bin_margin((edges,)), work)[0]
+        np.testing.assert_array_equal(got, expected)
 
     @staticmethod
     def _probes(edges, rng, n=2000):
@@ -998,9 +1000,9 @@ class TestTrustedBinIndex:
         seen = []
         edge_correct = montecarlo._edge_correct
 
-        def counting(x, edges, j):
+        def counting(x, edges):
             seen.append(x.copy())
-            return edge_correct(x, edges, j)
+            return edge_correct(x, edges)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(montecarlo, "_edge_correct", counting)
