@@ -145,10 +145,10 @@ def postselected_means_discrete(
     return float(mean_Q.real), float(mean_P.real)
 
 
-def _delta_P(delta_Q: float, omega: float) -> float:
-    """Momentum spread sqrt(1 + omega^2) / (2 delta_Q) of the pure device.
-    The relation is its own inverse: _delta_P(delta_P, omega) is delta_Q."""
-    return math.sqrt(1.0 + omega**2) / (2.0 * delta_Q)
+def _conjugate_spread(spread: float, omega: float) -> float:
+    """sqrt(1 + omega^2) / (2 spread): the pure device's delta_P from its
+    delta_Q, or its delta_Q from its delta_P, as the relation is symmetric."""
+    return math.sqrt(1.0 + omega**2) / (2.0 * spread)
 
 
 def postselected_means_gaussian(
@@ -180,7 +180,7 @@ def postselected_means_gaussian(
     angles = _angles(theta_A, theta_B)
     bound = _gaussian_bound(sigma, *angles[2:])
     return _postselected_means(
-        mu_q, mu_p, sigma, omega, g, b, mu_P, angles, _delta_P(delta_Q, omega), bound
+        mu_q, mu_p, sigma, omega, g, b, mu_P, angles, _conjugate_spread(delta_Q, omega), bound
     )
 
 

@@ -30,7 +30,7 @@ from .analytic import (
     DegeneratePostselectionError,
     DiscreteSpectrumInput,
     WeakValue,
-    _delta_P,
+    _conjugate_spread,
     first_order_shifts,
     postselected_means_gaussian,
     weak_value_discrete,
@@ -384,7 +384,7 @@ def _sweep_configs(base: ExperimentConfig, axes: dict):
         point = dict(zip(axes, combo))
         if "delta_P" in point:
             # pure device at this omega: delta_Q fixed by delta_P
-            point["delta_Q"] = _delta_P(point.pop("delta_P"), base.omega)
+            point["delta_Q"] = _conjugate_spread(point.pop("delta_P"), base.omega)
         yield dataclasses.replace(
             base, **{k: Quadrature(v) if readers[k] is _angle else v for k, v in point.items()}
         )

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import SingularConditioningError, _delta_P, _read_means, _regression
+from .analytic import SingularConditioningError, _conjugate_spread, _read_means, _regression
 from .dynamics import SYMPLECTIC_TOL, SymplecticMap, _invariance_deviation
 from .dynamics import apply_to_points, apply_to_state, coupling_map
 from .states import (
@@ -222,7 +222,7 @@ class ExperimentConfig:
     @property
     def delta_P(self) -> float:
         """Momentum spread of the pure device: sqrt(1 + omega^2) / (2 delta_Q)."""
-        return _delta_P(self.delta_Q, self.omega)
+        return _conjugate_spread(self.delta_Q, self.omega)
 
     def __getstate__(self):
         # the coupled state, regression and window are caches: pickles carry only the fields
@@ -738,7 +738,7 @@ def _bins(x: np.ndarray, edges, margin: np.ndarray, work: np.ndarray) -> np.ndar
     is clamped to top (nan and +inf), then to 0, and rounded to j. Where
     |g - j| < trust, j is exact, as g is monotone: g(e_(j-1)) < g(x) <
     g(e_j). Only the other draws, next to an edge (all where trust is 0),
-    are binned by `_edge_correct`, numpy's own rule."""
+    are binned by `_searchsorted_index`, numpy's own rule."""
     s, o, top, trust = margin
     guess, index = work
     with np.errstate(all="ignore"):  # overflow, or an untrusted margin's inf: clamped
@@ -752,11 +752,11 @@ def _bins(x: np.ndarray, edges, margin: np.ndarray, work: np.ndarray) -> np.ndar
     if near.any():
         for i, where in enumerate(near):
             where = np.flatnonzero(where)
-            index[i, where] = _edge_correct(x[i, where], edges[i])
+            index[i, where] = _searchsorted_index(x[i, where], edges[i])
     return index
 
 
-def _edge_correct(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _searchsorted_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """`np.histogram2d`'s bin index of each x: searchsorted(edges, x,
     "right"), less 1 where x equals the last edge, which closes the last bin.
     nan sorts above every edge, to n + 1."""

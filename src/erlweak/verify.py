@@ -42,7 +42,7 @@ import numpy as np
 
 from .analytic import (
     _angles,
-    _delta_P,
+    _conjugate_spread,
     _postselected_means,
     _regression,
     first_order_shifts,
@@ -113,7 +113,7 @@ def _grid_closed_forms() -> np.ndarray:
     # index arrays of spread, omega, mu_P, g, theta_A, theta_B and b, each along its own axis
     i_s, i_w, i_m, i_g, i_a, i_t, i_b = np.ix_(*(range(len(axis)) for axis in axes))
     angles = [[_angles(Quadrature(x), Quadrature(y)) for y in THETA_BS] for x in THETA_AS]
-    delta_P = [[_delta_P(delta_Q, omega) for omega in OMEGAS] for _, delta_Q in SPREADS]
+    delta_P = [[_conjugate_spread(delta_Q, omega) for omega in OMEGAS] for _, delta_Q in SPREADS]
     bound = [[[_gaussian_bound(s, *ab[2:]) for ab in row] for row in angles] for s, _ in SPREADS]
     means = _postselected_means(
         *PARTICLE_MEAN,
@@ -169,7 +169,7 @@ def run_delta_p_limit() -> SuiteResult:
     devs_q, devs_p = [], []
     delta_P = 0.4
     for _ in range(N_HALVINGS):
-        delta_Q = _delta_P(delta_P, 0.0)
+        delta_Q = _conjugate_spread(delta_P, 0.0)
         mean_Q, mean_P = postselected_means_gaussian(
             mu_q, mu_p, sigma, delta_Q, 0.0, g, theta_A, theta_B, b
         )
@@ -192,7 +192,7 @@ def run_weak_coupling_order() -> SuiteResult:
     wv = weak_value_gaussian(0.0, 0.0, sigma, theta_A, theta_B, b)
     orders = []
     for omega in (0.0, 1.0):
-        delta_P = _delta_P(delta_Q, omega)
+        delta_P = _conjugate_spread(delta_Q, omega)
         residuals = []
         for g in HALVED_COUPLINGS:
             exact = postselected_means_gaussian(

@@ -356,16 +356,16 @@ class TestHistogramCommand:
     def test_csv_pinned(self, tmp_path, monkeypatch, particle, hist, expected):
         # the bytes on the README config, as the simulate and sweep pins: on
         # its automatic box, where the arithmetic index bins every draw, and
-        # on a range far from 0, where some draws are binned by `_edge_correct`
+        # on a range far from 0, where some draws are binned by `_searchsorted_index`
         monkeypatch.setattr(montecarlo, "WORKERS", 1)  # in this process, to count them
         fallback = []
-        edge_correct = montecarlo._edge_correct
+        searchsorted_index = montecarlo._searchsorted_index
 
         def counting(x, edges):
             fallback.append(x.size)
-            return edge_correct(x, edges)
+            return searchsorted_index(x, edges)
 
-        monkeypatch.setattr(montecarlo, "_edge_correct", counting)
+        monkeypatch.setattr(montecarlo, "_searchsorted_index", counting)
         doc = base_config(particle=particle, sampling={"n_samples": 1_000_000, "seed": 42})
         if hist is not None:
             doc["histogram"] = hist

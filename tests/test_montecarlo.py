@@ -211,22 +211,28 @@ class TestChunkPool:
     def test_error_in_the_reduction_terminates_the_pool(self, monkeypatch):
         # an interrupt in the parent's reduction, with its traceback kept (as
         # a REPL keeps the last one), must not leave the pool running the
-        # remaining chunks: the pool is gone before the sampler call returns
+        # remaining chunks: the pool is gone before the sampler call returns.
+        # The correlation's `_merge` takes the pool's results as they come, so
+        # the interrupt lands after one chunk, with the others still out
         monkeypatch.setattr(montecarlo, "WORKERS", 2)
-        config = dataclasses.replace(BASE, epsilon=0.1, n_samples=40 * montecarlo.BLOCK)
-        undisturbed = run_weak_experiment(config, chunk_size=montecarlo.BLOCK)
+        config = dataclasses.replace(BASE, n_samples=40 * montecarlo.BLOCK)
+
+        def run():
+            return strong_measurement_correlation([1.0], config, chunk_size=montecarlo.BLOCK)
+
+        undisturbed = run()
         merge = montecarlo._merge
 
         def interrupted(parts):
-            next(iter(parts))
+            next(parts)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(montecarlo, "_merge", interrupted)
         with pytest.raises(KeyboardInterrupt) as info:
-            run_weak_experiment(config, chunk_size=montecarlo.BLOCK)
+            run()
         assert info.value.__traceback__ is not None and montecarlo._pool is None
         monkeypatch.setattr(montecarlo, "_merge", merge)
-        assert run_weak_experiment(config, chunk_size=montecarlo.BLOCK) == undisturbed
+        assert run() == undisturbed
         montecarlo._close_pool()
 
     def test_interrupt_as_the_pool_is_made_terminates_it(self, monkeypatch):
@@ -942,9 +948,10 @@ class TestBinIndex:
         for edges in (uniform, scattered, np.sort(repeated), np.full(bins + 1, lo)):
             self._assert_matches_searchsorted(edges, self._probes(edges, rng))
 
-    def test_subnormal_range_needs_more_than_one_correction(self):
+    def test_subnormal_range_is_far_from_the_arithmetic_index(self):
         # the edges of (0, 5e-323) in 7 bins are rounded to whole multiples
-        # of the smallest subnormal, far from the arithmetic index
+        # of the smallest subnormal, more than one bin from the arithmetic
+        # index: every draw of this span takes the searchsorted fallback
         edges = np.histogram2d(np.empty(0), np.empty(0), bins=7, range=((0, 5e-323),) * 2)[1]
         assert len(np.unique(edges)) == len(edges)
         x = self._probes(edges, np.random.default_rng(0))
@@ -984,7 +991,7 @@ class TestTrustedBinIndex:
     """The histogram's binning trusts its arithmetic guess
     g(x) = fl(fl(x s) + o) where g lies more than the edges' margin
     delta = max_k |g(e_k) - (k + 1/2)| from every half-integer, and sends
-    only the other draws to `_edge_correct`. The index stays exact where
+    only the other draws to `_searchsorted_index`. The index stays exact where
     delta is tiny, large, or too large to trust."""
 
     RANGES = {  # (bins, range) of each kind of margin
@@ -995,17 +1002,18 @@ class TestTrustedBinIndex:
 
     @staticmethod
     @contextlib.contextmanager
-    def _corrected():
-        """The draws that reach `_edge_correct` in the block, one array per call."""
+    def _fallback_draws():
+        """The draws that reach the fallback, `_searchsorted_index`, one
+        array per call."""
         seen = []
-        edge_correct = montecarlo._edge_correct
+        searchsorted_index = montecarlo._searchsorted_index
 
         def counting(x, edges):
             seen.append(x.copy())
-            return edge_correct(x, edges)
+            return searchsorted_index(x, edges)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_edge_correct", counting)
+            patch.setattr(montecarlo, "_searchsorted_index", counting)
             yield seen
 
     @staticmethod
@@ -1022,11 +1030,11 @@ class TestTrustedBinIndex:
             return np.fmax(np.fmin(x * s + o, top), 0.0), delta
 
     @classmethod
-    def _assert_only_draws_next_to_an_edge_are_corrected(cls, edges, x):
-        """Bin x exactly, correcting exactly the x whose guess is within
-        delta of a half-integer, or every x where delta is not below 1/4;
-        return the corrected x."""
-        with cls._corrected() as seen:
+    def _assert_only_draws_next_to_an_edge_take_the_fallback(cls, edges, x):
+        """Bin x exactly, sending to the fallback exactly the x whose guess
+        is within delta of a half-integer, or every x where delta is not
+        below 1/4; return the x that took it."""
+        with cls._fallback_draws() as seen:
             TestBinIndex._assert_matches_searchsorted(edges, x)
         guess, delta = cls._guess_and_delta(edges, x)
         near = x[np.abs(guess - np.floor(guess) - 0.5) <= delta] if delta < 0.25 else x
@@ -1047,10 +1055,10 @@ class TestTrustedBinIndex:
             assert trust[kind] == 0.5 - delta[kind]
 
     @pytest.mark.parametrize("kind", RANGES)
-    def test_only_draws_next_to_an_edge_are_corrected(self, kind):
+    def test_only_draws_next_to_an_edge_take_the_fallback(self, kind):
         edges = self._edges(*self.RANGES[kind])
         x = TestBinIndex._probes(edges, np.random.default_rng(5), n=20_000)
-        seen = self._assert_only_draws_next_to_an_edge_are_corrected(edges, x)
+        seen = self._assert_only_draws_next_to_an_edge_take_the_fallback(edges, x)
         # every edge, and (with a margin to trust) not every draw
         assert np.isin(edges, seen).all()
         assert (seen.size == x.size) == (kind == "untrusted")
@@ -1086,7 +1094,7 @@ class TestTrustedBinIndex:
         log_relative=st.none() | st.floats(-16.0, 0.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_property_only_draws_next_to_an_edge_are_corrected(
+    def test_property_only_draws_next_to_an_edge_take_the_fallback(
         self, bins, lo, log_span, log_relative, seed
     ):
         # np.histogram2d's edges of any finite range, whatever their margin:
@@ -1096,16 +1104,16 @@ class TestTrustedBinIndex:
             edges = self._edges(bins, (lo, lo + span))
         if np.isfinite(edges).all() and edges[0] < edges[-1]:
             x = TestBinIndex._probes(edges, np.random.default_rng(seed), n=500)
-            self._assert_only_draws_next_to_an_edge_are_corrected(edges, x)
+            self._assert_only_draws_next_to_an_edge_take_the_fallback(edges, x)
 
-    def test_automatic_box_corrects_no_draw(self, monkeypatch):
+    def test_automatic_box_sends_no_draw_to_the_fallback(self, monkeypatch):
         # a config of the histogram benchmark's kind, on its automatic +-5 std box
         monkeypatch.setattr(montecarlo, "WORKERS", 1)
         config = dataclasses.replace(
             BASE, mu_q=0.2, mu_p=-0.3, sigma=1.3, delta_Q=0.8, mu_P=0.2, omega=0.4, g=0.7,
             theta_A=Quadrature(2.0), n_samples=2**18,
         )
-        with self._corrected() as seen:
+        with self._fallback_draws() as seen:
             counts, p_edges, P_edges = joint_momentum_histogram(config, 61)
         assert seen == []
         assert counts.sum() > 0.999 * config.n_samples
