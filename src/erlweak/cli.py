@@ -7,13 +7,14 @@ Config is a single JSON document with sections `particle`, `device`,
 key of each experiment field once. All angles are radians. simulate,
 sweep and histogram write a CSV and manifest.json into --out. Exit codes:
 0 success, 1 runtime/statistical failure (an unwritable --out and
-numerical overflow included), 2 usage/config error.
+numerical overflow included; a closed form out of float range, such as a
+weak-value denominator that underflows to 0, is one OverflowError line),
+2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import datetime
 import itertools
@@ -29,14 +30,13 @@ from . import __version__
 from .analytic import (
     DegeneratePostselectionError,
     DiscreteSpectrumInput,
-    WeakValue,
     _conjugate_spread,
     first_order_shifts,
     postselected_means_gaussian,
     weak_value_discrete,
     weak_value_gaussian,
 )
-from .bounds import RegimeMargin, gaussian_regime_margin
+from .bounds import gaussian_regime_margin
 from .montecarlo import (
     ExperimentConfig,
     InsufficientAcceptanceError,
@@ -263,45 +263,35 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
         print(f"wrote {csv_path} and {manifest_path}")
 
 
-_CLOSED_FORM_OVERFLOW = "the closed form overflows: a power of a config field is out of float range"
+def _closed_forms(config: ExperimentConfig) -> tuple:
+    """(weak value, first-order (q, p) shifts, regime margin, exact (Q, P)
+    means, g^2) of `config`: each public closed form called once on its
+    numbers as np.float64, delta_P included (`config.delta_P` squares omega
+    in Python floats, which raise). Out of float range a value is inf or
+    nan, for `_in_range` to name; arithmetic on the values must ignore
+    numpy's errors too."""
+    keys = ("mu_q", "mu_p", "sigma", "delta_Q", "mu_P", "omega", "g", "b")
+    mu_q, mu_p, sigma, delta_Q, mu_P, omega, g, b = (np.float64(getattr(config, k)) for k in keys)
+    with np.errstate(all="ignore"):
+        delta_P = _conjugate_spread(delta_Q, omega)
+        wv = weak_value_gaussian(mu_q, mu_p, sigma, config.theta_A, config.theta_B, b)
+        shifts = first_order_shifts(wv, g, delta_P, omega)
+        margin = gaussian_regime_margin(g, delta_P, sigma, config.theta_A, config.theta_B)
+        exact = postselected_means_gaussian(
+            mu_q, mu_p, sigma, delta_Q, omega, g, config.theta_A, config.theta_B, b, mu_P=mu_P
+        )
+        return wv, shifts, margin, exact, g**2
 
 
-@contextlib.contextmanager
-def _closed_form():
-    """Name the closed forms in the OverflowError that a finite config's
-    powers (sigma^4, g^3, delta_P^2, ...) raise in Python floats, and in the
-    ZeroDivisionError of a denominator of such powers that underflows to 0."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise OverflowError(_CLOSED_FORM_OVERFLOW) from exc
-    except ZeroDivisionError as exc:
-        raise ZeroDivisionError(
-            "the closed form underflows: a denominator made of powers of config fields is 0"
-        ) from exc
-
-
-def _finite(*values: float) -> None:
-    """The same OverflowError for closed-form values that overflowed by
-    multiplication, which Python floats do without raising."""
+def _in_range(*values: float) -> None:
+    """The one OverflowError of a closed form out of float range. Pass the
+    values a command prints and g^2: where the regime bound is vacuous (inf),
+    the ratio is 0 even if g^2 is not finite."""
     if not all(map(math.isfinite, values)):
-        raise OverflowError(_CLOSED_FORM_OVERFLOW)
-
-
-def _first_order(config: ExperimentConfig) -> tuple[WeakValue, tuple[float, float], RegimeMargin]:
-    """(weak value, first-order (q, p) shifts of the device, regime margin).
-    The margin's bound may be inf (see `gaussian_regime_margin`); the weak
-    value, the shifts and the margin's ratio are finite."""
-    with _closed_form():
-        wv = weak_value_gaussian(
-            config.mu_q, config.mu_p, config.sigma, config.theta_A, config.theta_B, config.b
+        raise OverflowError(
+            "the closed form overflows or underflows: "
+            "a power, product or quotient of config fields is out of float range"
         )
-        shifts = first_order_shifts(wv, config.g, config.delta_P, config.omega)
-        margin = gaussian_regime_margin(
-            config.g, config.delta_P, config.sigma, config.theta_A, config.theta_B
-        )
-    _finite(wv.re, wv.im, *shifts, margin.ratio)
-    return wv, shifts, margin
 
 
 def cmd_weakvalue(args) -> int:
@@ -311,7 +301,8 @@ def cmd_weakvalue(args) -> int:
         print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
         return 0
 
-    wv, (q_shift, p_shift), margin = _first_order(parse_experiment(doc))
+    wv, (q_shift, p_shift), margin, _, g_squared = _closed_forms(parse_experiment(doc))
+    _in_range(wv.re, wv.im, q_shift, p_shift, margin.ratio, g_squared)
     print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
     print(f"first_order q_shift={_fmt(q_shift)} p_shift={_fmt(p_shift)}")
     print(
@@ -392,22 +383,11 @@ def _sweep_configs(base: ExperimentConfig, axes: dict):
 
 def _closed_form_row(config: ExperimentConfig) -> list:
     """The closed-form cells of a sweep row, as values."""
-    with _closed_form():
-        exact_Q, exact_P = postselected_means_gaussian(
-            config.mu_q,
-            config.mu_p,
-            config.sigma,
-            config.delta_Q,
-            config.omega,
-            config.g,
-            config.theta_A,
-            config.theta_B,
-            config.b,
-            mu_P=config.mu_P,
-        )
-    _, (fo_Q, p_shift), margin = _first_order(config)
-    fo_P = config.mu_P + p_shift
-    _finite(exact_Q, exact_P, fo_P, exact_Q - fo_Q, exact_P - fo_P)
+    _, (fo_Q, p_shift), margin, (exact_Q, exact_P), g_squared = _closed_forms(config)
+    with np.errstate(all="ignore"):
+        fo_P = config.mu_P + p_shift
+        residual_Q, residual_P = exact_Q - fo_Q, exact_P - fo_P
+    _in_range(exact_Q, exact_P, fo_Q, fo_P, residual_Q, residual_P, margin.ratio, g_squared)
     return [
         config.g,
         config.delta_Q,
@@ -419,8 +399,8 @@ def _closed_form_row(config: ExperimentConfig) -> list:
         exact_P,
         fo_Q,
         fo_P,
-        exact_Q - fo_Q,
-        exact_P - fo_P,
+        residual_Q,
+        residual_P,
         margin.ratio,
         margin.classification,
     ]

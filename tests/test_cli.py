@@ -14,12 +14,18 @@ import numpy as np
 import pytest
 
 from erlweak import montecarlo
-from erlweak.cli import CONFIG_FIELDS, config_echo, main, parse_experiment
+from erlweak.analytic import first_order_shifts, postselected_means_gaussian, weak_value_gaussian
+from erlweak.bounds import gaussian_regime_margin
+from erlweak.cli import CONFIG_FIELDS, _cells, _fmt, config_echo, main, parse_experiment
 from erlweak.montecarlo import ExperimentConfig, acceptance_probability, oracle_estimate
 from erlweak.dynamics import apply_to_state, coupling_map
 from erlweak.states import Quadrature, quadrature_moments
 
 HALF_PI = math.pi / 2
+CLOSED_FORM_ERROR = (
+    "error: OverflowError: the closed form overflows or underflows: "
+    "a power, product or quotient of config fields is out of float range\n"
+)
 VERSIONS = {"python": platform.python_version(), "numpy": np.__version__}
 
 
@@ -545,7 +551,8 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize(
         "sections",
         [
-            # sigma^4 overflows in Python floats, whose own message names no cause
+            # sigma^4 overflows to inf (a Python float would raise an
+            # OverflowError that names no cause)
             {"particle": {"sigma": 1e154}},
             # finite powers whose products overflow: p_shift = -inf, and
             # exact_P = -inf with residual_P = nan
@@ -553,8 +560,12 @@ class TestRuntimeErrors:
             # g^2 delta_P^2 = inf, so the regime ratio is inf, with finite shifts
             {"particle": {"sigma": 0.3}, "device": {"delta_Q": 7.8, "omega": -9.4e119},
              "coupling": {"g": 8.5e40}, "postselection": {"theta_B": 1.31, "b": 6.3}},
+            # 4 sigma^4 cos^2 theta_B + sin^2 theta_B, the weak value's
+            # denominator, is 0 at theta_B = 0 for sigma this small
+            {"particle": {"sigma": 1e-150}, "coupling": {"theta_A": HALF_PI},
+             "postselection": {"theta_B": 0.0}},
         ],
-        ids=["power", "product", "regime-ratio"],
+        ids=["power", "product", "regime-ratio", "underflow"],
     )
     def test_closed_form_that_overflows_is_named(self, tmp_path, capsys, command, sections):
         doc = base_config(**sections)
@@ -563,10 +574,8 @@ class TestRuntimeErrors:
         if command == "sweep":
             argv += ["--out", str(tmp_path / "o"), "--quiet"]
         assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: OverflowError: the closed form overflows: "
-            "a power of a config field is out of float range\n"
-        )
+        assert capsys.readouterr().err == CLOSED_FORM_ERROR
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "sections, message",
@@ -697,23 +706,6 @@ class TestRuntimeErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["weakvalue", "sweep"])
-    def test_closed_form_that_underflows_is_named(self, tmp_path, capsys, command):
-        # 4 sigma^4 cos^2 theta_B + sin^2 theta_B, the weak value's
-        # denominator, is 0 at theta_B = 0 for sigma this small
-        doc = base_config(
-            particle={"sigma": 1e-150}, coupling={"theta_A": HALF_PI}, postselection={"theta_B": 0.0}
-        )
-        doc["sweep"] = {"b": [1.0, 0.5]}
-        argv = [command, "--config", write_config(tmp_path, doc)]
-        if command == "sweep":
-            argv += ["--out", str(tmp_path / "o"), "--quiet"]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "error: ZeroDivisionError: the closed form underflows: "
-            "a denominator made of powers of config fields is 0\n"
-        )
-
     @pytest.mark.parametrize(
         "sections, g",
         [
@@ -741,6 +733,126 @@ class TestRuntimeErrors:
         (tmp_path / "file").write_text("")
         argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / out)]
         self._fails(capsys, argv, OSError)
+
+
+class TestClosedFormsOnPythonFloats:
+    """`weakvalue` and `sweep` print the public closed forms called on the
+    config's Python floats, bit for bit, and end in the one closed-form
+    error line with exit 1 wherever that call raises or a value they print
+    is not finite."""
+
+    THETAS = (0.0, HALF_PI, math.pi, 2.2)
+    BASE = {
+        "particle": {"mu_q": 0.2, "mu_p": -0.5, "sigma": 1.0},
+        "device": {"delta_Q": 0.7, "mu_P": 0.4, "omega": -0.6},
+        "coupling": {"g": 0.3},
+        "postselection": {"b": 1.3},
+    }
+
+    @staticmethod
+    def _expected(c: ExperimentConfig) -> tuple[str | None, str | None]:
+        """(weakvalue stdout, sweep row) of the closed forms on the Python
+        floats of `c`, each None where it raises or prints a value that is
+        not finite (the regime bound may be inf)."""
+        try:
+            wv = weak_value_gaussian(c.mu_q, c.mu_p, c.sigma, c.theta_A, c.theta_B, c.b)
+            q_shift, p_shift = first_order_shifts(wv, c.g, c.delta_P, c.omega)
+            margin = gaussian_regime_margin(c.g, c.delta_P, c.sigma, c.theta_A, c.theta_B)
+        except (OverflowError, ZeroDivisionError):
+            return None, None
+        first_order = [wv.re, wv.im, q_shift, p_shift, margin.ratio]
+        stdout = None
+        if all(map(math.isfinite, first_order)):
+            stdout = (
+                f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}\n"
+                f"first_order q_shift={_fmt(q_shift)} p_shift={_fmt(p_shift)}\n"
+                f"regime classification={margin.classification} "
+                f"ratio={_fmt(margin.ratio)} bound={_fmt(margin.rhs)}\n"
+            )
+        try:
+            exact_Q, exact_P = postselected_means_gaussian(
+                c.mu_q, c.mu_p, c.sigma, c.delta_Q, c.omega, c.g, c.theta_A, c.theta_B, c.b, mu_P=c.mu_P
+            )
+        except (OverflowError, ZeroDivisionError):
+            return stdout, None
+        fo_P = c.mu_P + p_shift
+        values = [exact_Q, exact_P, q_shift, fo_P, exact_Q - q_shift, exact_P - fo_P, margin.ratio]
+        if not all(map(math.isfinite, first_order + values)):
+            return stdout, None
+        echo = [c.g, c.delta_Q, c.omega, c.theta_A.theta, c.theta_B.theta, c.b]
+        return stdout, ",".join(_cells([*echo, *values, margin.classification]))
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {},
+            {"particle": {"sigma": 1e-150}},
+            {"particle": {"sigma": 1e150}},
+            {"device": {"delta_Q": 1e-150}},
+            {"device": {"delta_Q": 1e150}},
+            {"device": {"omega": 1e200}},
+            {"coupling": {"g": 1e-150}},
+            {"coupling": {"g": 1e150}},
+            # g^2 overflows, which a Python float raises on even where the
+            # regime bound is vacuous (theta_A = theta_B) and the ratio 0
+            {"coupling": {"g": 1e160}},
+            # g^2 delta_P^2 overflows as a product of finite powers, which
+            # does not raise: the ratio is 0 where the bound is vacuous
+            {"coupling": {"g": 1e100}, "device": {"delta_Q": 5e-101}},
+        ],
+        ids=["moderate", "sigma-tiny", "sigma-huge", "delta_Q-tiny", "delta_Q-huge", "omega-huge",
+             "g-tiny", "g-huge", "g-squared-overflows", "lhs-product-overflows"],
+    )
+    def test_bit_for_bit_or_the_one_error(self, tmp_path, capsys, sections):
+        for i, (theta_A, theta_B) in enumerate(itertools.product(self.THETAS, repeat=2)):
+            doc = base_config(**self.BASE)
+            for key, section in sections.items():
+                doc[key].update(section)
+            doc["coupling"]["theta_A"], doc["postselection"]["theta_B"] = theta_A, theta_B
+            doc["sweep"] = {"b": [doc["postselection"]["b"]]}
+            path = write_config(tmp_path, doc, f"config{i}.json")
+            stdout, row = self._expected(parse_experiment(doc))
+            assert sections or None not in (stdout, row)  # moderate configs print
+
+            code = main(["weakvalue", "--config", path])
+            captured = capsys.readouterr()
+            if stdout is None:
+                assert (code, captured.out, captured.err) == (1, "", CLOSED_FORM_ERROR), doc
+            else:
+                assert (code, captured.out, captured.err) == (0, stdout, ""), doc
+
+            out = tmp_path / f"o{i}"
+            code = main(["sweep", "--config", path, "--out", str(out), "--quiet"])
+            captured = capsys.readouterr()
+            if row is None:
+                assert (code, captured.err) == (1, CLOSED_FORM_ERROR), doc
+                assert not out.exists()
+            else:
+                assert (code, captured.err) == (0, ""), doc
+                assert (out / "sweep.csv").read_text().splitlines()[1:] == [row], doc
+
+    def test_non_finite_residual_warns_nothing(self, tmp_path):
+        # exact_P - fo_P is -inf - (-inf), which numpy warns of as an invalid
+        # subtraction: under -W error, one error line and no traceback
+        doc = base_config(
+            device={"delta_Q": 2.75e-134, "mu_P": 1.0},
+            coupling={"g": 1.0, "theta_A": HALF_PI},
+            postselection={"theta_B": 0.0, "b": 1e42},
+            sampling={"n_samples": 2000},
+        )
+        doc["sweep"] = {"b": [1e42]}
+        out = tmp_path / "o"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "erlweak.cli", "sweep", "--mc",
+             "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", CLOSED_FORM_ERROR)
+        assert not out.exists()
 
 
 def _without(doc, section):
