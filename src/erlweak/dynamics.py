@@ -132,13 +132,16 @@ def _symplectic_deviation(m: np.ndarray) -> float:
     return float(np.max(deviation))
 
 
-def _invariance_deviation(quad: Quadrature, pts, evolved, work=None) -> float:
+def _invariance_deviation(quad: Quadrature, pts, evolved, work) -> float:
     """inf if a P' of the (4, n) images `evolved` (or (k, 4, n), under k maps)
     of the (4, n) `pts` is not its P, else the largest |A(x') - A(x)| over
     |c q| + |s p| + |c q'| + |s p'|, the rounding scale of the terms that
-    cancel in it, 0/0 counting as 0 and NaN failing; `work`: (5, ...) scratch."""
+    cancel in it, 0/0 counting as 0 and NaN failing. `work` is (5, ...)
+    scratch of the images' shape less their coordinate axis: the sampler
+    passes its chunk's (5, m) buffer, `verify` one (5, 16, 625) buffer that
+    it reuses across its angles."""
     c, s = math.cos(quad.theta), math.sin(quad.theta)
-    cq, sp, cq2, sp2, shift = np.empty((5, *evolved[..., 0, :].shape)) if work is None else work
+    cq, sp, cq2, sp2, shift = work
     if np.any(np.subtract(evolved[..., 3, :], pts[3], out=shift)):
         return math.inf
     np.multiply(pts[0], c, out=cq)

@@ -17,7 +17,9 @@ the same functions.
   <P>_b -> 0, monotonically;
 - repeatability (criterion 6): coupling maps on a (g, theta_A) grid are
   symplectic and leave A and P of every point of a lattice unchanged, by
-  the two checks of `dynamics` that `SymplecticMap` and the sampler make.
+  the two checks of `dynamics` that `SymplecticMap` and the sampler make:
+  all 256 maps in one symplectic call, and each angle's images of the
+  lattice in buffers reused across the angles.
   Its deviation is the larger of |M^T J M - J|_ij / (|M|^T |J| |M|)_ij,
   each entry's products scaled by a power of two of their own, and of
   |A(Mx) - A(x)| / (|c q| + |s p| + |c q'| + |s p'|), inf where P' != P:
@@ -211,15 +213,18 @@ def run_weak_coupling_order() -> SuiteResult:
 def run_repeatability() -> SuiteResult:
     """Each coupling map on the grid is symplectic and leaves A and P of
     every lattice point unchanged, by the checks that `SymplecticMap` and
-    the sampler make: each angle's maps in one call of each, their images of
-    the lattice in one stacked product (the bits of `apply_to_points`)."""
+    the sampler make: all 256 maps in one symplectic call on their (angle,
+    g) stack, then per angle their images of the lattice in one stacked
+    product (the bits of `apply_to_points`) and one invariance call, both
+    into buffers made once and reused across the angles."""
     pts = np.array(list(itertools.product(LATTICE, repeat=4))).T  # (4, 625)
-    devs = []
-    for theta in MAP_ANGLES:
-        quad = Quadrature(theta)
-        matrices = np.array([coupling_map(g, quad).matrix for g in MAP_COUPLINGS])
-        devs.append(_symplectic_deviation(matrices))
-        devs.append(_invariance_deviation(quad, pts, matrices @ pts))  # (16, 4, 625)
+    quads = [Quadrature(theta) for theta in MAP_ANGLES]
+    maps = np.array([[coupling_map(g, quad).matrix for g in MAP_COUPLINGS] for quad in quads])
+    devs = [_symplectic_deviation(maps)]  # its temporaries freed before the buffers are made
+    evolved = np.empty((len(MAP_COUPLINGS), *pts.shape))  # (16, 4, 625)
+    work = np.empty((5, *evolved[..., 0, :].shape))  # (5, 16, 625)
+    for quad, matrices in zip(quads, maps):
+        devs.append(_invariance_deviation(quad, pts, np.matmul(matrices, pts, out=evolved), work))
     n = len(MAP_COUPLINGS) * len(MAP_ANGLES) * (1 + pts.shape[1])
     return SuiteResult("repeatability-symplecticity", float(np.max(devs)), SYMPLECTIC_TOL, n)
 

@@ -3,7 +3,10 @@ ingredients is wrong, or returns NaN at a single check, and `erlweak verify`
 then reports the failure. The oracle suite, which runs each route as one
 array pass over its grid and reads every b off one regression per (evolved
 state, theta_B), equals its per-tuple reference bit for bit, and so does
-each of its two array passes."""
+each of its two array passes. The repeatability suite, which checks all 256
+maps in one symplectic call and each angle's images in reused buffers,
+equals its per-angle reference bit for bit, and one wrong map among the 256
+fails it."""
 
 import itertools
 import math
@@ -31,10 +34,14 @@ def coupling_map_moving_P(g, theta_A):
     return SymplecticMap(dynamics.coupling_map(g, theta_A).matrix @ shear)
 
 
-def coupling_map_with_shear(g, theta_A):
+def sheared_q(m):
     shear = np.eye(4)
     shear[0, 1] = 1e-9  # q' = q + 1e-9 p: symplectic, moves A
-    return SymplecticMap(shear @ dynamics.coupling_map(g, theta_A).matrix)
+    return shear @ m
+
+
+def coupling_map_with_shear(g, theta_A):
+    return SymplecticMap(sheared_q(dynamics.coupling_map(g, theta_A).matrix))
 
 
 def closed_form_nan_at_one_tuple(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, *factors):
@@ -60,10 +67,10 @@ def regression_nan_at_one_theta_B(mean, cov, v):
     return np.where(at_half_pi, math.nan, mu_B), var_B, gain
 
 
-def evolved_points_nan_at_one_point(quad, pts, evolved):
+def evolved_points_nan_at_one_point(quad, pts, evolved, work):
     evolved = np.array(evolved)
     evolved[..., 3, 5] = math.nan
-    return dynamics._invariance_deviation(quad, pts, evolved)
+    return dynamics._invariance_deviation(quad, pts, evolved, work)
 
 
 @pytest.mark.parametrize(
@@ -88,6 +95,77 @@ def test_wrong_ingredient_fails_its_suite(monkeypatch, capsys, name, replacement
     out = capsys.readouterr().out
     assert f"[FAIL] {result.name}:" in out
     assert "VERIFY FAIL" in out
+
+
+def _one_map_replaced(wrong):
+    """A `coupling_map` whose map at MAP_COUPLINGS[5], MAP_ANGLES[9], an
+    interior point of the grid, is `wrong` of the right one."""
+
+    def replacement(g, theta_A):
+        smap = dynamics.coupling_map(g, theta_A)
+        if g == verify.MAP_COUPLINGS[5] and theta_A.theta == verify.MAP_ANGLES[9]:
+            return SymplecticMap._derived(wrong(smap.matrix))
+        return smap
+
+    return replacement
+
+
+def scaled_Q(m):
+    m = m.copy()
+    m[2, 2] = 1.0 + 1e-6  # Q' = (1 + 1e-6) Q + ...: det M != 1, A and P unchanged
+    return m
+
+
+def _repeatability_deviations(maps_by_angle):
+    """The per-angle reference of the repeatability suite: for each angle,
+    the symplectic deviation of its maps and the invariance deviation of
+    their images of the lattice, on freshly allocated arrays."""
+    pts = np.array(list(itertools.product(verify.LATTICE, repeat=4))).T
+    symplectic, invariance = [], []
+    for theta, matrices in zip(verify.MAP_ANGLES, maps_by_angle):
+        evolved = matrices @ pts
+        work = np.empty((5, *evolved[..., 0, :].shape))
+        symplectic.append(dynamics._symplectic_deviation(matrices))
+        invariance.append(dynamics._invariance_deviation(states.Quadrature(theta), pts, evolved, work))
+    return max(symplectic), max(invariance)
+
+
+def _grid_maps(coupling_map):
+    return np.array(
+        [
+            [coupling_map(g, states.Quadrature(theta)).matrix for g in verify.MAP_COUPLINGS]
+            for theta in verify.MAP_ANGLES
+        ]
+    )
+
+
+def test_repeatability_suite_equals_its_per_angle_reference():
+    # the stacked symplectic call and the reused buffers give the maximum of
+    # the parent's per-angle loop to the bit
+    result = verify.run_repeatability()
+    assert result.n_checks == len(verify.MAP_ANGLES) * len(verify.MAP_COUPLINGS) * 626 == 160_256
+    assert result.max_deviation == max(_repeatability_deviations(_grid_maps(dynamics.coupling_map)))
+    assert 0.0 < result.max_deviation <= result.tolerance
+
+
+@pytest.mark.parametrize(
+    "wrong, check, other_check",
+    [(scaled_Q, 0, "_invariance_deviation"), (sheared_q, 1, "_symplectic_deviation")],
+)
+def test_one_wrong_map_among_256_fails_the_stacked_suite(monkeypatch, capsys, wrong, check, other_check):
+    # with the other check reading 0, the suite still fails, at the per-angle
+    # reference's deviation of the check meant to catch the wrong map: the
+    # stack keeps every map at its place
+    replacement = _one_map_replaced(wrong)
+    deviation = _repeatability_deviations(_grid_maps(replacement))[check]
+    assert deviation > verify.SYMPLECTIC_TOL
+    monkeypatch.setattr(verify, "coupling_map", replacement)
+    assert main(["verify"]) == 1
+    assert "[FAIL] repeatability-symplecticity:" in capsys.readouterr().out
+    monkeypatch.setattr(verify, other_check, lambda *args: 0.0)
+    result = verify.run_repeatability()
+    assert result.max_deviation == deviation
+    assert not result.passed
 
 
 def test_oracle_suite_equals_its_per_tuple_reference():
