@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bounds import _gaussian_bound
+from .bounds import _angles, _gaussian_bound, _ratio
 from .states import GaussianState, Quadrature, quadrature_vector
 
 REALNESS_TOL = 1e-10
@@ -34,10 +34,6 @@ class SingularConditioningError(ValueError):
 class WeakValue:
     re: float
     im: float
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,12 +55,6 @@ class DiscreteSpectrumInput:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "overlaps", ovl)
         object.__setattr__(self, "eigenvalues", eig)
-
-
-def _angles(theta_A: Quadrature, theta_B: Quadrature) -> tuple[float, ...]:
-    """cos(theta_A), sin(theta_A), cos(theta_B), sin(theta_B), sin(theta_B - theta_A)."""
-    ta, tb = theta_A.theta, theta_B.theta
-    return math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb), math.sin(tb - ta)
 
 
 def _weak_value(
@@ -178,22 +168,22 @@ def postselected_means_gaussian(
     if delta_Q <= 0:
         raise ValueError("delta_Q must be positive")
     angles = _angles(theta_A, theta_B)
-    bound = _gaussian_bound(sigma, *angles[2:])
-    return _postselected_means(
-        mu_q, mu_p, sigma, omega, g, b, mu_P, angles, _conjugate_spread(delta_Q, omega), bound
-    )
+    delta_P = _conjugate_spread(delta_Q, omega)
+    r = _ratio(g**2 * delta_P**2, _gaussian_bound(sigma, *angles[2:]))
+    return _postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, delta_P, r)
 
 
-def _postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, delta_P, bound):
+def _postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, delta_P, r):
     """The arithmetic of `postselected_means_gaussian` after its scalar
-    factors: the `_angles`, delta_P and the `_gaussian_bound`. Operators
-    only, so it runs on floats or on numpy arrays that broadcast against
-    each other, with the same bits per element."""
+    factors: the `_angles`, delta_P and the regime ratio r. Operators only,
+    so it runs on floats or on numpy arrays that broadcast against each
+    other. An element has the bits of its scalar call only where numpy's
+    array `**` rounds as Python's does, as on `verify`'s grid (pinned by
+    `test_array_passes_equal_the_scalar_routes_bit_for_bit`)."""
     ca, sa, cb, sb, sd = angles
     mu_q = mu_q + g * mu_P * sa
     mu_p = mu_p - g * mu_P * ca
     re, im = _weak_value(mu_q, mu_p, sigma, b, angles)
-    r = g**2 * delta_P**2 / bound
     mean_Q = g * (re + omega * im + r * (mu_q * ca + mu_p * sa)) / (1.0 + r)
     return mean_Q, mu_P + 2.0 * g * delta_P**2 * im / (1.0 + r)
 

@@ -34,15 +34,27 @@ class RegimeMargin:
     classification: str
 
 
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, the regime ratio of lhs = g^2 delta_P^2 to its bound rhs,
+    defined here once: 0 where the bound is vacuous (+inf), however large lhs is."""
+    return 0.0 if math.isinf(rhs) else lhs / rhs
+
+
 def _margin(lhs: float, rhs: float) -> RegimeMargin:
-    ratio = 0.0 if math.isinf(rhs) else lhs / rhs
+    ratio = _ratio(lhs, rhs)
     return RegimeMargin(lhs, rhs, ratio, _classify(ratio))
+
+
+def _angles(theta_A: Quadrature, theta_B: Quadrature) -> tuple[float, ...]:
+    """cos(theta_A), sin(theta_A), cos(theta_B), sin(theta_B), sin(theta_B - theta_A)."""
+    ta, tb = theta_A.theta, theta_B.theta
+    return math.cos(ta), math.sin(ta), math.cos(tb), math.sin(tb), math.sin(tb - ta)
 
 
 def _gaussian_bound(sigma: float, cb: float, sb: float, sd: float) -> float:
     """(4 sigma^4 cb^2 + sb^2) / (4 sigma^2 sd^2) for the cosine and sine of
-    theta_B and sd = sin(theta_A - theta_B), or its negative: +inf where the
-    quadratures coincide or the denominator underflows (ratio 0)."""
+    theta_B and sd = sin(theta_B - theta_A), the last three `_angles`: +inf
+    where the quadratures coincide or the denominator underflows."""
     den = 4.0 * sigma**2 * sd**2
     if den == 0.0:
         return math.inf
@@ -55,9 +67,7 @@ def gaussian_regime_margin(
     """Gaussian-state bound: g^2 delta_P^2 must be well below `_gaussian_bound`."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    tb = theta_B.theta
-    bound = _gaussian_bound(sigma, math.cos(tb), math.sin(tb), math.sin(theta_A.theta - tb))
-    return _margin(g**2 * delta_P**2, bound)
+    return _margin(g**2 * delta_P**2, _gaussian_bound(sigma, *_angles(theta_A, theta_B)[2:]))
 
 
 def discrete_regime_margin(
@@ -70,6 +80,4 @@ def discrete_regime_margin(
     if not values:
         raise ValueError("eigenvalues must be nonempty")
     max_gap = max(values) - min(values)
-    if max_gap == 0.0:
-        return _margin(lhs, math.inf)
-    return _margin(lhs, 1.0 / max_gap**2)
+    return _margin(lhs, 1.0 / max_gap**2 if max_gap else math.inf)

@@ -4,17 +4,19 @@ Subcommands: weakvalue, simulate, sweep, verify, histogram.
 Config is a single JSON document with sections `particle`, `device`,
 `coupling`, `postselection`, `sampling` (and optionally `discrete`,
 `sweep`, `histogram`); the table CONFIG_FIELDS declares the section and
-key of each experiment field once. All angles are radians. simulate,
-sweep and histogram write a CSV and manifest.json into --out. Exit codes:
-0 success, 1 runtime/statistical failure (an unwritable --out and
-numerical overflow included; a closed form out of float range, such as a
-weak-value denominator that underflows to 0, is one OverflowError line),
+key of each experiment field once. All angles are radians. weakvalue and
+sweep print the public closed forms called on the config's own floats;
+simulate, sweep and histogram write a CSV and manifest.json into --out.
+Exit codes: 0 success, 1 runtime/statistical failure (an unwritable --out
+and numerical overflow included; a closed form out of float range, such as
+a weak-value denominator that underflows to 0, is one OverflowError line),
 2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import itertools
@@ -263,35 +265,31 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
         print(f"wrote {csv_path} and {manifest_path}")
 
 
-def _closed_forms(config: ExperimentConfig) -> tuple:
-    """(weak value, first-order (q, p) shifts, regime margin, exact (Q, P)
-    means, g^2) of `config`: each public closed form called once on its
-    numbers as np.float64, delta_P included (`config.delta_P` squares omega
-    in Python floats, which raise). Out of float range a value is inf or
-    nan, for `_in_range` to name; arithmetic on the values must ignore
-    numpy's errors too."""
-    keys = ("mu_q", "mu_p", "sigma", "delta_Q", "mu_P", "omega", "g", "b")
-    mu_q, mu_p, sigma, delta_Q, mu_P, omega, g, b = (np.float64(getattr(config, k)) for k in keys)
-    with np.errstate(all="ignore"):
-        delta_P = _conjugate_spread(delta_Q, omega)
-        wv = weak_value_gaussian(mu_q, mu_p, sigma, config.theta_A, config.theta_B, b)
-        shifts = first_order_shifts(wv, g, delta_P, omega)
-        margin = gaussian_regime_margin(g, delta_P, sigma, config.theta_A, config.theta_B)
-        exact = postselected_means_gaussian(
-            mu_q, mu_p, sigma, delta_Q, omega, g, config.theta_A, config.theta_B, b, mu_P=mu_P
-        )
-        return wv, shifts, margin, exact, g**2
+def _closed_forms(c: ExperimentConfig) -> tuple:
+    """(weak value, first-order (q, p) shifts, regime margin) of config `c`:
+    the public closed forms called on its own floats."""
+    wv = weak_value_gaussian(c.mu_q, c.mu_p, c.sigma, c.theta_A, c.theta_B, c.b)
+    margin = gaussian_regime_margin(c.g, c.delta_P, c.sigma, c.theta_A, c.theta_B)
+    return wv, first_order_shifts(wv, c.g, c.delta_P, c.omega), margin
 
 
-def _in_range(*values: float) -> None:
-    """The one OverflowError of a closed form out of float range. Pass the
-    values a command prints and g^2: where the regime bound is vacuous (inf),
-    the ratio is 0 even if g^2 is not finite."""
-    if not all(map(math.isfinite, values)):
+@contextlib.contextmanager
+def _in_range():
+    """The one OverflowError of a closed form out of float range, for any
+    ArithmeticError of the block: Python floats raise where a power overflows
+    or a denominator is 0, and `_finite` where a printed value is nan or inf."""
+    try:
+        yield
+    except ArithmeticError as exc:
         raise OverflowError(
             "the closed form overflows or underflows: "
             "a power, product or quotient of config fields is out of float range"
-        )
+        ) from exc
+
+
+def _finite(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ArithmeticError  # named by `_in_range`
 
 
 def cmd_weakvalue(args) -> int:
@@ -301,8 +299,10 @@ def cmd_weakvalue(args) -> int:
         print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
         return 0
 
-    wv, (q_shift, p_shift), margin, _, g_squared = _closed_forms(parse_experiment(doc))
-    _in_range(wv.re, wv.im, q_shift, p_shift, margin.ratio, g_squared)
+    config = parse_experiment(doc)
+    with _in_range():
+        wv, (q_shift, p_shift), margin = _closed_forms(config)
+        _finite(wv.re, wv.im, q_shift, p_shift, margin.ratio)
     print(f"weak_value re={_fmt(wv.re)} im={_fmt(wv.im)}")
     print(f"first_order q_shift={_fmt(q_shift)} p_shift={_fmt(p_shift)}")
     print(
@@ -381,29 +381,18 @@ def _sweep_configs(base: ExperimentConfig, axes: dict):
         )
 
 
-def _closed_form_row(config: ExperimentConfig) -> list:
-    """The closed-form cells of a sweep row, as values."""
-    _, (fo_Q, p_shift), margin, (exact_Q, exact_P), g_squared = _closed_forms(config)
-    with np.errstate(all="ignore"):
-        fo_P = config.mu_P + p_shift
-        residual_Q, residual_P = exact_Q - fo_Q, exact_P - fo_P
-    _in_range(exact_Q, exact_P, fo_Q, fo_P, residual_Q, residual_P, margin.ratio, g_squared)
-    return [
-        config.g,
-        config.delta_Q,
-        config.omega,
-        config.theta_A.theta,
-        config.theta_B.theta,
-        config.b,
-        exact_Q,
-        exact_P,
-        fo_Q,
-        fo_P,
-        residual_Q,
-        residual_P,
-        margin.ratio,
-        margin.classification,
-    ]
+def _closed_form_row(c: ExperimentConfig) -> list:
+    """The closed-form cells of config `c`'s sweep row, as values."""
+    with _in_range():
+        _, (fo_Q, p_shift), margin = _closed_forms(c)
+        exact_Q, exact_P = postselected_means_gaussian(
+            c.mu_q, c.mu_p, c.sigma, c.delta_Q, c.omega, c.g, c.theta_A, c.theta_B, c.b, mu_P=c.mu_P
+        )
+        fo_P = c.mu_P + p_shift
+        values = [exact_Q, exact_P, fo_Q, fo_P, exact_Q - fo_Q, exact_P - fo_P, margin.ratio]
+        _finite(*values)
+    echo = [c.g, c.delta_Q, c.omega, c.theta_A.theta, c.theta_B.theta, c.b]
+    return [*echo, *values, margin.classification]
 
 
 def _sweep_rows(base: ExperimentConfig, axes: dict, mc: bool) -> tuple[list[list[str]], int]:

@@ -551,8 +551,8 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize(
         "sections",
         [
-            # sigma^4 overflows to inf (a Python float would raise an
-            # OverflowError that names no cause)
+            # sigma^4 overflows, where a Python float raises an OverflowError
+            # that names no cause: the command prints the closed-form line
             {"particle": {"sigma": 1e154}},
             # finite powers whose products overflow: p_shift = -inf, and
             # exact_P = -inf with residual_P = nan
@@ -831,9 +831,29 @@ class TestClosedFormsOnPythonFloats:
                 assert (code, captured.err) == (0, ""), doc
                 assert (out / "sweep.csv").read_text().splitlines()[1:] == [row], doc
 
+    def test_vacuous_bound_gives_the_weak_limit_however_large_the_lhs(self, tmp_path, capsys):
+        # theta_A = theta_B: the bound is inf, so the ratio is 0 although
+        # g^2 delta_P^2 overflows as a product of finite powers, and the
+        # exact means are the first-order ones, <Q>_b = g Re A_w = g b and
+        # <P>_b = mu_P (Im A_w = 0)
+        doc = base_config(**self.BASE)
+        doc["coupling"].update(g=1e100, theta_A=0.7)
+        doc["device"]["delta_Q"] = 5e-101
+        doc["postselection"]["theta_B"] = 0.7
+        doc["sweep"] = {"b": [1.3]}
+        out = tmp_path / "o"
+        code = main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        header, row = (out / "sweep.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["exact_Q"] == cells["fo_Q"] == "1.3000000000000001e+100"
+        assert cells["exact_P"] == cells["fo_P"] == _fmt(0.4)
+        assert cells["residual_Q"] == cells["residual_P"] == cells["regime_ratio"] == "0"
+        assert cells["regime_class"] == "deep_weak"
+
     def test_non_finite_residual_warns_nothing(self, tmp_path):
-        # exact_P - fo_P is -inf - (-inf), which numpy warns of as an invalid
-        # subtraction: under -W error, one error line and no traceback
+        # exact_P - fo_P is -inf - (-inf), nan on Python floats, which numpy
+        # would warn of: under -W error, one error line and no traceback
         doc = base_config(
             device={"delta_Q": 2.75e-134, "mu_P": 1.0},
             coupling={"g": 1.0, "theta_A": HALF_PI},

@@ -234,7 +234,7 @@ def test_array_passes_equal_the_scalar_routes_bit_for_bit():
     # theta_A = theta_B = pi/8 tuples, whose bound is inf, warn nothing
     closed, conditional = _per_tuple_grid()
     eighth = states.Quadrature(verify.PI / 8)
-    assert math.isinf(bounds._gaussian_bound(1.0, *analytic._angles(eighth, eighth)[2:]))
+    assert math.isinf(bounds._gaussian_bound(1.0, *bounds._angles(eighth, eighth)[2:]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid_closed, grid_conditional = verify._grid_closed_forms(), verify._grid_conditional_means()
