@@ -21,13 +21,16 @@ that share the draws (`_postselect`). The histogram and the correlation
 draw only the two coordinates they read, (p', P') and (A, Q'): with R their
 2 x 4 read-out, which holds the coupling's rows, the factor is R L. Every
 block of a chunk reuses the same buffers, so a yielded block is valid only
-until the next one. A chunk keeps at most the values its moments need (the
-accepted (Q', P', A), or (A, Q')), so memory is O(chunk) per worker at any
-acceptance; only `sample_state` materialises n points. The histogram bins
-each block by an arithmetic index, trusted where the edges' rounding margin
-proves it, and bins only the draws next to an edge by numpy's own binary
-search of the edges (`_bins`), so its counts equal `np.histogram2d`'s
-exactly; it counts a buffer of at least `BLOCK` flat cell indices at a time.
+until the next one. The histogram and the correlation reduce each block as
+it is drawn, so they hold one block per worker: the correlation merges the
+blocks' `_moments`, and the histogram counts each block's flat cell
+indices with one `bincount`. It bins by an arithmetic index, trusted where
+the edges' rounding margin proves it, and bins the draws next to an edge by
+numpy's own binary search of the edges (`_bins`), so its counts equal
+`np.histogram2d`'s exactly. Only the rejection sampler keeps a chunk's
+accepted (Q', P', A), for one `_moments` per chunk, so its memory is
+O(chunk) per worker at any acceptance; only `sample_state` materialises n
+points.
 """
 
 from __future__ import annotations
@@ -394,24 +397,18 @@ def sample_state(
     Runs in this process: workers would only copy the points back."""
     source = _source(state, seed)
     out = np.empty((state.mean.size, n))
+    start = 0  # the chunks' blocks in order, each copied out of its reused buffer
     for k, rows in _chunk_rows(n, chunk_size):
-        _fill(source, k, out[:, k * chunk_size : k * chunk_size + rows])
-    return out
-
-
-def _fill(source, k: int, out: np.ndarray) -> np.ndarray:
-    """Chunk k's draws copied block by block into `out`, a (d, rows) array."""
-    start = 0
-    for block in _blocks(source, k, out.shape[1]):
-        out[:, start : start + block.shape[1]] = block
-        start += block.shape[1]
+        for block in _blocks(source, k, rows):
+            out[:, start : start + block.shape[1]] = block
+            start += block.shape[1]
     return out
 
 
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, mean, centred scatter matrix) of the draws in a (d, count)
-    array, one coordinate per row: the part of a chunk that `_merge` merges.
-    Centres `values` in place, so a chunk needs no second copy of its draws.
+    array, one coordinate per row: the part of a chunk or block that `_merge`
+    merges. Centres `values` in place, so they need no second copy.
     An empty array gives count 0, which `_merge` skips. A sum that
     overflows gives inf or nan, which `_merge` reports."""
     d, count = values.shape
@@ -424,8 +421,8 @@ def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _merge(parts) -> tuple[int, np.ndarray, np.ndarray]:
-    """The one reduction of sampled moments: merge `_moments` parts in chunk
-    order into the (count, mean, centred scatter) of all their draws (Chan,
+    """The one reduction of sampled moments: merge `_moments` parts, in
+    block or chunk order, into the (count, mean, centred scatter) of all their draws (Chan,
     Golub & LeVeque 1983). Empty parts are skipped, so none gives count 0.
     Raises OverflowError where the mean or scatter of the parts, or of
     their merge, is not finite."""
@@ -767,28 +764,22 @@ def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
     """Chunk k of `joint_momentum_histogram`: its (p', P') counts, binned as
     `np.histogram2d` bins them by `_bins`, which trusts the arithmetic index
     where the margin proves it and bins only the draws next to an edge by
-    numpy's `searchsorted` rule, in one (2, 2, BLOCK) buffer. Flat cell
-    indices are gathered in a buffer of max(BLOCK, cells) entries and
-    counted by one `bincount` each time it fills, so the O(cells) cost of a
-    count is paid once per at least `cells` draws."""
+    numpy's `searchsorted` rule, in one (2, 2, BLOCK) buffer. Each block's
+    flat cell indices go to one reused BLOCK-sized buffer and are counted
+    by one `bincount`, so the chunk holds no array longer than a block."""
     source, edges, margin = args
     width = edges[1].size + 1  # bins of P plus one below and one above
     cells = (edges[0].size + 1) * width
     counts = np.zeros(cells, dtype=np.int64)
-    flat = np.empty(min(rows, max(BLOCK, cells)), dtype=np.intp)
-    work = np.empty((2, 2, min(rows, BLOCK)))
-    filled = 0
+    flat = np.empty(min(rows, BLOCK), dtype=np.intp)
+    work = np.empty((2, 2, flat.size))
     for block in _blocks(source, k, rows):
         m = block.shape[1]
-        if filled + m > flat.size:
-            counts += np.bincount(flat[:filled], minlength=cells)
-            filled = 0
         index = _bins(block, edges, margin, work[:, :, :m])
         index[0] *= width
         index[0] += index[1]
-        flat[filled : filled + m] = index[0]  # whole numbers below 2**53: exact
-        filled += m
-    counts += np.bincount(flat[:filled], minlength=cells)
+        flat[:m] = index[0]  # whole numbers below 2**53: exact
+        counts += np.bincount(flat[:m], minlength=cells)
     return counts.reshape(-1, width)[1:-1, 1:-1]
 
 
@@ -809,8 +800,9 @@ def strong_measurement_correlation(
     particle observable A, for each device spread in a decreasing sequence.
 
     Tends to 1 as delta_Q -> 0: the strong-measurement limit. The moments
-    of each chunk's (A, Q') are computed in parallel (see `_run_chunks`) and
-    merged by `_merge`, so memory is O(chunk_size), not O(n_samples).
+    of each block of (A, Q') are computed as it is drawn, in parallel
+    chunks (see `_run_chunks`), and merged by `_merge`, so memory is
+    O(BLOCK) rows per worker, not O(n_samples).
     """
     out = []
     for delta_Q in delta_Q_sequence:
@@ -826,6 +818,7 @@ def strong_measurement_correlation(
 
 
 def _correlation_chunk(source, k: int, rows: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Chunk k of `strong_measurement_correlation`: the `_moments` of its
-    (A, Q'), computed over the whole chunk."""
-    return _moments(_fill(source, k, np.empty((2, rows))))
+    """Chunk k of `strong_measurement_correlation`: the (count, mean,
+    centred scatter) of its (A, Q'), each block's `_moments` taken in its
+    own buffer and merged in block order by `_merge`."""
+    return _merge(map(_moments, _blocks(source, k, rows)))

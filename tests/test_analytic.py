@@ -170,6 +170,17 @@ class TestPostselectedMeansDiscrete:
         orders = [math.log2(r1 / r2) for r1, r2 in zip(residuals, residuals[1:])]
         assert min(orders) > 2.5
 
+    def test_nonpositive_delta_P_is_rejected(self):
+        with pytest.raises(ValueError, match="^delta_P must be positive$"):
+            postselected_means_discrete(self.INPUT, 0.1, 0.0, 0.0, 0.4)
+
+    def test_probability_that_underflows_is_degenerate(self):
+        # the amplitude sum d = 1e-170 is nonzero, so the input is accepted,
+        # but the pair weight |d|^2 = 1e-340 underflows to 0
+        inp = DiscreteSpectrumInput((1e-170,), (1.0,), (0.0,))
+        with pytest.raises(DegeneratePostselectionError, match="^postselection probability is zero$"):
+            postselected_means_discrete(inp, 0.1, 0.7, 0.0, 0.4)
+
 
 def quantum_pointer_means(mu_q, mu_p, sigma, delta_Q, omega, g, theta_A, theta_B, b, mu_P):
     # the quantum route: rotate phase space by -theta_A so that A = q, put the

@@ -536,6 +536,20 @@ class TestRuntimeErrors:
             ), config
             assert not out.exists()
 
+    def test_mean_of_B_that_overflows_is_named(self, tmp_path, capsys):
+        # the coupled state's moments are finite, its mean of B is not
+        doc = base_config(
+            particle={"mu_q": 1.5e308, "mu_p": 1.5e308}, postselection={"theta_B": math.pi / 4}
+        )
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: OverflowError: the coupled state overflows or underflows: "
+            "a moment of it, its parts or B is out of range\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "histogram"])
     @pytest.mark.parametrize("section, field", [("coupling", "g"), ("particle", "sigma")])
     def test_coupled_state_that_overflows(self, tmp_path, capsys, command, section, field):

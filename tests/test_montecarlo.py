@@ -613,6 +613,17 @@ class TestEvolvedJointCache:
         assert turned.resolved_epsilon() == 0.05
         assert BASE.resolved_epsilon() == pytest.approx(0.05 * math.sqrt(0.25 + 0.1**2 * 0.25), rel=1e-12)
 
+    def test_mean_of_B_that_overflows(self):
+        # every moment of the coupled state is finite, but the mean of
+        # B = (q' + p') / sqrt(2) sums two means of 1.5e308 and overflows
+        config = dataclasses.replace(BASE, mu_q=1.5e308, mu_p=1.5e308, theta_B=Quadrature(math.pi / 4))
+        smap = coupling_map(config.g, config.theta_A)
+        mean = smap.matrix @ config.joint().mean
+        cov = smap.matrix @ config.joint().cov @ smap.matrix.T
+        assert np.isfinite(mean).all() and np.isfinite(cov).all()
+        with pytest.raises(OverflowError, match="^the coupled state overflows or underflows: "):
+            config.evolved_joint()
+
 
 # (config fields, (resolved epsilon, oracle_estimate, windowed_oracle,
 # acceptance_probability)); b sits at 0, 0, 6, -6, 30 and -30 std of B. The
@@ -1216,8 +1227,8 @@ class TestStreamingEngine:
 
     def test_histogram_clipping_range_is_bit_identical(self):
         # (120, 90) bins have 122 x 92 cells with the two outside rows and
-        # columns, more than BLOCK: in one chunk of all 25 500 draws the flat
-        # index buffer holds 11 224 entries and is counted four times
+        # columns, more than BLOCK: one chunk of all 25 500 draws counts
+        # each of its four blocks into more cells than the block has draws
         assert 122 * 92 > montecarlo.BLOCK
         for bins, chunk in (((13, 17), self.CHUNK), ((120, 90), self.CONFIG.n_samples)):
             counts = self._assert_histogram_matches(bins, ((-0.3, 0.4), (-0.2, 0.25)), chunk)
@@ -1298,6 +1309,12 @@ class TestBoundedMemory:
             lambda: strong_measurement_correlation([0.5], self.CONFIG, chunk_size=2**14)
         )
         assert peak < self.LIMIT
+
+    def test_strong_measurement_correlation_reduces_each_block(self):
+        # chunks of the default size, each merging its blocks' moments as they
+        # are drawn: one chunk of (A, Q') would be 4 MB
+        peak = self._peak(lambda: strong_measurement_correlation([0.5], self.CONFIG))
+        assert peak < 2 * 2**20
 
     def test_run_weak_experiment_accepting_every_draw(self):
         # chunks of the default size, each returning the moments of its
