@@ -18,8 +18,10 @@ sampler builds once per call from the Cholesky factor L of the joint state
 themselves (factor L); the rejection sampler then evolves and checks
 every point once in block buffers and windows it for each of the configs
 that share the draws (`_postselect`). The histogram and the correlation
-draw only the two coordinates they read, (p', P') and (A, Q'): with R their
-2 x 4 read-out, which holds the coupling's rows, the factor is R L. Every
+draw only the two coordinates they read, (p', P') and (A, Q'), in their own
+two dimensions: with R their 2 x 4 read-out, which holds the coupling's
+rows, the factor is the 2 x 2 square-root factor F of R C R^T, from a QR of
+(R L)^T, so each draw takes two normals, not four. Every
 block of a chunk reuses the same buffers, so a yielded block is valid only
 until the next one. The histogram and the correlation reduce each block as
 it is drawn, so they hold one block per worker: the correlation merges the
@@ -61,7 +63,7 @@ from .states import (
 
 DEFAULT_CHUNK = 1 << 18
 # Rows drawn at a time inside a chunk. Every product of a block with a 4 x 4
-# or 4 x 2 factor then stays below OpenBLAS's threading threshold
+# or 2 x 2 factor then stays below OpenBLAS's threading threshold
 # (M*N*K < 2**18), so pool workers do not each start BLAS threads and
 # oversubscribe the cores. Blocks drawn from one Generator give the same
 # stream and points as one draw per chunk.
@@ -273,18 +275,22 @@ def _source(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(offset, factor, seed): all a process needs to draw chunks of a
     Gaussian state with `_blocks`. L is the Cholesky factor of the
-    covariance. Without `readout`, the blocks are the points themselves,
+    covariance C. Without `readout`, the blocks are the points themselves,
     mean + L z (offset the mean as a column, factor L). With a
-    (d, 2*n_modes) `readout` matrix R they are the read-out coordinates
-    R mean + R L z, folded into one product per block (offset R mean,
-    factor R L). Raises ValueError on a degenerate covariance."""
+    (d, 2*n_modes) `readout` matrix R, d <= 2*n_modes, they are the read-out
+    coordinates R mean + F z, drawn in their own d dimensions: F is the
+    d x d lower-triangular factor of a QR of (R L)^T, so R L = F Q^T and
+    F F^T = R C R^T, and each draw takes d normals. The QR keeps F where a
+    Cholesky of R C R^T would fail: where that covariance is singular in
+    double precision, as (A, Q')'s is in the strong-measurement limit.
+    Raises ValueError on a degenerate covariance."""
     try:
         lower = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not factorizable (degenerate state)") from exc
     if readout is None:
         return state.mean[:, None], lower, seed
-    return (readout @ state.mean)[:, None], readout @ lower, seed
+    return (readout @ state.mean)[:, None], np.linalg.qr((readout @ lower).T, mode="r").T, seed
 
 
 def _blocks(source: tuple[np.ndarray, np.ndarray, int], k: int, rows: int):
@@ -677,7 +683,7 @@ def joint_momentum_histogram(
             raise ValueError(f"automatic histogram range (+-5 std): {exc}") from exc
     else:
         counts, p_edges, P_edges = _histogram_edges(bins, hist_range)
-    # (p', P') = rows 1 and 3 of the coupling map, folded into the draw
+    # (p', P') = rows 1 and 3 of the coupling map, drawn from their own 2 x 2 factor
     coupled = config._evolved
     source = _source(coupled.joint, config.seed, coupled.smap.matrix[1::2])
     args = (source, (p_edges, P_edges), _bin_margin((p_edges, P_edges)))
@@ -807,7 +813,7 @@ def strong_measurement_correlation(
     out = []
     for delta_Q in delta_Q_sequence:
         coupled = dataclasses.replace(config, delta_Q=delta_Q)._evolved
-        # (A, Q'): the quadrature A and row 2 of the coupling map, folded into the draw
+        # (A, Q'): the quadrature A and row 2 of the coupling map, drawn from their own 2 x 2 factor
         readout = np.array([[*config.theta_A.vector, 0.0, 0.0], coupled.smap.matrix[2]])
         source = _source(coupled.joint, config.seed, readout)
         _, _, scatter = _run_chunks(_correlation_chunk, source, config.n_samples, chunk_size, _merge)

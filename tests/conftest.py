@@ -2,5 +2,6 @@ from hypothesis import settings
 
 # `pytest --hypothesis-profile=ci`: ten times hypothesis's default examples.
 # CI runs the accepted-domain properties (tests/test_domain.py) and the
-# histogram binning property (tests/test_montecarlo.py) under it.
+# histogram binning and goodness-of-fit properties (tests/test_montecarlo.py)
+# under it.
 settings.register_profile("ci", max_examples=10 * settings.default.max_examples)

@@ -350,11 +350,11 @@ class TestHistogramCommand:
     @pytest.mark.parametrize(
         "particle, hist, expected",
         [
-            ({}, None, "84f7a141600fc414639645c106f513aa552d7fe3cd104a46e1e643b99cf4d599"),
+            ({}, None, "4e2d9d0cef970bde7fc784755c707bcde7bd696fcbd43a647c641f4ce69dfae5"),
             (
                 {"mu_p": 1e12},
                 {"bins": 61, "p_range": [1e12 - 5, 1e12 + 5], "P_range": [-5, 5]},
-                "a2eb3d447c6fe953ec4eb4d874a94da8634f71dde172039cbe0124f49bdc1683",
+                "611bcf1012717a6184e3760ada5525d69dbfd87f98b200eaaad542b6a9db1023",
             ),
         ],
         ids=["automatic box", "far offset"],
@@ -362,7 +362,9 @@ class TestHistogramCommand:
     def test_csv_pinned(self, tmp_path, monkeypatch, particle, hist, expected):
         # the bytes on the README config, as the simulate and sweep pins: on
         # its automatic box, where the arithmetic index bins every draw, and
-        # on a range far from 0, where some draws are binned by `_searchsorted_index`
+        # on a range far from 0, where some draws are binned by `_searchsorted_index`.
+        # Re-recorded at version 0.2.0, when (p', P') began to be drawn from
+        # two normals per draw through the read-out's own 2 x 2 factor
         monkeypatch.setattr(montecarlo, "WORKERS", 1)  # in this process, to count them
         fallback = []
         searchsorted_index = montecarlo._searchsorted_index

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from erlweak import (
@@ -26,7 +26,6 @@ from erlweak import (
     Quadrature,
     SymplecticMap,
     acceptance_probability,
-    apply_to_points,
     coupling_map,
     exact_strong_correlation,
     gaussian_condition,
@@ -134,15 +133,24 @@ class TestBlocks:
         pts = joint.mean + z @ lower.T
         np.testing.assert_array_equal(sample_state(joint, rows, config.seed, chunk_size=rows).T, pts)
 
+        # the correlation draws (A, Q') from two normals per draw. Its merged
+        # moments equal, bit for bit, those of the same blocks of its own
+        # draws; the scatter also matches the whole sample's. Q''s sample mean
+        # is 3.6e-6 here, 1/1900 of its standard error: numpy's mean of the
+        # whole sample is 4.9e-18 from math.fsum's, the merge 2e-19, so no
+        # relative bound of 1e-12 can hold against numpy's
         smap = coupling_map(config.g, config.theta_A)
         readout = np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]])
         source = montecarlo._source(joint, config.seed, readout)
         m, mean, scatter = montecarlo._correlation_chunk(source, 0, rows)
-        a = config.theta_A.value(pts[:, 0], pts[:, 1])
-        aq = np.column_stack([a, apply_to_points(smap, pts.T)[2]])
+        offset, factor, _ = source
+        aq = offset.T + montecarlo._chunk_rng(config.seed, 0).standard_normal((rows, 2)) @ factor.T
+        blocks = (aq[start : start + montecarlo.BLOCK].T.copy() for start in range(0, rows, montecarlo.BLOCK))
+        ref_m, ref_mean, ref_scatter = montecarlo._merge(map(montecarlo._moments, blocks))
         centred = aq - aq.mean(axis=0)
-        assert m == rows
-        np.testing.assert_allclose(mean, aq.mean(axis=0), rtol=1e-12)
+        assert m == ref_m == rows
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(scatter, ref_scatter)
         np.testing.assert_allclose(scatter, centred.T @ centred, rtol=1e-12)
 
     @staticmethod
@@ -924,6 +932,133 @@ class TestHistogram:
             joint_momentum_histogram(BASE, bins=10, hist_range=hist_range)
 
 
+def _cell_probabilities(mean, cov, x_edges, y_edges, nodes=32):
+    """P(x_i < X < x_(i+1), y_j < Y < y_(j+1)) of each cell of a bivariate
+    normal N(mean, cov), as an (nx, ny) array: over each x bin, Gauss-Legendre
+    quadrature of the density of X times the conditional normal CDF of Y
+    given X, through math.erf (after Genz 2004)."""
+    sx = math.sqrt(cov[0, 0])
+    slope = cov[0, 1] / cov[0, 0]
+    s_cond = math.sqrt(cov[1, 1] - cov[0, 1] * slope)
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    probs = np.empty((len(x_edges) - 1, len(y_edges) - 1))
+    for i, (a, b) in enumerate(zip(x_edges[:-1], x_edges[1:])):
+        x = 0.5 * (b - a) * t + 0.5 * (a + b)
+        weight = 0.5 * (b - a) * w * np.exp(-0.5 * ((x - mean[0]) / sx) ** 2) / (sx * math.sqrt(2 * math.pi))
+        centre = mean[1] + slope * (x - mean[0])
+        cdf = [[0.5 * math.erfc((c - y) / (s_cond * math.sqrt(2.0))) for c in centre] for y in y_edges]
+        probs[i] = np.diff(np.array(cdf) @ weight)
+    return probs
+
+
+def _g_test_p_value(observed, expected):
+    """p-value of the G-test of observed counts against expected ones, the
+    smallest expected cells merged into one until it, and every other cell,
+    expects at least 5 draws."""
+    mpmath = pytest.importorskip("mpmath")
+    order = np.argsort(expected)
+    observed, expected = observed[order], expected[order]
+    merged = int(np.searchsorted(expected, 5.0))  # the cells below 5, then up to 5 in all
+    if merged:
+        merged = max(merged, int(np.searchsorted(np.cumsum(expected), 5.0)) + 1)
+        observed = np.append(observed[merged:], observed[:merged].sum())
+        expected = np.append(expected[merged:], expected[:merged].sum())
+    assert expected.size >= 2 and expected.min() >= 5.0
+    seen = observed > 0
+    g = 2.0 * float(observed[seen] @ np.log(observed[seen] / expected[seen]))
+    return float(mpmath.gammainc((expected.size - 1) / 2.0, max(g, 0.0) / 2.0, mpmath.inf, regularized=True))
+
+
+def _assert_histogram_fits(config, bins, reach):
+    """A G-test, at a per-example level fixed before any run, of the
+    histogram's counts on the box of +-reach std of each marginal, and of
+    the draws outside it, against the exact law of (p', P'): N(R mu, R C R^T)
+    with R mu and R C R^T read from the evolved state's rows (1, 3), not
+    from the sampler's factor."""
+    joint = config.evolved_joint()
+    mean, cov = joint.mean[[1, 3]], joint.cov[np.ix_([1, 3], [1, 3])]
+    half = reach * np.sqrt(np.diag(cov))
+    counts, p_edges, P_edges = joint_momentum_histogram(config, bins, tuple(zip(mean - half, mean + half)))
+    probs = _cell_probabilities(mean, cov, p_edges, P_edges).ravel()
+    observed = np.append(counts.ravel(), config.n_samples - counts.sum())
+    expected = config.n_samples * np.append(probs, max(0.0, 1.0 - probs.sum()))
+    p_value = _g_test_p_value(observed, expected)
+    assert p_value > 1e-6, (p_value, config, bins, reach)
+
+
+class TestHistogramFit:
+    """The histogram's counts follow the exact law of (p', P') whatever the
+    random stream draws: a goodness-of-fit gate on the cell probabilities,
+    over configs with moderate spreads, mu_P != 0 and both angles free."""
+
+    FIT = dict(
+        config=st.builds(
+            dataclasses.replace,
+            st.just(dataclasses.replace(BASE, n_samples=20_000)),
+            mu_q=st.floats(-2.0, 2.0),
+            mu_p=st.floats(-2.0, 2.0),
+            sigma=st.floats(0.5, 2.0),
+            delta_Q=st.floats(0.5, 2.0),
+            mu_P=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+            omega=st.floats(-1.0, 1.0),
+            g=st.floats(0.0, 1.5),
+            theta_A=st.floats(0.0, math.pi).map(Quadrature),
+            theta_B=st.floats(0.0, math.pi).map(Quadrature),
+            seed=st.integers(0, 2**32 - 1),
+        ),
+        bins=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+        reach=st.floats(1.0, 4.0),
+    )
+
+    @settings(derandomize=True, deadline=None)
+    @given(**FIT)
+    def test_property_counts_fit_the_exact_cell_probabilities(self, config, bins, reach):
+        _assert_histogram_fits(config, bins, reach)
+
+    def test_flipped_correlation_fails(self, monkeypatch):
+        # negative control: flipping the sign of the read-out factor's
+        # off-diagonal entry keeps both marginals and negates the correlation.
+        # The same property over the same draws, stopped at its first
+        # failure: shrinking it would take hundreds of histograms
+        source = montecarlo._source
+
+        def flipped(state, seed, readout=None):
+            offset, factor, seed = source(state, seed, readout)
+            return offset, factor * np.array([[1.0, 1.0], [-1.0, 1.0]]), seed
+
+        monkeypatch.setattr(montecarlo, "_source", flipped)
+        fit = settings(derandomize=True, deadline=None, phases=[Phase.generate])(
+            given(**self.FIT)(_assert_histogram_fits)
+        )
+        with pytest.raises(AssertionError):
+            fit()
+
+    def test_cell_probabilities_match_30_digits(self):
+        # at a correlation of -0.98: a few cells against mpmath's quadrature
+        # of the same conditional at 30 digits, every cell against the
+        # quadrature over the other axis, and the cells of a +-12 std box sum to 1
+        mp = pytest.importorskip("mpmath").mp
+        mean, cov = np.array([0.3, 1.0]), np.array([[1.3, -1.0], [-1.0, 0.8]])
+        spread = np.sqrt(np.diag(cov))
+        edges = [m + s * np.linspace(-4.0, 4.0, 5) for m, s in zip(mean, spread)]
+        probs = _cell_probabilities(mean, cov, *edges)
+        with mp.workdps(30):
+            slope = mp.mpf(cov[0, 1]) / cov[0, 0]
+            s_cond = mp.sqrt(cov[1, 1] - cov[0, 1] * slope)
+            for i, j in ((1, 2), (2, 1), (1, 1), (0, 3)):
+                lo, hi = (edges[1][j : j + 2] - mean[1]) / s_cond
+
+                def strip(x):
+                    shift = slope * (x - mean[0]) / s_cond
+                    return mp.npdf(x, mean[0], spread[0]) * (mp.ncdf(hi - shift) - mp.ncdf(lo - shift))
+
+                assert abs(probs[i, j] - float(mp.quad(strip, edges[0][i : i + 2].tolist()))) <= 1e-14, (i, j)
+        swapped = _cell_probabilities(mean[::-1], cov[::-1, ::-1], *edges[::-1]).T
+        np.testing.assert_allclose(probs, swapped, rtol=1e-12, atol=1e-15)
+        edges = [m + s * np.linspace(-12.0, 12.0, 13) for m, s in zip(mean, spread)]
+        assert _cell_probabilities(mean, cov, *edges).sum() == pytest.approx(1.0, abs=1e-14)
+
+
 class TestBinIndex:
     """`_bins` gives the bin index np.histogram2d takes from a binary
     search: searchsorted(edges, x, "right"), one less on the last edge."""
@@ -1149,6 +1284,14 @@ class TestStrongMeasurement:
             rho = exact_strong_correlation(delta_Q, config)
             assert abs(math.atanh(r) - math.atanh(rho)) < fisher_se
 
+    def test_singular_readout_covariance_draws(self):
+        # at g = sigma = 1 and delta_Q <= 1e-9, R C R^T of (A, Q') is
+        # [[1, 1], [1, 1]] in double precision: singular, so a Cholesky of it
+        # would raise "Matrix is not positive definite". The QR factor of
+        # (R L)^T draws Q' = A, as the four-normal factor R L did (to 2e-16)
+        config = dataclasses.replace(BASE, g=1.0, sigma=1.0, n_samples=20_000)
+        assert strong_measurement_correlation([1e-9, 1e-12], config) == pytest.approx([1.0, 1.0], abs=1e-15)
+
     def test_state_that_underflows_is_named(self):
         # delta_Q^2 underflows to 0 in the device state: the sampler reads the
         # one checked coupled state, so the error names it
@@ -1170,19 +1313,18 @@ class TestStreamingEngine:
     )
     CHUNK = 1000  # n_samples is not a multiple of it
 
-    def _evolved_points(self, joint):
-        config = self.CONFIG
-        pts = sample_state(joint, config.n_samples, config.seed, self.CHUNK)
-        return pts, apply_to_points(coupling_map(config.g, config.theta_A), pts)
-
-    def _readouts(self, joint, chunk=CHUNK):
-        """The folded read-outs of every draw: (p', P') and (A, Q'), as the
-        histogram and the correlation draw them, as (2, n) arrays."""
+    def _readout_matrices(self):
+        """R of the histogram, (p', P'), and of the correlation, (A, Q')."""
         config = self.CONFIG
         smap = coupling_map(config.g, config.theta_A)
-        readouts = (smap.matrix[1::2], np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]]))
+        return smap.matrix[1::2], np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]])
+
+    def _readouts(self, joint, chunk=CHUNK):
+        """The read-outs of every draw: (p', P') and (A, Q'), as the
+        histogram and the correlation draw them, as (2, n) arrays."""
+        config = self.CONFIG
         out = []
-        for readout in readouts:
+        for readout in self._readout_matrices():
             source = montecarlo._source(joint, config.seed, readout)
             chunks = montecarlo._chunk_rows(config.n_samples, chunk)
             out.append(np.concatenate([b.copy() for k, rows in chunks for b in montecarlo._blocks(source, k, rows)], axis=1))
@@ -1198,17 +1340,32 @@ class TestStreamingEngine:
             np.testing.assert_array_equal(g, r)
         return got[0]
 
-    def test_folded_readouts_match_evolved_points(self):
-        # offset + (R L) z against R (mean + L z) through apply_to_points:
-        # equal up to rounding, within 4 ulp of the terms' magnitude
+    def test_readout_factor_is_the_square_root_of_the_readout_covariance(self):
+        # F is 2 x 2 and lower triangular, and F F^T is R C R^T within 4 ulp
+        # of its largest entry (measured 1 and 0.75): for (p', P') as the
+        # evolved state's rows (1, 3), for (A, Q') as R C R^T of the joint state
+        joint = self.CONFIG.joint()
+        momenta, aq = self._readout_matrices()
+        for readout, ref in (
+            (momenta, self.CONFIG.evolved_joint().cov[np.ix_([1, 3], [1, 3])]),
+            (aq, aq @ joint.cov @ aq.T),
+        ):
+            offset, factor, _ = montecarlo._source(joint, self.CONFIG.seed, readout)
+            assert factor.shape == (2, 2) and factor[0, 1] == 0.0
+            np.testing.assert_array_equal(offset[:, 0], readout @ joint.mean)
+            assert np.all(np.abs(factor @ factor.T - ref) <= 4 * np.spacing(np.abs(ref).max()))
+
+    def test_readout_blocks_are_offset_plus_factor_z(self):
+        # the yielded read-outs of a chunk of several blocks are, bit for bit,
+        # offset + F z for two standard normals per draw of the chunk's substream
         config = self.CONFIG
-        pts, evolved = self._evolved_points(config.joint())
-        a = config.theta_A.value(pts[0], pts[1])
-        momenta, aq = self._readouts(config.joint())
-        for got, ref in ((momenta, evolved[1::2]), (aq, np.array([a, evolved[2]]))):
-            scale = np.abs(ref).max(axis=1, keepdims=True)
-            assert np.all(np.abs(got - ref) <= 4 * np.spacing(scale))
-            assert np.mean(got == ref) > 0.5  # most draws round alike
+        rows = 3 * montecarlo.BLOCK + 123
+        for readout in self._readout_matrices():
+            source = montecarlo._source(config.joint(), config.seed, readout)
+            blocks = np.concatenate([b.copy() for b in montecarlo._blocks(source, 4, rows)], axis=1)
+            offset, factor, _ = source
+            z = montecarlo._chunk_rng(config.seed, 4).standard_normal((rows, 2))
+            np.testing.assert_array_equal(blocks.T, offset.T + z @ factor.T)
 
     def test_histogram_auto_box_is_bit_identical(self):
         config = self.CONFIG
@@ -1240,9 +1397,8 @@ class TestStreamingEngine:
         config = self.CONFIG
         for delta_Q in (3.0, 0.5, 0.02):
             joint = tensor(config.particle(), make_pure_device(delta_Q, config.mu_P, config.omega))
-            pts, evolved = self._evolved_points(joint)
-            a = config.theta_A.value(pts[0], pts[1])
-            ref = np.corrcoef(a, evolved[2])[0, 1]
+            _, aq = self._readouts(joint)
+            ref = np.corrcoef(aq)[0, 1]
             (got,) = strong_measurement_correlation([delta_Q], config, chunk_size=self.CHUNK)
             assert abs(got - ref) <= 1e-14, delta_Q
 
