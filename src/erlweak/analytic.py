@@ -1,12 +1,16 @@
 """Closed-form evaluators for weak values and postselected device means,
 plus the exact Gaussian-conditioning route used as the independent oracle.
 
+The Gaussian closed form reads the weak value off the particle's regression
+on B and takes no power of a config field: no call of it raises on a finite
+config, and a value out of float range comes out inf or nan.
+
 Convention note: the postselected momentum mean carries the numerator
 factor (mu_q cos(theta_B) + mu_p sin(theta_B) - b) * sin(theta_B - theta_A),
 i.e. the distance of the postselection value b from the mean of the
-postselected quadrature. It holds by construction, as <P>_b - mu_P is
-2 g delta_P^2 Im[A_W] / (1 + r) and Im[A_W] carries that factor; the
-conditioning oracle (oracle_postselected_means) checks it.
+postselected quadrature. It holds by construction, as <P>_b is
+(mu_P + 2 g delta_P^2 Im[A_W]) / (1 + r) and Im[A_W] carries that factor;
+the conditioning oracle (oracle_postselected_means) checks it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-from .bounds import _angles, _gaussian_bound, _ratio
+from .bounds import _angles, _on_B, _ratio
 from .states import GaussianState, Quadrature, quadrature_vector
 
 REALNESS_TOL = 1e-10
@@ -58,15 +62,16 @@ class DiscreteSpectrumInput:
 
 
 def _weak_value(
-    mu_q: float, mu_p: float, sigma: float, b: float, angles: tuple[float, ...]
+    mu_q: float, mu_p: float, b: float, angles: tuple[float, ...], on_B: tuple[float, ...]
 ) -> tuple[float, float]:
-    """(Re, Im) of the Gaussian weak value at the `_angles` of theta_A and
-    theta_B, without the check on sigma."""
+    """(Re, Im) of the Gaussian weak value at the `_angles` and the particle's
+    regression `_on_B`: Re = E[A | B = b] as slope times b plus the intercept
+    mu_A - slope mu_B = sd (mu_q slope_p - mu_p slope_q), so Re is b where
+    A = B, whatever the means, and Im = -sd (b - mu_B) / (2 s_B^2)."""
     ca, sa, cb, sb, sd = angles
-    denom = 4.0 * sigma**4 * cb**2 + sb**2
-    re = (4.0 * sigma**4 * cb * (b * ca - mu_p * sd) + sb * (mu_q * sd + b * sa)) / denom
-    im = 2.0 * sigma**2 * (-b + mu_q * cb + mu_p * sb) * sd / denom
-    return re, im
+    s_B, slope_q, slope_p = on_B
+    re = (ca * slope_q + sa * slope_p) * b + sd * (mu_q * slope_p - mu_p * slope_q)
+    return re, -0.5 * sd * ((b - (mu_q * cb + mu_p * sb)) / s_B) / s_B
 
 
 def weak_value_gaussian(
@@ -79,7 +84,8 @@ def weak_value_gaussian(
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return WeakValue(*_weak_value(mu_q, mu_p, sigma, b, _angles(theta_A, theta_B)))
+    angles = _angles(theta_A, theta_B)
+    return WeakValue(*_weak_value(mu_q, mu_p, b, angles, _on_B(sigma, angles)))
 
 
 def weak_value_discrete(inp: DiscreteSpectrumInput) -> WeakValue:
@@ -138,7 +144,7 @@ def postselected_means_discrete(
 def _conjugate_spread(spread: float, omega: float) -> float:
     """sqrt(1 + omega^2) / (2 spread): the pure device's delta_P from its
     delta_Q, or its delta_Q from its delta_P, as the relation is symmetric."""
-    return math.sqrt(1.0 + omega**2) / (2.0 * spread)
+    return math.hypot(1.0, omega) / (2.0 * spread)
 
 
 def postselected_means_gaussian(
@@ -157,11 +163,12 @@ def postselected_means_gaussian(
     pure device with zero mean position and mean momentum mu_P, coupling
     strength g, and postselection on the particle quadrature theta_B at value b.
 
-    They are the first-order shifts (q1, p1) of `first_order_shifts` damped by
-    the ratio r of `bounds.gaussian_regime_margin`: <Q>_b = (q1 + r g mu_A) /
-    (1 + r) and <P>_b = mu_P + p1 / (1 + r). The coupling moves the particle
-    by g mu_P (sin theta_A, -cos theta_A) on average, and P is unchanged by
-    it, so A_W and mu_A are taken at the shifted particle means.
+    They are the `first_order_shifts` (q1, p1) damped by the ratio r of
+    `bounds.gaussian_regime_margin`: <Q>_b = (q1 + r g mu_A) / (1 + r) and
+    <P>_b = (mu_P + p1) / (1 + r). The coupling's mean kick to the particle,
+    g mu_P (sin theta_A, -cos theta_A), leaves mu_A as it is and moves mu_B
+    by -g mu_P sd, sd = sin(theta_B - theta_A), so q1 is taken at the weak
+    value of b + g mu_P sd; the kick's share of p1 is folded into mu_P.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -169,23 +176,20 @@ def postselected_means_gaussian(
         raise ValueError("delta_Q must be positive")
     angles = _angles(theta_A, theta_B)
     delta_P = _conjugate_spread(delta_Q, omega)
-    r = _ratio(g**2 * delta_P**2, _gaussian_bound(sigma, *angles[2:]))
-    return _postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, delta_P, r)
+    return _postselected_means(mu_q, mu_p, _on_B(sigma, angles), omega, g, b, mu_P, angles, delta_P)
 
 
-def _postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, delta_P, r):
+def _postselected_means(mu_q, mu_p, on_B, omega, g, b, mu_P, angles, delta_P):
     """The arithmetic of `postselected_means_gaussian` after its scalar
-    factors: the `_angles`, delta_P and the regime ratio r. Operators only,
-    so it runs on floats or on numpy arrays that broadcast against each
-    other. An element has the bits of its scalar call only where numpy's
-    array `**` rounds as Python's does, as on `verify`'s grid (pinned by
-    `test_array_passes_equal_the_scalar_routes_bit_for_bit`)."""
-    ca, sa, cb, sb, sd = angles
-    mu_q = mu_q + g * mu_P * sa
-    mu_p = mu_p - g * mu_P * ca
-    re, im = _weak_value(mu_q, mu_p, sigma, b, angles)
+    factors: the particle's regression `_on_B`, the `_angles` and delta_P.
+    Operators only, so it runs on floats or on numpy arrays that broadcast
+    against each other, an element with the bits of its scalar call."""
+    ca, sa, _, _, sd = angles
+    r = _ratio(g, delta_P, sd, on_B[0])
+    re, im = _weak_value(mu_q, mu_p, b + g * mu_P * sd, angles, on_B)
     mean_Q = g * (re + omega * im + r * (mu_q * ca + mu_p * sa)) / (1.0 + r)
-    return mean_Q, mu_P + 2.0 * g * delta_P**2 * im / (1.0 + r)
+    im = _weak_value(mu_q, mu_p, b, angles, on_B)[1]
+    return mean_Q, (mu_P + 2.0 * g * (delta_P * delta_P) * im) / (1.0 + r)
 
 
 def first_order_shifts(
@@ -193,7 +197,7 @@ def first_order_shifts(
 ) -> tuple[float, float]:
     """Leading-order device shifts: (g Re + g omega Im, 2 g delta_P^2 Im)."""
     q_shift = g * weak_value.re + g * omega * weak_value.im
-    p_shift = 2.0 * g * delta_P**2 * weak_value.im
+    p_shift = 2.0 * g * (delta_P * delta_P) * weak_value.im
     return q_shift, p_shift
 
 

@@ -50,7 +50,7 @@ from .analytic import (
     postselected_means_gaussian,
     weak_value_gaussian,
 )
-from .bounds import _angles, _gaussian_bound, _ratio
+from .bounds import _angles, _on_B
 from .dynamics import SYMPLECTIC_TOL, _invariance_deviation, _push_moments, _symplectic_deviation
 from .dynamics import coupling_map
 from .states import (
@@ -114,23 +114,17 @@ def _grid_closed_forms() -> np.ndarray:
     # index arrays of spread, omega, mu_P, g, theta_A, theta_B and b, each along its own axis
     i_s, i_w, i_m, i_g, i_a, i_t, i_b = np.ix_(*(range(len(axis)) for axis in axes))
     angles = [[_angles(Quadrature(x), Quadrature(y)) for y in THETA_BS] for x in THETA_AS]
+    on_B = [[[_on_B(sigma, ab) for ab in row] for row in angles] for sigma, _ in SPREADS]
     delta_P = [[_conjugate_spread(delta_Q, omega) for omega in OMEGAS] for _, delta_Q in SPREADS]
-    bound = [[[_gaussian_bound(s, *ab[2:]) for ab in row] for row in angles] for s, _ in SPREADS]
-    # the regime ratio per (spread, omega, g, theta_A, theta_B)
-    ratio = [
-        [[[[_ratio(g**2 * dp**2, x) for x in row] for row in rows] for g in COUPLINGS] for dp in dps]
-        for dps, rows in zip(delta_P, bound)
-    ]
     means = _postselected_means(
         *PARTICLE_MEAN,
-        np.array(SPREADS)[i_s, 0],
+        np.moveaxis(np.array(on_B), -1, 0)[:, i_s, i_a, i_t],
         np.array(OMEGAS)[i_w],
         np.array(COUPLINGS)[i_g],
         np.array(POSTSELECTIONS)[i_b],
         np.array(DEVICE_MEAN_MOMENTA)[i_m],
         np.moveaxis(np.array(angles), -1, 0)[:, i_a, i_t],
         np.array(delta_P)[i_s, i_w],
-        np.array(ratio)[i_s, i_w, i_g, i_a, i_t],
     )
     return np.stack(means, axis=-1).reshape(-1, 2)
 

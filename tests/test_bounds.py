@@ -81,6 +81,20 @@ class TestDiscreteMargin:
         assert margin.ratio == pytest.approx(1.0)
         assert margin.classification == "strong"
 
+    def test_gap_whose_square_underflows(self):
+        # max_gap**2 underflowed to 0 while max_gap was not 0: a division by 0
+        margin = discrete_regime_margin(0.1, 1.0, [0.0, 1e-170])
+        assert math.isinf(margin.rhs)  # 1e340, beyond float range
+        assert margin.ratio == 0.0  # 1e-342, below it
+        assert margin.classification == "deep_weak"
+
+    def test_gap_whose_square_overflows(self):
+        # max_gap**2 raised OverflowError
+        margin = discrete_regime_margin(0.1, 1.0, [0.0, 1e160])
+        assert margin.rhs == pytest.approx(1e-320, rel=1e-3)  # subnormal
+        assert math.isinf(margin.ratio)  # 1e318, beyond float range
+        assert margin.classification == "strong"
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             discrete_regime_margin(0.1, 1.0, [])

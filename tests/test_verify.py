@@ -19,8 +19,8 @@ from erlweak import SymplecticMap, analytic, bounds, dynamics, states, verify
 from erlweak.cli import main
 
 
-def closed_form_without_mu_P(mu_q, mu_p, sigma, omega, g, b, mu_P, *factors):
-    return analytic._postselected_means(mu_q, mu_p, sigma, omega, g, b, 0.0 * mu_P, *factors)
+def closed_form_without_mu_P(mu_q, mu_p, on_B, omega, g, b, mu_P, *factors):
+    return analytic._postselected_means(mu_q, mu_p, on_B, omega, g, b, 0.0 * mu_P, *factors)
 
 
 def perturbed_first_order_shifts(weak_value, g, delta_P, omega):
@@ -44,10 +44,11 @@ def coupling_map_with_shear(g, theta_A):
     return SymplecticMap(sheared_q(dynamics.coupling_map(g, theta_A).matrix))
 
 
-def closed_form_nan_at_one_tuple(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, *factors):
-    mean_Q, mean_P = analytic._postselected_means(mu_q, mu_p, sigma, omega, g, b, mu_P, angles, *factors)
+def closed_form_nan_at_one_tuple(mu_q, mu_p, on_B, omega, g, b, mu_P, angles, delta_P):
+    mean_Q, mean_P = analytic._postselected_means(mu_q, mu_p, on_B, omega, g, b, mu_P, angles, delta_P)
     ca, sa, cb, sb, sd = angles  # theta_A = 0 and theta_B = pi / 2 below
-    at = (sigma == 2.0) & (omega == 1.0) & (g == 0.5) & (sa == 0.0) & (sb == 1.0) & (b == 0.0)
+    at_spread = delta_P == analytic._conjugate_spread(2.0, 1.0)  # sigma = delta_Q = 2, |omega| = 1
+    at = at_spread & (omega == 1.0) & (g == 0.5) & (sa == 0.0) & (sb == 1.0) & (b == 0.0)
     return np.where(at & (mu_P == 0.6), math.nan, mean_Q), mean_P
 
 
@@ -234,7 +235,7 @@ def test_array_passes_equal_the_scalar_routes_bit_for_bit():
     # theta_A = theta_B = pi/8 tuples, whose bound is inf, warn nothing
     closed, conditional = _per_tuple_grid()
     eighth = states.Quadrature(verify.PI / 8)
-    assert math.isinf(bounds._gaussian_bound(1.0, *bounds._angles(eighth, eighth)[2:]))
+    assert math.isinf(bounds.gaussian_regime_margin(1.0, 1.0, 1.0, eighth, eighth).rhs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid_closed, grid_conditional = verify._grid_closed_forms(), verify._grid_conditional_means()
