@@ -48,4 +48,4 @@ from .states import (
     tensor,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

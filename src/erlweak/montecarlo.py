@@ -29,10 +29,10 @@ blocks' `_moments`, and the histogram counts each block's flat cell
 indices with one `bincount`. It bins by an arithmetic index, trusted where
 the edges' rounding margin proves it, and bins the draws next to an edge by
 numpy's own binary search of the edges (`_bins`), so its counts equal
-`np.histogram2d`'s exactly. Only the rejection sampler keeps a chunk's
-accepted (Q', P', A), for one `_moments` per chunk, so its memory is
-O(chunk) per worker at any acceptance; only `sample_state` materialises n
-points.
+`np.histogram2d`'s exactly. The rejection sampler gathers each window's
+accepted (Q', P', A) in a one-block buffer, reduced to one `_moments` part
+when full and at the end of the chunk, so it holds one block per window
+per worker. Only `sample_state` materialises n points.
 """
 
 from __future__ import annotations
@@ -68,14 +68,6 @@ DEFAULT_CHUNK = 1 << 18
 # oversubscribe the cores. Blocks drawn from one Generator give the same
 # stream and points as one draw per chunk.
 BLOCK = 1 << 13
-# Windows that share one sampling pass. Each keeps its chunk's accepted
-# (Q', P', A), up to 6.3 MB for a default chunk at full acceptance, so a
-# pass may hold this many times the values of a one-window pass. On an
-# 8-point b sweep at n = 2**21 with 2 workers (2-vCPU VM), a cap of 4
-# against 8 took the same 1.1 s at full acceptance and 0.72 against 0.50 s
-# at 4 %, for a peak RSS of 67 against 88 MB at full acceptance (46 MB with
-# one window per pass).
-WINDOWS_PER_PASS = 4
 ADAPTIVE_EPSILON_FRACTION = 0.05
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -462,28 +454,25 @@ def _draw_fields(config: ExperimentConfig) -> tuple:
 
 def _sampling_passes(configs):
     """The configs, in order, in the runs that `_postselect` samples in one
-    pass each: consecutive configs with equal draw fields, at most
-    WINDOWS_PER_PASS at a time."""
-    for _, run in itertools.groupby(configs, _draw_fields):
-        run = list(run)
-        for start in range(0, len(run), WINDOWS_PER_PASS):
-            yield run[start : start + WINDOWS_PER_PASS]
+    pass each: consecutive configs with equal draw fields."""
+    return [list(run) for _, run in itertools.groupby(configs, _draw_fields)]
 
 
 def _experiment_chunk(args, k: int, rows: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Chunk k of `_postselect`: for each window (theta_B, b, epsilon), the
-    `_moments` of its accepted (Q', P', A), after checking at every point
-    that the coupling left A and P unchanged. Each block is drawn, evolved
-    and checked once, in buffers the chunk allocates once, then windowed by
-    each window in turn; a window's accepted values fill a (3, m) buffer that
-    starts at one block and doubles when full, so a chunk that accepts a few
-    per cent of its draws holds no chunk-sized buffer."""
+    merged `_moments` of its accepted (Q', P', A), after checking at every
+    point that the coupling left A and P unchanged. Each block is drawn,
+    evolved and checked once, in buffers the chunk allocates once, then
+    windowed by each window in turn. A window's accepted values fill a
+    one-block buffer, which becomes one `_moments` part whenever the next
+    block's would not fit, so the chunk holds no array wider than a block."""
     source, smap, theta_A, windows = args
     size = min(BLOCK, rows)
     evolved_buf = np.empty(4 * size)
     work_buf = np.empty((5, size))
     accepted = [np.empty((3, size)) for _ in windows]
     n_acc = [0] * len(windows)
+    parts = [[] for _ in windows]
     for pts in _blocks(source, k, rows):
         m = pts.shape[1]
         evolved = apply_to_points(smap, pts, out=evolved_buf[: 4 * m].reshape(4, m))
@@ -494,15 +483,14 @@ def _experiment_chunk(args, k: int, rows: int) -> list[tuple[int, np.ndarray, np
             b_val += np.multiply(evolved[1], math.sin(theta_B.theta), out=work_buf[1, :m])
             distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
             keep = np.flatnonzero(distance <= epsilon)
+            if n_acc[i] + keep.size > size:
+                parts[i].append(_moments(accepted[i][:, : n_acc[i]]))
+                n_acc[i] = 0
             stop = n_acc[i] + keep.size
-            if stop > accepted[i].shape[1]:
-                grown = np.empty((3, min(rows, 2 * stop)))
-                grown[:, : n_acc[i]] = accepted[i][:, : n_acc[i]]
-                accepted[i] = grown
             accepted[i][:2, n_acc[i] : stop] = evolved[2:, keep]
             accepted[i][2, n_acc[i] : stop] = theta_A.value(evolved[0, keep], evolved[1, keep])
             n_acc[i] = stop
-    return [_moments(values[:, :n]) for values, n in zip(accepted, n_acc)]
+    return [_merge([*done, _moments(buf[:, :n])]) for done, buf, n in zip(parts, accepted, n_acc)]
 
 
 def _postselect(configs: list[ExperimentConfig], chunk_size: int = DEFAULT_CHUNK) -> list[tuple]:
@@ -513,8 +501,9 @@ def _postselect(configs: list[ExperimentConfig], chunk_size: int = DEFAULT_CHUNK
     windowed by every config. Gives each config's window as (accepted
     count, mean, centred scatter, n, epsilon), its chunk moments merged in
     chunk order, so each has the bits of its own one-window pass (see
-    `_estimate`). Memory is O(chunk_size) per window, so callers pass at
-    most WINDOWS_PER_PASS configs (see `_sampling_passes`)."""
+    `_estimate`). Memory is one block of accepted values per window per
+    worker, so a pass may take any number of configs (see
+    `_sampling_passes`)."""
     first, n = configs[0], configs[0].n_samples
     coupled = [config._evolved for config in configs]  # each built and checked, as alone
     windows = tuple((config.theta_B, config.b, config.resolved_epsilon()) for config in configs)
@@ -550,8 +539,8 @@ def run_weak_experiment(
     Per-point repeatability (A and P unchanged by the coupling) is asserted
     on every sampled point. Chunks run in parallel (see `_run_chunks`) and
     return the moments of their accepted draws, which `_merge` merges in
-    chunk order, so memory is O(chunk_size) at any acceptance. Each SE is
-    sqrt(scatter_ii / ((n - 1) n)) for n accepted draws.
+    chunk order, so memory is O(BLOCK) per worker at any acceptance. Each
+    SE is sqrt(scatter_ii / ((n - 1) n)) for n accepted draws.
     """
     (window,) = _postselect([config], chunk_size)
     return _estimate(*window)
@@ -792,9 +781,8 @@ def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
 def exact_strong_correlation(delta_Q: float, config: ExperimentConfig) -> float:
     """Closed-form Pearson correlation between the device pointer Q' and the
     particle observable A, for a pure device of position spread delta_Q."""
-    var_A = quadrature_moments(config.particle(), 0, config.theta_A)[1]
-    g = config.g
-    return g * math.sqrt(var_A) / math.sqrt(delta_Q**2 + g**2 * var_A)
+    k = config.g * math.sqrt(quadrature_moments(config.particle(), 0, config.theta_A)[1])
+    return k / math.hypot(delta_Q, k)  # no power of g or delta_Q, which would leave float range
 
 
 def strong_measurement_correlation(
@@ -819,7 +807,9 @@ def strong_measurement_correlation(
         _, _, scatter = _run_chunks(_correlation_chunk, source, config.n_samples, chunk_size, _merge)
         if not (scatter[0, 0] > 0 and scatter[1, 1] > 0):
             raise ValueError("degenerate variance in correlation estimate")
-        out.append(float(np.clip(scatter[0, 1] / math.sqrt(scatter[0, 0] * scatter[1, 1]), -1, 1)))
+        # each root in turn: the product of the two scatters can leave float range
+        corr = scatter[0, 1] / math.sqrt(scatter[0, 0]) / math.sqrt(scatter[1, 1])
+        out.append(float(np.clip(corr, -1, 1)))
     return out
 
 

@@ -1021,7 +1021,14 @@ class TestWorkerIndependence:
         doc = base_config(sampling={"n_samples": self.N})
         doc["sweep"] = {"g": [0.1, 0.2], "theta_B": [0.3, HALF_PI], "b": [0.0, 1.0]}
         run = self._run(tmp_path, "passes", ["sweep", "--mc"], doc)[1]
-        assert run["chunks"] == 2 * 3 and montecarlo.WINDOWS_PER_PASS >= 4
+        assert run["chunks"] == 2 * 3
+
+    def test_sweep_draws_once_for_six_windows(self, tmp_path):
+        # six b values at one g share one sampling pass of 3 chunks
+        doc = base_config(sampling={"n_samples": self.N})
+        doc["sweep"] = {"b": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]}
+        run = self._run(tmp_path, "six", ["sweep", "--mc"], doc)[1]
+        assert run["chunks"] == 3
 
     def test_closed_form_sweep_runs_no_chunks(self, tmp_path):
         doc = base_config()

@@ -158,7 +158,8 @@ class TestBlocks:
         # the chunk multiplies L by z^T and M by the points, one coordinate
         # per row, in block buffers; its accepted rows, over several blocks,
         # are bit for bit those of (mean + z @ L^T) @ M^T. The chunk hands
-        # them to `_moments`, which the test swaps for a copy of its input
+        # them to `_moments` in parts of at most one block, which the test
+        # records before it takes their real moments
         config = dataclasses.replace(
             BASE, g=0.4, mu_P=0.3, omega=0.5, theta_A=Quadrature(0.6), b=0.3, epsilon=epsilon, seed=9
         )
@@ -172,20 +173,30 @@ class TestBlocks:
         ref = np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]])
         window = (config.theta_B, config.b, config.epsilon)
         args = (montecarlo._source(joint, config.seed), smap, config.theta_A, (window,))
-        monkeypatch.setattr(montecarlo, "_moments", lambda values: values.T.copy())
-        (got,) = montecarlo._experiment_chunk(args, 0, rows)
+        parts, moments = [], montecarlo._moments
+
+        def record(values):
+            parts.append(values.T.copy())
+            return moments(values)
+
+        monkeypatch.setattr(montecarlo, "_moments", record)
+        ((count, _, _),) = montecarlo._experiment_chunk(args, 0, rows)
+        got = np.concatenate(parts)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-        return got.shape[0], rows
+        assert count == ref.shape[0] and max(part.shape[0] for part in parts) <= montecarlo.BLOCK
+        return len(parts), count, rows
 
     def test_accepted_rows_equal_the_two_step_reference(self, monkeypatch):
-        accepted, rows = self._chunk_and_reference(monkeypatch, 0.2)
-        assert 1000 < accepted < rows
+        # fewer accepted rows than a block: one `_moments` for the chunk
+        parts, accepted, rows = self._chunk_and_reference(monkeypatch, 0.2)
+        assert parts == 1 and 1000 < accepted < rows
 
-    def test_accepted_buffer_grows_past_one_block(self, monkeypatch):
-        # the accepted buffer starts at one block; a window that takes every
-        # draw makes it grow, and the rows must come out the same
-        accepted, rows = self._chunk_and_reference(monkeypatch, 1e3)
-        assert accepted == rows > 2 * montecarlo.BLOCK
+    def test_accepted_buffer_flushes_each_full_block(self, monkeypatch):
+        # a window that takes every draw fills its one-block buffer at every
+        # block, so each block's rows become one part, and the rows must
+        # come out the same
+        parts, accepted, rows = self._chunk_and_reference(monkeypatch, 1e3)
+        assert accepted == rows and parts == -(-rows // montecarlo.BLOCK) == 4
 
     def test_one_sampling_loop(self):
         src = Path(montecarlo.__file__).parent
@@ -443,14 +454,12 @@ class TestRunWeakExperiment:
         assert run_weak_experiment(config).n_accepted >= 2
 
     def test_sampling_passes_split_runs_of_shared_draws(self):
-        # consecutive configs that differ only in their windows share a pass,
-        # at most WINDOWS_PER_PASS at a time; another draw field starts anew
-        per_pass = montecarlo.WINDOWS_PER_PASS
-        windows = [dataclasses.replace(BASE, b=0.1 * k, epsilon=0.1 + k) for k in range(per_pass + 3)]
+        # consecutive configs that differ only in their windows share one
+        # pass, however many they are; another draw field starts anew
+        windows = [dataclasses.replace(BASE, b=0.1 * k, epsilon=0.1 + k) for k in range(9)]
         other = dataclasses.replace(BASE, g=0.2)
-        passes = list(montecarlo._sampling_passes([*windows, other, windows[0]]))
-        assert [len(p) for p in passes] == [per_pass, 3, 1, 1]
-        assert [c for p in passes for c in p] == [*windows, other, windows[0]]
+        passes = montecarlo._sampling_passes([*windows, other, windows[0]])
+        assert passes == [windows, [other], [windows[0]]]
 
     def test_insufficient_acceptance(self):
         config = dataclasses.replace(BASE, b=40.0, epsilon=0.01, n_samples=1_000)
@@ -1298,6 +1307,28 @@ class TestStrongMeasurement:
         with pytest.raises(OverflowError, match="^the coupled state overflows or underflows: "):
             strong_measurement_correlation([1e-200], BASE)
 
+    @pytest.mark.parametrize("sigma, delta_Q", [(1e100, 1.0), (1e-100, 1e-100)])
+    def test_normaliser_stays_in_float_range(self, sigma, delta_Q):
+        # each scatter of (A, Q') is about n sigma^2, 1e205 or 1e-195 here:
+        # their product overflows or underflows, though each root does not
+        config = dataclasses.replace(BASE, g=1.0, sigma=sigma, n_samples=100_000)
+        (corr,) = strong_measurement_correlation([delta_Q], config)
+        rho = exact_strong_correlation(delta_Q, config)
+        assert rho == pytest.approx(1.0 if sigma > 1 else math.sqrt(0.5), rel=1e-15)
+        assert abs(corr - rho) <= 3.0 * (1.0 - rho * rho) / math.sqrt(config.n_samples) + 1e-15
+
+    @pytest.mark.parametrize("g, delta_Q", [(1e160, 1.0), (-1e160, 1.0), (1e-170, 1e-170), (0.3, 1.0)])
+    def test_exact_correlation_takes_no_power_of_g_or_delta_Q(self, g, delta_Q):
+        # g^2 overflows at 1e160 and delta_Q^2 underflows at 1e-170
+        mp = pytest.importorskip("mpmath").mp
+        config = dataclasses.replace(BASE, g=g, theta_A=Quadrature(0.4), sigma=0.8)
+        with mp.workdps(50):
+            sigma, theta = mp.mpf(config.sigma), mp.mpf(config.theta_A.theta)
+            var_A = (mp.cos(theta) * sigma) ** 2 + (mp.sin(theta) / (2 * sigma)) ** 2
+            k = mp.mpf(g) * mp.sqrt(var_A)
+            exact = float(k / mp.sqrt(mp.mpf(delta_Q) ** 2 + k**2))
+        assert exact_strong_correlation(delta_Q, config) == pytest.approx(exact, rel=4e-16)
+
     def test_zero_coupling_uncorrelated(self):
         config = dataclasses.replace(BASE, g=0.0, n_samples=100_000)
         (corr,) = strong_measurement_correlation([1.0], config)
@@ -1471,6 +1502,28 @@ class TestBoundedMemory:
         # are drawn: one chunk of (A, Q') would be 4 MB
         peak = self._peak(lambda: strong_measurement_correlation([0.5], self.CONFIG))
         assert peak < 2 * 2**20
+
+    def test_run_weak_experiment_holds_one_block_per_window(self):
+        # every draw accepted, in chunks of the default size: each window's
+        # accepted values stay in one block of (Q', P', A), 196 KB, where a
+        # chunk's would be 6.3 MB
+        config = dataclasses.replace(self.CONFIG, epsilon=100.0)
+        config.evolved_joint()
+        montecarlo._chunk_rng(0, 0)  # numpy imports its random module, 0.7 MB, on first use
+        assert self._peak(lambda: run_weak_experiment(config)) < 2 * 2**20
+
+    def test_one_sampling_pass_of_eight_windows(self):
+        # eight b windows on one draw set, each accepting every draw: one
+        # pass, which holds one block per window
+        configs = [dataclasses.replace(self.CONFIG, b=0.1 * k, epsilon=100.0) for k in range(8)]
+        for config in configs:
+            config.evolved_joint()
+
+        def sample():
+            for group in montecarlo._sampling_passes(configs):
+                montecarlo._postselect(group)
+
+        assert self._peak(sample) < 6 * 2**20
 
     def test_run_weak_experiment_accepting_every_draw(self):
         # chunks of the default size, each returning the moments of its
