@@ -1,38 +1,44 @@
 """Monte Carlo over classical phase points: sample, evolve, postselect.
 
 Sampling is chunked with one substream per chunk, keyed by (seed, chunk
-index), so the sample stream and every derived estimate are bit-identical
-however the chunks are spread over processes. Each sampler is a per-chunk
-function of (args, k, rows) plus a reduction of the chunk results in chunk
-order: the histogram sums counts, and every estimate merges the chunks'
-`_moments` (count, mean, centred scatter) with `_merge`, so no chunk sends
-its rows back. `_run_chunks` runs and reduces the chunks within one call,
-on a persistent fork pool of `WORKERS` processes (the CPUs this process may
-use), or in this process where a pool cannot help or cannot be used.
+index), and one per flush of a window's accepted draws in a chunk (see
+`_experiment_chunk`), so the sample stream and every derived estimate are
+bit-identical however the chunks are spread over processes. Each sampler
+is a per-chunk function of (args, k, rows) plus a reduction of the chunk
+results in chunk order: the histogram sums counts, and every estimate
+merges the chunks' `_moments` (count, mean, centred scatter) with
+`_merge`, so no chunk sends its rows back. `_run_chunks` runs and reduces
+the chunks within one call, on a persistent fork pool of `WORKERS`
+processes (the CPUs this process may use), or in this process where a pool
+cannot help or cannot be used.
 
 Points are laid out (coordinates, points), one coordinate per row. Inside
-a chunk, `_blocks` draws the substream in blocks of `BLOCK` rows z of
-standard normals and yields factor @ z^T + offset, for a factor that each
-sampler builds once per call from the Cholesky factor L of the joint state
-(see `_source`). `sample_state` and the rejection sampler take the points
-themselves (factor L); the rejection sampler then evolves and checks
-every point once in block buffers and windows it for each of the configs
-that share the draws (`_postselect`). The histogram and the correlation
-draw only the two coordinates they read, (p', P') and (A, Q'), in their own
-two dimensions: with R their 2 x 4 read-out, which holds the coupling's
-rows, the factor is the 2 x 2 square-root factor F of R C R^T, from a QR of
-(R L)^T, so each draw takes two normals, not four. Every
-block of a chunk reuses the same buffers, so a yielded block is valid only
-until the next one. The histogram and the correlation reduce each block as
-it is drawn, so they hold one block per worker: the correlation merges the
-blocks' `_moments`, and the histogram counts each block's flat cell
-indices with one `bincount`. It bins by an arithmetic index, trusted where
-the edges' rounding margin proves it, and bins the draws next to an edge by
-numpy's own binary search of the edges (`_bins`), so its counts equal
+a chunk, `_normals`, the one sampling loop, draws the substream in blocks
+of `BLOCK` rows z of standard normals, and `_blocks` yields factor @ z^T +
+offset, for a factor that each sampler builds once per call from the
+Cholesky factor L of the joint state (see `_source`). `sample_state` takes
+the points themselves (factor L). The histogram, the correlation and the
+rejection sampler draw only the two coordinates they read, (p', P'), (A,
+Q') and (q', p'), in their own two dimensions: with R their 2 x 4
+read-out, which holds the coupling's rows, the factor is the 2 x 2
+square-root factor F of R C R^T, from a QR of (R L)^T, so each draw takes
+two normals, not four. The rejection sampler windows each block's (q', p')
+for every config that shares the draws, and completes only the accepted
+draws to points, from the same QR, with two fresh normals each: it then
+couples and checks them, so the draws that no estimate uses cost two
+normals each (`_experiment_chunk`). Every block of a chunk reuses the same
+buffers, so a yielded block is valid only until the next one. The
+histogram and the correlation reduce each block as it is drawn, so they
+hold one block per worker: the correlation merges the blocks' `_moments`,
+and the histogram counts each block's flat cell indices with one
+`bincount`. It bins by an arithmetic index, trusted where the edges'
+rounding margin proves it, and bins the draws next to an edge by numpy's
+own binary search of the edges (`_bins`), so its counts equal
 `np.histogram2d`'s exactly. The rejection sampler gathers each window's
-accepted (Q', P', A) in a one-block buffer, reduced to one `_moments` part
-when full and at the end of the chunk, so it holds one block per window
-per worker. Only `sample_state` materialises n points.
+accepted draws in a one-block buffer, completed and reduced to one
+`_moments` part of their (Q', P', A) when full and at the end of the chunk,
+so it holds one block per window per worker. Only `sample_state`
+materialises n points.
 """
 
 from __future__ import annotations
@@ -258,53 +264,77 @@ _pool = None  # the persistent fork pool, made on first use by _run_chunks
 _pool_owner = 0  # pid of the process that made it
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+def _chunk_rng(seed: int, *key: int) -> np.random.Generator:
+    """The Generator of substream (seed, key): key (k,) is chunk k's draws,
+    (k, f + 1) a window's f-th flush in chunk k (see `_experiment_chunk`)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _source(
     state: GaussianState, seed: int, readout: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(offset, factor, seed): all a process needs to draw chunks of a
-    Gaussian state with `_blocks`. L is the Cholesky factor of the
-    covariance C. Without `readout`, the blocks are the points themselves,
-    mean + L z (offset the mean as a column, factor L). With a
-    (d, 2*n_modes) `readout` matrix R, d <= 2*n_modes, they are the read-out
-    coordinates R mean + F z, drawn in their own d dimensions: F is the
-    d x d lower-triangular factor of a QR of (R L)^T, so R L = F Q^T and
-    F F^T = R C R^T, and each draw takes d normals. The QR keeps F where a
-    Cholesky of R C R^T would fail: where that covariance is singular in
-    double precision, as (A, Q')'s is in the strong-measurement limit.
-    Raises ValueError on a degenerate covariance."""
+) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray] | None]:
+    """(offset, factor, seed, completion): all a process needs to draw
+    chunks of a Gaussian state with `_blocks`. L is the Cholesky factor of
+    the covariance C. Without `readout`, the blocks are the points
+    themselves, mean + L z (offset the mean as a column, factor L), and
+    completion is None. With a (d, 2*n_modes) `readout` matrix R, d <=
+    2*n_modes, they are the read-out coordinates R mean + F z, drawn in their
+    own d dimensions: a complete QR of (R L)^T gives (R L)^T = Q [F^T; 0], so
+    F is d x d lower-triangular, F F^T = R C R^T, and each draw takes d
+    normals. The QR keeps F where a Cholesky of R C R^T would fail: where
+    that covariance is singular in double precision, as (A, Q')'s is in the
+    strong-measurement limit. F has the bits of the reduced QR's. The
+    completion (mean, L Q) completes a read-out draw z to a point of the
+    state, mean + L Q [z; z'] for fresh normals z' (see `_affine`): R L Q =
+    [F 0], so the point reads out to R mean + F z, and L Q [z; z'] is the
+    state's own Cholesky draw in a rotated basis. Raises ValueError on a
+    degenerate covariance."""
     try:
         lower = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not factorizable (degenerate state)") from exc
     if readout is None:
-        return state.mean[:, None], lower, seed
-    return (readout @ state.mean)[:, None], np.linalg.qr((readout @ lower).T, mode="r").T, seed
+        return state.mean[:, None], lower, seed, None
+    q, r = np.linalg.qr((readout @ lower).T, mode="complete")
+    completion = (state.mean[:, None], lower @ q)
+    return (readout @ state.mean)[:, None], r[: len(readout)].T, seed, completion
 
 
-def _blocks(source: tuple[np.ndarray, np.ndarray, int], k: int, rows: int):
-    """The one sampling loop: yield chunk k's `rows` i.i.d. draws from
-    substream (seed, k), at most BLOCK at a time, as (d, draws) arrays
-    factor @ z^T + offset (see `_source`). z holds one row of standard
-    normals per draw, drawn in one call per block.
+def _normals(rng: np.random.Generator, rows: int, width: int):
+    """The one sampling loop: yield `rows` rows of `width` standard normals
+    from `rng`, at most BLOCK rows at a time, each block drawn in one call.
+
+    Every block is drawn into the same buffer, so a yielded block is a view
+    that is valid only until the next one: copy what must outlive it.
+    """
+    z = np.empty((min(BLOCK, rows), width))
+    for start in range(0, rows, BLOCK):
+        m = min(BLOCK, rows - start)
+        rng.standard_normal(out=z[:m])
+        yield z[:m]
+
+
+def _affine(factor: np.ndarray, z: np.ndarray, offset: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """factor @ z^T + offset for an (m, width) block z, as a (d, m) view of
+    the flat buffer `buf`."""
+    d, m = factor.shape[0], z.shape[0]
+    out = np.matmul(factor, z.T, out=buf[: d * m].reshape(d, m))
+    out += offset
+    return out
+
+
+def _blocks(source, k: int, rows: int):
+    """Yield chunk k's `rows` i.i.d. draws from substream (seed, k), at most
+    BLOCK at a time, as (d, draws) arrays factor @ z^T + offset (see
+    `_source`), z the `_normals` of the block.
 
     Every block is drawn into the same two buffers, so a yielded block is a
     view that is valid only until the next one: copy what must outlive it.
     """
-    offset, factor, seed = source
-    d, width = factor.shape
-    rng = _chunk_rng(seed, k)
-    z = np.empty((min(BLOCK, rows), width))
-    buf = np.empty(z.shape[0] * d)
-    for start in range(0, rows, BLOCK):
-        m = min(BLOCK, rows - start)
-        rng.standard_normal(out=z[:m])
-        out = np.matmul(factor, z[:m].T, out=buf[: d * m].reshape(d, m))
-        out += offset
-        yield out
+    offset, factor, seed, _ = source
+    buf = np.empty(min(BLOCK, rows) * factor.shape[0])
+    for z in _normals(_chunk_rng(seed, k), rows, factor.shape[1]):
+        yield _affine(factor, z, offset, buf)
 
 
 def _chunk_rows(n: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -421,13 +451,18 @@ def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 def _merge(parts) -> tuple[int, np.ndarray, np.ndarray]:
     """The one reduction of sampled moments: merge `_moments` parts, in
     block or chunk order, into the (count, mean, centred scatter) of all their draws (Chan,
-    Golub & LeVeque 1983). Empty parts are skipped, so none gives count 0.
-    Raises OverflowError where the mean or scatter of the parts, or of
-    their merge, is not finite."""
+    Golub & LeVeque 1983). Empty parts are skipped, so none gives count 0,
+    and the first non-empty part is taken as it is: merged into the empty
+    start, its outer(mean, mean) could overflow at a weight of 0. Raises
+    OverflowError where the mean or scatter of the parts, or of their
+    merge, is not finite."""
     n, mean, scatter = 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for m, part_mean, part_scatter in parts:
             if m == 0:
+                continue
+            if n == 0:
+                n, mean, scatter = m, part_mean, part_scatter
                 continue
             delta = part_mean - mean
             scatter = scatter + (part_scatter + np.outer(delta, delta) * (n * m / (n + m)))
@@ -460,54 +495,79 @@ def _sampling_passes(configs):
 
 def _experiment_chunk(args, k: int, rows: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Chunk k of `_postselect`: for each window (theta_B, b, epsilon), the
-    merged `_moments` of its accepted (Q', P', A), after checking at every
-    point that the coupling left A and P unchanged. Each block is drawn,
-    evolved and checked once, in buffers the chunk allocates once, then
-    windowed by each window in turn. A window's accepted values fill a
-    one-block buffer, which becomes one `_moments` part whenever the next
-    block's would not fit, so the chunk holds no array wider than a block."""
-    source, smap, theta_A, windows = args
+    merged `_moments` of its accepted (Q', P', A). Each block draws only its
+    read-out (q', p') = M[:2] mean + F z, two normals z per draw (see
+    `_source`), which every window selects on in turn. A window keeps its
+    accepted draws' z in a one-block buffer. When the next block's would
+    not fit, and at the end of the chunk, the buffer is flushed: its draws
+    are completed to points x = mean + L Q [z; z'], z' two normals per
+    draw from the window's f-th flush substream (seed, (k, f + 1)), coupled
+    by M, checked at every point for A and P unchanged by the coupling, and
+    their (Q', P', A) become one `_moments` part. A rejected draw so costs
+    two normals and a 2 x 2 product; every accepted one is coupled and
+    checked. A window's parts depend on the chunk's draws and its own
+    flushes only, not on the other windows, and the chunk holds no array
+    wider than a block."""
+    (offset, factor, seed, (mean, completion)), smap, theta_A, windows = args
     size = min(BLOCK, rows)
-    evolved_buf = np.empty(4 * size)
-    work_buf = np.empty((5, size))
-    accepted = [np.empty((3, size)) for _ in windows]
+    readout_buf, drawn_buf = np.empty(2 * size), np.empty((size, 4))
+    points_buf, evolved_buf, work_buf = np.empty(4 * size), np.empty(4 * size), np.empty((5, size))
+    accepted = [np.empty((size, 2)) for _ in windows]  # the z of each accepted draw
     n_acc = [0] * len(windows)
     parts = [[] for _ in windows]
-    for pts in _blocks(source, k, rows):
-        m = pts.shape[1]
-        evolved = apply_to_points(smap, pts, out=evolved_buf[: 4 * m].reshape(4, m))
-        if not _invariance_deviation(theta_A, pts, evolved, work_buf[:, :m]) <= SYMPLECTIC_TOL:
+
+    def flush(i):
+        n = n_acc[i]
+        drawn = drawn_buf[:n]  # [z, z'] of each draw
+        drawn[:, :2] = accepted[i][:n]
+        drawn[:, 2:] = next(_normals(_chunk_rng(seed, k, len(parts[i]) + 1), n, 2))
+        points = _affine(completion, drawn, mean, points_buf)
+        evolved = apply_to_points(smap, points, out=evolved_buf[: 4 * n].reshape(4, n))
+        if not _invariance_deviation(theta_A, points, evolved, work_buf[:, :n]) <= SYMPLECTIC_TOL:
             raise AssertionError("repeatability violated: A or P changed under coupling")
+        values = work_buf[:3, :n]  # the check is done with it
+        values[:2] = evolved[2:]
+        values[2] = theta_A.value(evolved[0], evolved[1])
+        parts[i].append(_moments(values))
+        n_acc[i] = 0
+
+    for z in _normals(_chunk_rng(seed, k), rows, 2):
+        m = z.shape[0]
+        q, p = _affine(factor, z, offset, readout_buf)
         for i, (theta_B, b, epsilon) in enumerate(windows):
-            b_val = np.multiply(evolved[0], math.cos(theta_B.theta), out=work_buf[0, :m])
-            b_val += np.multiply(evolved[1], math.sin(theta_B.theta), out=work_buf[1, :m])
+            b_val = np.multiply(q, math.cos(theta_B.theta), out=work_buf[0, :m])
+            b_val += np.multiply(p, math.sin(theta_B.theta), out=work_buf[1, :m])
             distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
             keep = np.flatnonzero(distance <= epsilon)
             if n_acc[i] + keep.size > size:
-                parts[i].append(_moments(accepted[i][:, : n_acc[i]]))
-                n_acc[i] = 0
+                flush(i)
             stop = n_acc[i] + keep.size
-            accepted[i][:2, n_acc[i] : stop] = evolved[2:, keep]
-            accepted[i][2, n_acc[i] : stop] = theta_A.value(evolved[0, keep], evolved[1, keep])
+            accepted[i][n_acc[i] : stop] = z[keep]
             n_acc[i] = stop
-    return [_merge([*done, _moments(buf[:, :n])]) for done, buf, n in zip(parts, accepted, n_acc)]
+    for i, n in enumerate(n_acc):
+        if n:
+            flush(i)
+    return [_merge(done) for done in parts]
 
 
 def _postselect(configs: list[ExperimentConfig], chunk_size: int = DEFAULT_CHUNK) -> list[tuple]:
     """The one rejection sampler: one pass over the draws that configs with
     equal draw fields (see `_draw_fields`) share, which the first config's
     fields fix. Each config's coupled state is built and checked first, as
-    its own pass would; then each draw is coupled and checked once, and
-    windowed by every config. Gives each config's window as (accepted
-    count, mean, centred scatter, n, epsilon), its chunk moments merged in
-    chunk order, so each has the bits of its own one-window pass (see
-    `_estimate`). Memory is one block of accepted values per window per
-    worker, so a pass may take any number of configs (see
-    `_sampling_passes`)."""
+    its own pass would; then each draw's read-out (q', p') is drawn once and
+    windowed by every config, and each window completes, couples and checks
+    its accepted draws (see `_experiment_chunk`). Gives each config's window
+    as (accepted count, mean, centred scatter, n, epsilon), its chunk
+    moments merged in chunk order, so each has the bits of its own
+    one-window pass (see `_estimate`). Memory is one block of accepted
+    draws per window per worker, so a pass may take any number of configs
+    (see `_sampling_passes`)."""
     first, n = configs[0], configs[0].n_samples
     coupled = [config._evolved for config in configs]  # each built and checked, as alone
     windows = tuple((config.theta_B, config.b, config.resolved_epsilon()) for config in configs)
-    args = (_source(coupled[0].joint, first.seed), coupled[0].smap, first.theta_A, windows)
+    # (q', p') = rows 0 and 1 of the coupling map, drawn from their own 2 x 2 factor
+    source = _source(coupled[0].joint, first.seed, coupled[0].smap.matrix[:2])
+    args = (source, coupled[0].smap, first.theta_A, windows)
 
     def merge_each(results):  # each window's parts, merged in chunk order
         return [_merge(parts) for parts in zip(*results)]
@@ -531,13 +591,15 @@ def _estimate(
 def run_weak_experiment(
     config: ExperimentConfig, chunk_size: int = DEFAULT_CHUNK
 ) -> PostselectedEstimate:
-    """Sample the joint state, evolve each point, postselect on
-    |B(q', p') - b| <= epsilon, and estimate conditional means of
-    Q', P' and A(q', p') with normal-theory standard errors: the one-window
-    pass of `_postselect`.
+    """Sample the joint state, postselect on |B(q', p') - b| <= epsilon,
+    and estimate conditional means of Q', P' and A(q', p') with
+    normal-theory standard errors: the one-window pass of `_postselect`.
+    Each draw's (q', p') is drawn first, and only the accepted draws are
+    completed to phase points of the joint state and evolved.
 
     Per-point repeatability (A and P unchanged by the coupling) is asserted
-    on every sampled point. Chunks run in parallel (see `_run_chunks`) and
+    on every evolved, that is every accepted, point before its values reach
+    the estimate. Chunks run in parallel (see `_run_chunks`) and
     return the moments of their accepted draws, which `_merge` merges in
     chunk order, so memory is O(BLOCK) per worker at any acceptance. Each
     SE is sqrt(scatter_ii / ((n - 1) n)) for n accepted draws.

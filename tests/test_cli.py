@@ -173,7 +173,9 @@ class TestSimulate:
         assert {"python", "numpy"} <= manifest["run"].keys()
 
     def test_manifest_z_scores_against_the_windowed_oracle(self, tmp_path):
-        # the README config at its seed; the z-scores leave the CSV as it was
+        # the README config at its seed; the z-scores leave the CSV as it was.
+        # Re-recorded at version 0.4.0, when each draw's (q', p') began to be
+        # drawn first and only the accepted draws completed to points
         doc = base_config(sampling={"n_samples": 1_000_000, "seed": 42})
         path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
@@ -183,7 +185,7 @@ class TestSimulate:
         assert all(abs(value) <= 5.0 for value in z.values()), z
         csv = (tmp_path / "o" / "simulate.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == (
-            "4ad9d4a631ab8347c7167818b3bb224dacda6669e84ddf8b800160d0bbe40433"
+            "55a500ea43da2d12193c1a1560052505426cec8d1a928e25c5b5650d478837b5"
         )
 
         # a run that accepts too few draws records no z-scores
@@ -194,10 +196,12 @@ class TestSimulate:
         assert "z_vs_windowed_oracle" not in comparison
 
     def test_manifest_z_score_with_a_zero_se_is_null(self, tmp_path):
-        # p near 1e20 rounds to one float, so A = p takes one value
+        # p near 1e20 rounds to one float, so A = p takes one value. At
+        # g = 1e-6, Q' = Q + 1e14 keeps the spread of Q (its ulp is 1/64),
+        # where g A near 1e19 would round Q' to one value as well
         doc = base_config(
             particle={"mu_p": 1e20},
-            coupling={"theta_A": HALF_PI},
+            coupling={"g": 1e-6, "theta_A": HALF_PI},
             postselection={"theta_B": 0.0},
             sampling={"n_samples": 20_000},
         )
@@ -591,8 +595,8 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize(
         "sections, message",
         [
-            # 74 squared deviations of Q' near 1.6e153 overflow their sum
-            ({"particle": {"sigma": 2.10}, "device": {"delta_Q": 1.6e153},
+            # squared deviations of Q' near 1.6e307 each: a dozen accepted draws overflow their sum
+            ({"particle": {"sigma": 2.10}, "device": {"delta_Q": 4e153},
               "coupling": {"g": 0.0, "theta_A": HALF_PI},
               "postselection": {"theta_B": -3.79, "b": 0.0},
               "sampling": {"n_samples": 2000, "seed": 25}},
@@ -607,18 +611,8 @@ class TestRuntimeErrors:
                                 "epsilon": 1.0154610731472313},
               "sampling": {"n_samples": 2000, "seed": 742704959}},
              "the oracle overflows: a conditional mean is out of float range"),
-            # the merge's outer product of the chunk means overflows
-            ({"particle": {"mu_q": 7.808012688253456e-57, "mu_p": -2.332830286873745,
-                           "sigma": 1.3807937172961038},
-              "device": {"delta_Q": 0.538571819848714, "mu_P": -4.622894133223559e162,
-                         "omega": 2.625911748901031},
-              "coupling": {"g": 1.1949359192329276, "theta_A": 4.153382727236075},
-              "postselection": {"theta_B": 1e-9, "b": 7.526853615144862e-60,
-                                "epsilon": 1.1492017626425681e179},
-              "sampling": {"n_samples": 2000, "seed": 74842596}},
-             "the sampled moments overflow: a sum of the draws or of their squares is out of range"),
         ],
-        ids=["moments", "oracle", "merge"],
+        ids=["moments", "oracle"],
     )
     def test_sampled_moments_and_oracles_that_overflow_are_named(
         self, tmp_path, capsys, sections, message
@@ -629,6 +623,24 @@ class TestRuntimeErrors:
         assert main([*argv, "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: OverflowError: {message}\n"
         assert not out.exists()
+
+    def test_moments_of_a_mean_beyond_the_square_root_of_the_largest_float(self, tmp_path):
+        # mean P' near -4.6e162: the merge takes the first part as it is, so
+        # no outer product of that mean is formed, and every cell is finite
+        doc = base_config(
+            particle={"mu_q": 7.808012688253456e-57, "mu_p": -2.332830286873745, "sigma": 1.3807937172961038},
+            device={"delta_Q": 0.538571819848714, "mu_P": -4.622894133223559e162, "omega": 2.625911748901031},
+            coupling={"g": 1.1949359192329276, "theta_A": 4.153382727236075},
+            postselection={"theta_B": 1e-9, "b": 7.526853615144862e-60, "epsilon": 1.1492017626425681e179},
+            sampling={"n_samples": 2000, "seed": 74842596},
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+        header, cells = (out / "simulate.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), cells.split(",")))
+        assert row["error"] == "" and int(row["accepted"]) == 2000
+        assert float(row["mean_P"]) == pytest.approx(-4.622894133223559e162, rel=1e-15)
+        assert all(math.isfinite(float(row[key])) for key in ("mean_Q", "se_Q", "mean_P", "se_P"))
 
     # Var(B) = v.cov.v cancels to -1.76e71: cos(pi/2) = 6e-17 weighs
     # entries of the coupled covariance near 1e300 against Var(p') ~ 0.003
@@ -1037,9 +1049,9 @@ class TestWorkerIndependence:
 
 
 class TestSharedSamplingPass:
-    """`sweep --mc` draws, couples and checks once for points that differ
-    only in theta_B and b; each row's mc_* cells keep the bits of the
-    point's own `run_weak_experiment`."""
+    """`sweep --mc` draws once for points that differ only in theta_B and
+    b; each row's mc_* cells keep the bits of the point's own
+    `run_weak_experiment`."""
 
     N = montecarlo.DEFAULT_CHUNK + 20_000  # two chunks, so the pool runs them
     THETA_BS = (HALF_PI, 0.4)

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from erlweak import (
@@ -143,7 +144,7 @@ class TestBlocks:
         readout = np.array([[*config.theta_A.vector, 0.0, 0.0], smap.matrix[2]])
         source = montecarlo._source(joint, config.seed, readout)
         m, mean, scatter = montecarlo._correlation_chunk(source, 0, rows)
-        offset, factor, _ = source
+        offset, factor, *_ = source
         aq = offset.T + montecarlo._chunk_rng(config.seed, 0).standard_normal((rows, 2)) @ factor.T
         blocks = (aq[start : start + montecarlo.BLOCK].T.copy() for start in range(0, rows, montecarlo.BLOCK))
         ref_m, ref_mean, ref_scatter = montecarlo._merge(map(montecarlo._moments, blocks))
@@ -155,24 +156,41 @@ class TestBlocks:
 
     @staticmethod
     def _chunk_and_reference(monkeypatch, epsilon):
-        # the chunk multiplies L by z^T and M by the points, one coordinate
-        # per row, in block buffers; its accepted rows, over several blocks,
-        # are bit for bit those of (mean + z @ L^T) @ M^T. The chunk hands
-        # them to `_moments` in parts of at most one block, which the test
-        # records before it takes their real moments
+        # the chunk draws each draw's read-out (q', p') = M[:2] mean + F z from
+        # two normals z of the chunk's substream, and windows it. It keeps the
+        # accepted z and, at each flush f of its one-block buffer (when the
+        # next block's accepted draws would not fit, and at the end),
+        # completes them with two normals z' per draw from substream
+        # (seed, (k, f + 1)) to x = mean + L Q [z; z'], which it couples by M.
+        # Its accepted rows, over several blocks, are bit for bit those of
+        # this two-stage reference. The chunk hands them to `_moments` in
+        # parts of at most one block, which the test records before it takes
+        # their real moments
         config = dataclasses.replace(
             BASE, g=0.4, mu_P=0.3, omega=0.5, theta_A=Quadrature(0.6), b=0.3, epsilon=epsilon, seed=9
         )
         joint, smap = config.joint(), coupling_map(config.g, config.theta_A)
+        source = montecarlo._source(joint, config.seed, smap.matrix[:2])
+        offset, factor, _, (mean, completion) = source
         rows = 3 * montecarlo.BLOCK + 123
-        z = montecarlo._chunk_rng(config.seed, 0).standard_normal((rows, 4))
-        pts = joint.mean + z @ np.linalg.cholesky(joint.cov).T
-        evolved = pts @ smap.matrix.T
-        a_after = config.theta_A.value(evolved[:, 0], evolved[:, 1])
-        keep = np.abs(config.theta_B.value(evolved[:, 0], evolved[:, 1]) - config.b) <= config.epsilon
-        ref = np.column_stack([evolved[keep, 2], evolved[keep, 3], a_after[keep]])
+        z = montecarlo._chunk_rng(config.seed, 0).standard_normal((rows, 2))
+        q, p = (offset.T + z @ factor.T).T
+        keep = np.abs(config.theta_B.value(q, p) - config.b) <= config.epsilon
+        flushes = [[]]  # the accepted draws of each flush, in order
+        for start in range(0, rows, montecarlo.BLOCK):
+            block = np.flatnonzero(keep[start : start + montecarlo.BLOCK]) + start
+            if len(flushes[-1]) + block.size > montecarlo.BLOCK:
+                flushes.append([])
+            flushes[-1].extend(block)
+        ref = []
+        for f, drawn in enumerate(flushes):
+            fresh = montecarlo._chunk_rng(config.seed, 0, f + 1).standard_normal((len(drawn), 2))
+            evolved = (mean.T + np.column_stack([z[drawn], fresh]) @ completion.T) @ smap.matrix.T
+            a_after = config.theta_A.value(evolved[:, 0], evolved[:, 1])
+            ref.append(np.column_stack([evolved[:, 2], evolved[:, 3], a_after]))
+        ref = np.concatenate(ref)
         window = (config.theta_B, config.b, config.epsilon)
-        args = (montecarlo._source(joint, config.seed), smap, config.theta_A, (window,))
+        args = (source, smap, config.theta_A, (window,))
         parts, moments = [], montecarlo._moments
 
         def record(values):
@@ -443,6 +461,64 @@ class TestRunWeakExperiment:
         with pytest.raises(AssertionError, match="^repeatability violated: A or P changed"):
             run_weak_experiment(dataclasses.replace(BASE, n_samples=10_000))
 
+    def test_coupling_that_moves_A_raises_where_the_window_accepts_one_draw_in_a_hundred(
+        self, monkeypatch
+    ):
+        # only accepted draws are coupled and checked: the shear of the test
+        # above must still raise where the window rejects about 99 % of them
+        shear = np.eye(4)
+        shear[0, 1] = 1e-9
+        monkeypatch.setattr(
+            montecarlo,
+            "coupling_map",
+            lambda g, theta_A: SymplecticMap(shear @ coupling_map(g, theta_A).matrix),
+        )
+        config = dataclasses.replace(BASE, b=0.9, n_samples=10_000)
+        assert 0.005 < acceptance_probability(config) < 0.015
+        with pytest.raises(AssertionError, match="^repeatability violated: A or P changed"):
+            run_weak_experiment(config)
+
+    def test_every_accepted_draw_is_coupled_into_its_window(self, monkeypatch):
+        # the window selects on the read-out (q', p') = M[:2] mean + F z; each
+        # accepted draw is completed to a point x and coupled to M x, once.
+        # The B of M x differs from the read-out's only by rounding, far
+        # below 64 ulp of the largest |coordinate| of x and M x (about 4 here)
+        config = dataclasses.replace(
+            BASE, mu_q=0.4, mu_P=0.7, omega=0.5, g=0.6, theta_A=Quadrature(0.9),
+            theta_B=Quadrature(2.1), b=0.3, epsilon=0.05, n_samples=300_000,
+        )
+        monkeypatch.setattr(montecarlo, "WORKERS", 1)  # in this process, to record them
+        coupled, apply = [], montecarlo.apply_to_points
+
+        def recording(smap, pts, out=None):
+            evolved = apply(smap, pts, out=out)
+            coupled.append((pts.copy(), evolved.copy()))
+            return evolved
+
+        monkeypatch.setattr(montecarlo, "apply_to_points", recording)
+        est = run_weak_experiment(config)
+        points = np.concatenate([x for x, _ in coupled], axis=1)
+        evolved = np.concatenate([y for _, y in coupled], axis=1)
+        assert points.shape[1] == est.n_accepted > 5000
+        rounding = 64 * np.spacing(max(np.abs(points).max(), np.abs(evolved).max()))
+        distance = np.abs(config.theta_B.value(evolved[0], evolved[1]) - config.b)
+        assert np.all(distance <= config.epsilon + rounding)
+
+    def test_merge_takes_the_first_part_as_it_is(self):
+        # mean P' near 1e160: merged into the empty start, the first part's
+        # outer(mean, mean) overflowed at a weight of 0 and raised. Every
+        # accepted P' rounds to 1e160 (its spread, 0.6, is far below its ulp,
+        # 1.6e144), so the estimate can miss 1e160 only by the rounding of
+        # the sum of the draws, 2 ulp here, which its SE (2 ulp / sqrt(n))
+        # does not cover
+        config = ExperimentConfig(
+            0.0, 0.0, 1.0, 1.0, 1e160, 0.5, 0.3, Quadrature(0.0), Quadrature(0.0), 0.0, None, 100_000, 42
+        )
+        est = run_weak_experiment(config)
+        assert est.n_accepted > 1000
+        assert abs(est.mean_P - 1e160) <= est.se_P + 4 * math.ulp(1e160)
+        assert all(map(math.isfinite, (est.mean_Q, est.mean_A, est.se_Q, est.se_P, est.se_A)))
+
     def test_A_check_is_scaled_by_the_terms_that_cancel(self):
         # |P| is about 1e72 and |A| about 1: g sin(theta_A) P cancels in A(x')
         # with a rounding near 1e56, which a bound of 1e-12 max(1, |A|) took
@@ -494,6 +570,100 @@ class TestRunWeakExperiment:
         assert est.epsilon == pytest.approx(config.resolved_epsilon())
         assert est.n_accepted <= est.n_samples
         assert 0.0 < est.acceptance_rate <= 1.0
+
+
+class TestCalibration:
+    """The sampler's estimates are centred on the windowed oracle, their
+    exact expectation, with standard errors of the right size."""
+
+    # sigma = 0.8, mu = (0.3, -0.4), mu_P = 0.2, omega = 0.5, g = 0.6,
+    # theta_A = 0.3, theta_B = 1.2, b = 0.7, epsilon = 0.2: P(accept) = 7.4 %
+    CONFIG = ExperimentConfig(
+        0.3, -0.4, 0.8, 1.0, 0.2, 0.5, 0.6, Quadrature(0.3), Quadrature(1.2), 0.7, 0.2, 2**15, 0
+    )
+    SEEDS = range(300)
+    # Over 300 seeds the mean of N(0, 1) z's has SE 0.058 and their sd 0.041:
+    # both bounds sit more than 4 SE out
+    MEAN_BOUND = 0.25
+    SD_BOUNDS = (0.8, 1.2)
+
+    def _z_scores(self):
+        """Per seed, the z's of mean_Q, mean_P and mean_A against the
+        windowed oracle and the binomial z of the accepted count against
+        the acceptance probability, as a (4, seeds) array."""
+        oracle = windowed_oracle(self.CONFIG)
+        prob, n = acceptance_probability(self.CONFIG), self.CONFIG.n_samples
+        z = []
+        for seed in self.SEEDS:
+            est = run_weak_experiment(dataclasses.replace(self.CONFIG, seed=seed))
+            means, ses = (est.mean_Q, est.mean_P, est.mean_A), (est.se_Q, est.se_P, est.se_A)
+            z.append([(m - o) / se for m, o, se in zip(means, oracle, ses)])
+            z[-1].append((est.n_accepted - n * prob) / math.sqrt(n * prob * (1.0 - prob)))
+        return np.array(z).T
+
+    def _assert_calibrated(self):
+        for name, z in zip(("Q", "P", "A", "accepted"), self._z_scores()):
+            assert abs(z.mean()) <= self.MEAN_BOUND, (name, z.mean())
+            assert self.SD_BOUNDS[0] <= z.std(ddof=1) <= self.SD_BOUNDS[1], (name, z.std(ddof=1))
+
+    def test_z_scores_are_standard_normal(self):
+        assert 0.07 < acceptance_probability(self.CONFIG) < 0.08
+        self._assert_calibrated()
+
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_scaled_standard_errors_fail(self, monkeypatch, factor):
+        estimate = montecarlo._estimate
+
+        def scaled(*window):
+            est = estimate(*window)
+            return dataclasses.replace(
+                est, se_Q=factor * est.se_Q, se_P=factor * est.se_P, se_A=factor * est.se_A
+            )
+
+        monkeypatch.setattr(montecarlo, "_estimate", scaled)
+        with pytest.raises(AssertionError):
+            self._assert_calibrated()
+
+    # The property's family: 3 window means in each of the ci profile's
+    # 1000 examples, at a family-wise level of 1 %, fixed before any run
+    Z_BOUND = statistics.NormalDist().inv_cdf(1.0 - 0.01 / (2 * 3 * 1000))
+    spread = st.floats(-1.0, 1.0).map(lambda x: 10.0**x)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        config=st.builds(
+            ExperimentConfig,
+            mu_q=st.floats(-10.0, 10.0),
+            mu_p=st.floats(-10.0, 10.0),
+            sigma=spread,
+            delta_Q=spread,
+            mu_P=st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+            omega=st.floats(-3.0, 3.0),
+            g=st.floats(-3.0, 3.0),
+            theta_A=st.floats(0.0, 2.0 * math.pi).map(Quadrature),
+            theta_B=st.floats(0.0, 2.0 * math.pi).map(Quadrature),
+            b=st.just(0.0),
+            epsilon=st.none(),
+            n_samples=st.just(2**14),
+            seed=st.integers(0, 2**64 - 1),
+        ),
+        z_b=st.floats(-3.0, 3.0),
+        width=st.none() | st.floats(0.02, 1.0),
+    )
+    def test_property_window_means_fit_the_windowed_oracle(self, config, z_b, width):
+        # b within 3 std of B, and an adaptive window or one of `width` std of
+        # B. Windows expected to accept fewer than 200 draws are skipped:
+        # below that the z's are not yet normal enough for the bound's tails
+        sd = math.sqrt(config._evolved.var_B)
+        config = dataclasses.replace(
+            config, b=config._evolved.mu_B + z_b * sd, epsilon=None if width is None else width * sd
+        )
+        assume(config.n_samples * acceptance_probability(config) >= 200)
+        est = run_weak_experiment(config)
+        for name, m, o, se in zip(
+            "QPA", (est.mean_Q, est.mean_P, est.mean_A), windowed_oracle(config), (est.se_Q, est.se_P, est.se_A)
+        ):
+            assert abs(m - o) <= self.Z_BOUND * se, (name, (m - o) / se)
 
 
 def test_delta_p_is_the_device_momentum_spread():
@@ -1032,8 +1202,8 @@ class TestHistogramFit:
         source = montecarlo._source
 
         def flipped(state, seed, readout=None):
-            offset, factor, seed = source(state, seed, readout)
-            return offset, factor * np.array([[1.0, 1.0], [-1.0, 1.0]]), seed
+            offset, factor, seed, completion = source(state, seed, readout)
+            return offset, factor * np.array([[1.0, 1.0], [-1.0, 1.0]]), seed, completion
 
         monkeypatch.setattr(montecarlo, "_source", flipped)
         fit = settings(derandomize=True, deadline=None, phases=[Phase.generate])(
@@ -1381,10 +1551,29 @@ class TestStreamingEngine:
             (momenta, self.CONFIG.evolved_joint().cov[np.ix_([1, 3], [1, 3])]),
             (aq, aq @ joint.cov @ aq.T),
         ):
-            offset, factor, _ = montecarlo._source(joint, self.CONFIG.seed, readout)
+            offset, factor, *_ = montecarlo._source(joint, self.CONFIG.seed, readout)
             assert factor.shape == (2, 2) and factor[0, 1] == 0.0
             np.testing.assert_array_equal(offset[:, 0], readout @ joint.mean)
             assert np.all(np.abs(factor @ factor.T - ref) <= 4 * np.spacing(np.abs(ref).max()))
+
+    def test_readout_factor_has_the_bits_of_the_reduced_qr(self):
+        # `_source` takes a complete QR for the completion L Q; its F is bit for
+        # bit the reduced QR's, so the histogram and the correlation keep their
+        # draws. R L Q = [F 0] and (L Q)(L Q)^T = C within 8 ulp of the
+        # largest entry (measured at most 2.5)
+        joint = self.CONFIG.joint()
+        lower = np.linalg.cholesky(joint.cov)
+        smap = coupling_map(self.CONFIG.g, self.CONFIG.theta_A)
+        for readout in (*self._readout_matrices(), smap.matrix[:2]):
+            _, factor, _, (mean, completion) = montecarlo._source(joint, self.CONFIG.seed, readout)
+            np.testing.assert_array_equal(factor, np.linalg.qr((readout @ lower).T, mode="r").T)
+            np.testing.assert_array_equal(mean[:, 0], joint.mean)
+            for got, ref in (
+                (readout @ completion, np.hstack([factor, np.zeros((2, 2))])),
+                (completion @ completion.T, joint.cov),
+            ):
+                scale = max(np.abs(ref).max(), np.abs(readout).max() * np.abs(completion).max())
+                assert np.all(np.abs(got - ref) <= 8 * np.spacing(scale))
 
     def test_readout_blocks_are_offset_plus_factor_z(self):
         # the yielded read-outs of a chunk of several blocks are, bit for bit,
@@ -1394,7 +1583,7 @@ class TestStreamingEngine:
         for readout in self._readout_matrices():
             source = montecarlo._source(config.joint(), config.seed, readout)
             blocks = np.concatenate([b.copy() for b in montecarlo._blocks(source, 4, rows)], axis=1)
-            offset, factor, _ = source
+            offset, factor, *_ = source
             z = montecarlo._chunk_rng(config.seed, 4).standard_normal((rows, 2))
             np.testing.assert_array_equal(blocks.T, offset.T + z @ factor.T)
 
@@ -1434,33 +1623,33 @@ class TestStreamingEngine:
             assert abs(got - ref) <= 1e-14, delta_Q
 
     def test_experiment_pinned(self):
-        # re-recorded when each chunk began returning the moments of its
-        # accepted draws for `_merge`: every value within 3 ulp of the row path's
+        # re-recorded at version 0.4.0, when each draw's (q', p') began to be
+        # drawn first and only the accepted draws completed to points
         config = dataclasses.replace(
             BASE, g=0.3, omega=0.5, mu_P=0.2, b=0.5, epsilon=0.25, n_samples=25_500, seed=7
         )
         assert run_weak_experiment(config, chunk_size=1000) == PostselectedEstimate(
-            mean_Q=-0.131856306135355,
-            mean_P=0.019161912996883076,
-            mean_A=0.012075792367434128,
-            se_Q=0.013786919322274393,
-            se_P=0.007084849332174698,
-            se_A=0.013264508384711785,
-            n_accepted=5613,
+            mean_Q=-0.12449432346373268,
+            mean_P=0.03610661025049314,
+            mean_A=-0.021778364344345696,
+            se_Q=0.013642367767306677,
+            se_P=0.006976476610816478,
+            se_A=0.01329377141393326,
+            n_accepted=5553,
             n_samples=25500,
-            acceptance_rate=0.22011764705882353,
+            acceptance_rate=0.21776470588235294,
             epsilon=0.25,
         )
         assert run_weak_experiment(config) == PostselectedEstimate(
-            mean_Q=-0.14040322315025053,
-            mean_P=0.024824575573117295,
-            mean_A=-0.0010937740338186597,
-            se_Q=0.0141711396333962,
-            se_P=0.007260467746273003,
-            se_A=0.013491460866509571,
-            n_accepted=5429,
+            mean_Q=-0.1586397198227319,
+            mean_P=0.014315544839775629,
+            mean_A=-0.0003995653946493269,
+            se_Q=0.013897712402230374,
+            se_P=0.007099214331321992,
+            se_A=0.013331008855850866,
+            n_accepted=5548,
             n_samples=25500,
-            acceptance_rate=0.21290196078431373,
+            acceptance_rate=0.21756862745098038,
             epsilon=0.25,
         )
 
@@ -1505,8 +1694,8 @@ class TestBoundedMemory:
 
     def test_run_weak_experiment_holds_one_block_per_window(self):
         # every draw accepted, in chunks of the default size: each window's
-        # accepted values stay in one block of (Q', P', A), 196 KB, where a
-        # chunk's would be 6.3 MB
+        # accepted draws stay in one block of their two normals, 128 KB,
+        # where a chunk's (Q', P', A) would be 6.3 MB
         config = dataclasses.replace(self.CONFIG, epsilon=100.0)
         config.evolved_joint()
         montecarlo._chunk_rng(0, 0)  # numpy imports its random module, 0.7 MB, on first use
