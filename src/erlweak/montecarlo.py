@@ -17,7 +17,8 @@ a chunk, `_normals`, the one sampling loop, draws the substream in blocks
 of `BLOCK` rows z of standard normals, and `_blocks` yields factor @ z^T +
 offset, for a factor that each sampler builds once per call from the
 Cholesky factor L of the joint state (see `_source`). `sample_state` takes
-the points themselves (factor L). The histogram, the correlation and the
+the points themselves, through the identity read-out (factor L). The
+histogram, the correlation and the
 rejection sampler draw only the two coordinates they read, (p', P'), (A,
 Q') and (q', p'), in their own two dimensions: with R their 2 x 4
 read-out, which holds the coupling's rows, the factor is the 2 x 2
@@ -271,30 +272,28 @@ def _chunk_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _source(
-    state: GaussianState, seed: int, readout: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray] | None]:
+    state: GaussianState, seed: int, readout: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray]]:
     """(offset, factor, seed, completion): all a process needs to draw
     chunks of a Gaussian state with `_blocks`. L is the Cholesky factor of
-    the covariance C. Without `readout`, the blocks are the points
-    themselves, mean + L z (offset the mean as a column, factor L), and
-    completion is None. With a (d, 2*n_modes) `readout` matrix R, d <=
-    2*n_modes, they are the read-out coordinates R mean + F z, drawn in their
-    own d dimensions: a complete QR of (R L)^T gives (R L)^T = Q [F^T; 0], so
-    F is d x d lower-triangular, F F^T = R C R^T, and each draw takes d
-    normals. The QR keeps F where a Cholesky of R C R^T would fail: where
+    the covariance C. With a (d, 2*n_modes) `readout` matrix R, d <=
+    2*n_modes, the blocks are the read-out coordinates R mean + F z, drawn in
+    their own d dimensions: a complete QR of (R L)^T gives (R L)^T = Q [F^T;
+    0], so F is d x d lower-triangular, F F^T = R C R^T, and each draw takes
+    d normals. The QR keeps F where a Cholesky of R C R^T would fail: where
     that covariance is singular in double precision, as (A, Q')'s is in the
-    strong-measurement limit. F has the bits of the reduced QR's. The
-    completion (mean, L Q) completes a read-out draw z to a point of the
-    state, mean + L Q [z; z'] for fresh normals z' (see `_affine`): R L Q =
-    [F 0], so the point reads out to R mean + F z, and L Q [z; z'] is the
-    state's own Cholesky draw in a rotated basis. Raises ValueError on a
-    degenerate covariance."""
+    strong-measurement limit. F has the bits of the reduced QR's. For the
+    identity R, F is L itself, bit for bit: the Householder QR of the upper
+    triangular L^T has nothing below its diagonal to zero, so Q = I. The
+    completion (mean, L Q) completes a read-out draw
+    z to a point of the state, mean + L Q [z; z'] for fresh normals z' (see
+    `_affine`): R L Q = [F 0], so the point reads out to R mean + F z, and
+    L Q [z; z'] is the state's own Cholesky draw in a rotated basis. Raises
+    ValueError on a degenerate covariance."""
     try:
         lower = np.linalg.cholesky(state.cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not factorizable (degenerate state)") from exc
-    if readout is None:
-        return state.mean[:, None], lower, seed, None
     q, r = np.linalg.qr((readout @ lower).T, mode="complete")
     completion = (state.mean[:, None], lower @ q)
     return (readout @ state.mean)[:, None], r[: len(readout)].T, seed, completion
@@ -423,7 +422,7 @@ def sample_state(
 ) -> np.ndarray:
     """Draw n i.i.d. points from a Gaussian state as a (2*n_modes, n) array.
     Runs in this process: workers would only copy the points back."""
-    source = _source(state, seed)
+    source = _source(state, seed, np.eye(state.mean.size))  # the points themselves: factor L
     out = np.empty((state.mean.size, n))
     start = 0  # the chunks' blocks in order, each copied out of its reused buffer
     for k, rows in _chunk_rows(n, chunk_size):

@@ -17,9 +17,12 @@ from erlweak import montecarlo
 from erlweak.analytic import first_order_shifts, postselected_means_gaussian, weak_value_gaussian
 from erlweak.bounds import gaussian_regime_margin
 from erlweak.cli import CONFIG_FIELDS, _cells, _fmt, config_echo, main, parse_experiment
-from erlweak.montecarlo import ExperimentConfig, acceptance_probability, oracle_estimate
+from erlweak.montecarlo import ExperimentConfig, PostselectedEstimate, acceptance_probability, oracle_estimate
+from erlweak.montecarlo import windowed_oracle
 from erlweak.dynamics import apply_to_state, coupling_map
 from erlweak.states import Quadrature, quadrature_moments
+
+import gate
 
 HALF_PI = math.pi / 2
 CLOSED_FORM_ERROR = (
@@ -46,6 +49,17 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def simulated(out):
+    """The PostselectedEstimate that `simulate` wrote to out/simulate.csv,
+    with the manifest's acceptance rate, and the manifest."""
+    header, row = (out / "simulate.csv").read_text().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    manifest = json.loads((out / "manifest.json").read_text())
+    values = [float(cols[f"{kind}_{x}"]) for kind in ("mean", "se") for x in "QPA"]
+    values += [int(cols["accepted"]), int(cols["n"]), manifest["oracle_comparison"]["acceptance_rate"]]
+    return PostselectedEstimate(*values, float(cols["epsilon"])), manifest
 
 
 class TestWeakvalue:
@@ -142,12 +156,10 @@ class TestSimulate:
         doc = base_config(coupling={"g": 0.0}, sampling={"n_samples": 200_000})
         path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-        header, row = (tmp_path / "o" / "simulate.csv").read_text().splitlines()
-        cols = dict(zip(header.split(","), row.split(",")))
-        assert abs(float(cols["mean_Q"])) <= 3.0 * float(cols["se_Q"])
-        assert abs(float(cols["mean_Q"]) - float(cols["oracle_Q"])) <= 3.0 * float(cols["se_Q"]) + 1e-3
-        assert cols["error"] == ""
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        est, manifest = simulated(tmp_path / "o")
+        config = parse_experiment(doc)
+        assert windowed_oracle(config)[0] == 0.0
+        gate.assert_z(gate.z_scores(est, config))
         assert manifest["seed"] == 7
         assert "simulate.csv" in manifest["outputs"]
 
@@ -155,11 +167,11 @@ class TestSimulate:
         doc = base_config(postselection={"epsilon": 0.1}, sampling={"n_samples": 200_000})
         path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        comparison = manifest["oracle_comparison"]
-        prob = acceptance_probability(parse_experiment(doc))
-        assert comparison["acceptance_probability"] == prob
-        assert abs(comparison["acceptance_rate"] - prob) <= 4.0 * math.sqrt(prob * (1 - prob) / 200_000)
+        est, manifest = simulated(tmp_path / "o")
+        config = parse_experiment(doc)
+        assert manifest["oracle_comparison"]["acceptance_probability"] == acceptance_probability(config)
+        assert est.acceptance_rate == est.n_accepted / est.n_samples
+        gate.assert_z(gate.z_scores(est, config)["n_accepted"])
         assert manifest["run"]["python"] == platform.python_version()
         assert manifest["run"]["numpy"] == np.__version__
 
@@ -179,10 +191,11 @@ class TestSimulate:
         doc = base_config(sampling={"n_samples": 1_000_000, "seed": 42})
         path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-        comparison = json.loads((tmp_path / "o" / "manifest.json").read_text())["oracle_comparison"]
-        z = comparison["z_vs_windowed_oracle"]
-        assert sorted(z) == ["mean_A", "mean_P", "mean_Q"]
-        assert all(abs(value) <= 5.0 for value in z.values()), z
+        est, manifest = simulated(tmp_path / "o")
+        z = gate.z_scores(est, parse_experiment(doc))
+        # the CLI's z's are the gate's, to the bit
+        assert manifest["oracle_comparison"]["z_vs_windowed_oracle"] == {name: z[name] for name in gate.MEANS}
+        gate.assert_z(z)
         csv = (tmp_path / "o" / "simulate.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == (
             "55a500ea43da2d12193c1a1560052505426cec8d1a928e25c5b5650d478837b5"
@@ -307,13 +320,21 @@ class TestSweep:
         assert manifest["config"] == {**config_echo(config), "sweep": {"g": [0.1, 0.2], "b": [1.0]}}
 
     def test_mc_columns(self, tmp_path):
-        doc = base_config(sampling={"n_samples": 50_000})
-        doc["sweep"] = {"g": [0.1, 0.2]}
+        # every row's mc_* cells fit the point's windowed oracle, over two
+        # sampling passes (g) of four windows each (theta_B, b)
+        doc = base_config(device={"mu_P": 0.3, "omega": 0.5}, sampling={"n_samples": 50_000})
+        axes = {"g": [0.1, 0.5], "theta_B": [HALF_PI, 0.4], "b": [0.0, 0.6]}
+        doc["sweep"] = axes
         path = write_config(tmp_path, doc)
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o"), "--mc", "--quiet"]) == 0
-        lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
-        assert "mc_Q" in lines[0]
-        assert len(lines) == 3
+        header, *lines = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+        assert header.endswith(",mc_Q,mc_se_Q,mc_P,mc_se_P")
+        base = parse_experiment(doc)
+        for line, (g, theta_B, b) in zip(lines, itertools.product(*axes.values()), strict=True):
+            mc_Q, se_Q, mc_P, se_P = map(float, line.split(",")[-4:])
+            config = dataclasses.replace(base, g=g, theta_B=Quadrature(theta_B), b=b)
+            oracle_Q, oracle_P, _ = windowed_oracle(config)
+            gate.assert_z([gate.z(mc_Q, se_Q, oracle_Q), gate.z(mc_P, se_P, oracle_P)])
 
 
 class TestHistogramCommand:

@@ -48,6 +48,8 @@ from erlweak import (
 from erlweak import montecarlo
 from erlweak.states import quadrature_vector
 
+import gate
+
 HALF_PI = math.pi / 2
 
 BASE = ExperimentConfig(
@@ -69,13 +71,8 @@ BASE = ExperimentConfig(
 
 class TestSampling:
     def test_moments_converge(self):
-        n = 1_000_000
-        pts = sample_state(make_particle(0.0, 0.0, 1.0), n, seed=1)
-        bound = 4.0 / math.sqrt(n)
-        assert abs(pts[0].mean()) < bound
-        assert abs(pts[1].mean()) < bound / 2.0  # momentum std is 1/2
-        assert pts[0].var() == pytest.approx(1.0, rel=0.01)
-        assert pts[1].var() == pytest.approx(0.25, rel=0.01)
+        state = make_particle(0.0, 0.0, 1.0)
+        gate.assert_z(gate.sample_z(sample_state(state, 1_000_000, seed=1), state))
 
     def test_fixed_seed_is_bit_identical(self):
         a = sample_state(make_particle(0.3, -0.2, 1.0), 10_000, seed=9)
@@ -118,10 +115,24 @@ class TestBlocks:
     def test_blocks_equal_one_draw_per_chunk(self, rows):
         state = dataclasses.replace(BASE, omega=0.5, mu_P=0.3, mu_q=0.2, g=0.4).evolved_joint()
         lower = np.linalg.cholesky(state.cov)
-        blocks = [b.copy() for b in montecarlo._blocks(montecarlo._source(state, 11), 3, rows)]
+        blocks = [b.copy() for b in montecarlo._blocks(montecarlo._source(state, 11, np.eye(4)), 3, rows)]
         assert max(b.shape[1] for b in blocks) <= montecarlo.BLOCK
         z = montecarlo._chunk_rng(11, 3).standard_normal((rows, 4))
         np.testing.assert_array_equal(np.concatenate(blocks, axis=1).T, state.mean + z @ lower.T)
+
+    def test_identity_readout_factor_is_the_cholesky_factor(self):
+        # sample_state draws the points through the identity read-out: the
+        # QR of the upper triangular L^T reflects nothing, so F is L and the
+        # offset the mean, bit for bit, on factory, joint and evolved states
+        grid = itertools.product((0.3, 1.0, 7.0), (0.0, 0.4, -2.5), (0.0, 0.5), (0.0, 0.6, 2.0))
+        for sigma, g, omega, theta_A in grid:
+            config = dataclasses.replace(
+                BASE, sigma=sigma, g=g, omega=omega, theta_A=Quadrature(theta_A), mu_P=0.3, mu_q=0.2
+            )
+            for state in (config.particle(), config.device(), config.joint(), config.evolved_joint()):
+                offset, factor, *_ = montecarlo._source(state, 11, np.eye(state.mean.size))
+                assert factor.tobytes() == np.linalg.cholesky(state.cov).tobytes()
+                assert offset[:, 0].tobytes() == state.mean.tobytes()
 
     def test_consumers_copy_out_of_the_reused_buffer(self):
         # one chunk of several blocks: sample_state and the correlation must
@@ -410,32 +421,25 @@ class TestRunWeakExperiment:
 
     def test_zero_coupling_no_shift(self):
         config = dataclasses.replace(BASE, g=0.0, mu_P=0.3, n_samples=400_000)
-        est = run_weak_experiment(config)
-        assert abs(est.mean_Q) <= 3.0 * est.se_Q
-        assert abs(est.mean_P - 0.3) <= 3.0 * est.se_P
+        assert windowed_oracle(config)[:2] == (0.0, 0.3)
+        gate.assert_z(gate.z_scores(run_weak_experiment(config), config))
 
     def test_momentum_bias_matches_oracle(self):
         config = dataclasses.replace(BASE, n_samples=1_000_000)
         est = run_weak_experiment(config)
-        _, oracle_P, _ = oracle_estimate(config)
-        _, windowed_P, _ = windowed_oracle(config)
-        window_bias = abs(windowed_P - oracle_P)
         assert est.mean_P < 0.0
-        assert abs(est.mean_P - oracle_P) <= 3.0 * est.se_P + window_bias
+        gate.assert_z(gate.z_scores(est, config))
 
     def test_commuting_postselection_no_momentum_bias(self):
         config = dataclasses.replace(
             BASE, theta_B=Quadrature(0.0), b=0.5, g=0.8, n_samples=400_000
         )
-        est = run_weak_experiment(config)
-        assert abs(est.mean_P) <= 3.0 * est.se_P
+        assert windowed_oracle(config)[1] == 0.0
+        gate.assert_z(gate.z_scores(run_weak_experiment(config), config))
 
     def test_acceptance_rate_matches_window_probability(self):
         config = dataclasses.replace(BASE, n_samples=400_000)
-        est = run_weak_experiment(config)
-        prob = acceptance_probability(config)
-        se = math.sqrt(prob * (1.0 - prob) / config.n_samples)
-        assert abs(est.acceptance_rate - prob) <= 3.0 * se
+        gate.assert_z(gate.z_scores(run_weak_experiment(config), config)["n_accepted"])
 
     def test_window_bias_shrinks_quadratically(self):
         # windowed oracle minus point oracle is O(epsilon^2)
@@ -516,7 +520,7 @@ class TestRunWeakExperiment:
         )
         est = run_weak_experiment(config)
         assert est.n_accepted > 1000
-        assert abs(est.mean_P - 1e160) <= est.se_P + 4 * math.ulp(1e160)
+        assert abs(est.mean_P - 1e160) <= 4 * math.ulp(1e160)
         assert all(map(math.isfinite, (est.mean_Q, est.mean_A, est.se_Q, est.se_P, est.se_A)))
 
     def test_A_check_is_scaled_by_the_terms_that_cancel(self):
@@ -574,7 +578,8 @@ class TestRunWeakExperiment:
 
 class TestCalibration:
     """The sampler's estimates are centred on the windowed oracle, their
-    exact expectation, with standard errors of the right size."""
+    exact expectation, with standard errors of the right size: over many
+    seeds, each z of `gate.z_scores` fits N(0, 1) in spread and in shape."""
 
     # sigma = 0.8, mu = (0.3, -0.4), mu_P = 0.2, omega = 0.5, g = 0.6,
     # theta_A = 0.3, theta_B = 1.2, b = 0.7, epsilon = 0.2: P(accept) = 7.4 %
@@ -586,43 +591,55 @@ class TestCalibration:
     # both bounds sit more than 4 SE out
     MEAN_BOUND = 0.25
     SD_BOUNDS = (0.8, 1.2)
+    # A^2 of n draws from a fully specified law exceeds this with
+    # probability 1 % (Anderson & Darling, JASA 49, 765 (1954))
+    AD_BOUND = 3.857
+    # negative controls: every SE scaled, or the oracle of a wider window
+    MUTANTS = {"se_x2": (2.0, 1.0), "se_x0.5": (0.5, 1.0), "epsilon_x1.5": (1.0, 1.5)}
 
-    def _z_scores(self):
-        """Per seed, the z's of mean_Q, mean_P and mean_A against the
-        windowed oracle and the binomial z of the accepted count against
-        the acceptance probability, as a (4, seeds) array."""
-        oracle = windowed_oracle(self.CONFIG)
-        prob, n = acceptance_probability(self.CONFIG), self.CONFIG.n_samples
-        z = []
-        for seed in self.SEEDS:
-            est = run_weak_experiment(dataclasses.replace(self.CONFIG, seed=seed))
-            means, ses = (est.mean_Q, est.mean_P, est.mean_A), (est.se_Q, est.se_P, est.se_A)
-            z.append([(m - o) / se for m, o, se in zip(means, oracle, ses)])
-            z[-1].append((est.n_accepted - n * prob) / math.sqrt(n * prob * (1.0 - prob)))
-        return np.array(z).T
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The estimates at every seed, drawn once for the class's tests."""
+        return [run_weak_experiment(dataclasses.replace(self.CONFIG, seed=seed)) for seed in self.SEEDS]
 
-    def _assert_calibrated(self):
-        for name, z in zip(("Q", "P", "A", "accepted"), self._z_scores()):
-            assert abs(z.mean()) <= self.MEAN_BOUND, (name, z.mean())
-            assert self.SD_BOUNDS[0] <= z.std(ddof=1) <= self.SD_BOUNDS[1], (name, z.std(ddof=1))
+    def _z(self, runs, se_factor=1.0, epsilon_factor=1.0):
+        """Each z of `gate.z_scores` over the runs, as {name: (seeds,) array},
+        with every SE times se_factor and against the oracle of the window
+        epsilon_factor times as wide: 1 and 1 for the sampler itself."""
+        config = dataclasses.replace(self.CONFIG, epsilon=epsilon_factor * self.CONFIG.epsilon)
+        scaled = (
+            dataclasses.replace(est, se_Q=se_factor * est.se_Q, se_P=se_factor * est.se_P, se_A=se_factor * est.se_A)
+            for est in runs
+        )
+        z = [gate.z_scores(est, config) for est in scaled]
+        return {name: np.array([each[name] for each in z]) for name in z[0]}
 
-    def test_z_scores_are_standard_normal(self):
+    def _spread_fits(self, z):
+        return abs(z.mean()) <= self.MEAN_BOUND and self.SD_BOUNDS[0] <= z.std(ddof=1) <= self.SD_BOUNDS[1]
+
+    def _anderson_darling(self, z):
+        """A^2 of the z's against N(0, 1): inf where a tail probability
+        underflows."""
+        z, n = np.sort(z), z.size
+        with np.errstate(divide="ignore"):
+            log_cdf = np.log([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])
+            log_sf = np.log([0.5 * math.erfc(x / math.sqrt(2.0)) for x in z])
+        return -n - np.mean((2 * np.arange(1, n + 1) - 1) * (log_cdf + log_sf[::-1]))
+
+    def test_z_scores_are_standard_normal(self, runs):
         assert 0.07 < acceptance_probability(self.CONFIG) < 0.08
-        self._assert_calibrated()
+        for name, z in self._z(runs).items():
+            assert self._spread_fits(z), (name, z.mean(), z.std(ddof=1))
 
-    @pytest.mark.parametrize("factor", [2.0, 0.5])
-    def test_scaled_standard_errors_fail(self, monkeypatch, factor):
-        estimate = montecarlo._estimate
+    def test_z_scores_have_the_normal_shape(self, runs):
+        for name, z in self._z(runs).items():
+            assert self._anderson_darling(z) <= self.AD_BOUND, (name, self._anderson_darling(z))
 
-        def scaled(*window):
-            est = estimate(*window)
-            return dataclasses.replace(
-                est, se_Q=factor * est.se_Q, se_P=factor * est.se_P, se_A=factor * est.se_A
-            )
-
-        monkeypatch.setattr(montecarlo, "_estimate", scaled)
-        with pytest.raises(AssertionError):
-            self._assert_calibrated()
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutants_fail_in_spread_and_in_shape(self, runs, mutant):
+        z = self._z(runs, *self.MUTANTS[mutant]).values()
+        assert not all(map(self._spread_fits, z))
+        assert max(map(self._anderson_darling, z)) > self.AD_BOUND
 
     # The property's family: 3 window means in each of the ci profile's
     # 1000 examples, at a family-wise level of 1 %, fixed before any run
@@ -659,11 +676,8 @@ class TestCalibration:
             config, b=config._evolved.mu_B + z_b * sd, epsilon=None if width is None else width * sd
         )
         assume(config.n_samples * acceptance_probability(config) >= 200)
-        est = run_weak_experiment(config)
-        for name, m, o, se in zip(
-            "QPA", (est.mean_Q, est.mean_P, est.mean_A), windowed_oracle(config), (est.se_Q, est.se_P, est.se_A)
-        ):
-            assert abs(m - o) <= self.Z_BOUND * se, (name, (m - o) / se)
+        z = gate.z_scores(run_weak_experiment(config), config)
+        gate.assert_z([z[name] for name in gate.MEANS], self.Z_BOUND)
 
 
 def test_delta_p_is_the_device_momentum_spread():
@@ -1061,33 +1075,30 @@ class TestHistogram:
         assert counts.sum() == config.n_samples
         assert len(p_edges) == 22 and len(P_edges) == 22
 
+    @staticmethod
+    def _slice_means_z(config, bins, min_count):
+        """The z of each p' slice's mean P' bin centre, over the slices of
+        more than min_count draws, against its exact expectation under the
+        cell probabilities of (p', P')."""
+        counts, p_edges, P_edges = joint_momentum_histogram(config, bins=bins)
+        evolved = config.evolved_joint()
+        probs = _cell_probabilities(evolved.mean[[1, 3]], evolved.cov[np.ix_([1, 3], [1, 3])], p_edges, P_edges)
+        centres = 0.5 * (P_edges[:-1] + P_edges[1:])
+        return [gate.binned_mean_z(row, centres, prob) for row, prob in zip(counts, probs) if row.sum() > min_count]
+
     def test_zero_coupling_product_structure(self):
+        # g = 0: P' = P whatever p', so every slice's mean P' is P's
         config = dataclasses.replace(BASE, g=0.0, n_samples=400_000)
-        counts, p_edges, P_edges = joint_momentum_histogram(config, bins=15)
-        centers_P = 0.5 * (P_edges[:-1] + P_edges[1:])
-        slice_means = []
-        for i in range(counts.shape[0]):
-            if counts[i].sum() > 2_000:
-                slice_means.append(counts[i] @ centers_P / counts[i].sum())
-        assert max(abs(m) for m in slice_means) < 0.05
+        assert config.evolved_joint().cov[3, 1] == 0.0
+        gate.assert_z(self._slice_means_z(config, 15, 2_000))
 
     def test_conditional_device_momentum_slope(self):
-        # theta_A=0: p' = p - g P, so E[P | p'=b] decreases linearly in b
+        # theta_A=0: p' = p - g P, so E[P | p'=b] decreases linearly in b,
+        # with the evolved covariance's regression coefficient
         config = dataclasses.replace(BASE, g=0.5, n_samples=400_000)
-        counts, p_edges, P_edges = joint_momentum_histogram(config, bins=31)
-        centers_p = 0.5 * (p_edges[:-1] + p_edges[1:])
-        centers_P = 0.5 * (P_edges[:-1] + P_edges[1:])
-        xs, ys = [], []
-        for i in range(counts.shape[0]):
-            if counts[i].sum() > 3_000:
-                xs.append(centers_p[i])
-                ys.append(counts[i] @ centers_P / counts[i].sum())
-        slope = np.polyfit(xs, ys, 1)[0]
-        # exact regression coefficient from the evolved covariance
         cov = config.evolved_joint().cov
-        expected = cov[3, 1] / cov[1, 1]
-        assert expected < 0.0
-        assert slope == pytest.approx(expected, rel=0.1)
+        assert cov[3, 1] / cov[1, 1] < 0.0
+        gate.assert_z(self._slice_means_z(config, 31, 3_000))
 
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
@@ -1201,7 +1212,7 @@ class TestHistogramFit:
         # failure: shrinking it would take hundreds of histograms
         source = montecarlo._source
 
-        def flipped(state, seed, readout=None):
+        def flipped(state, seed, readout):
             offset, factor, seed, completion = source(state, seed, readout)
             return offset, factor * np.array([[1.0, 1.0], [-1.0, 1.0]]), seed, completion
 
@@ -1458,10 +1469,8 @@ class TestStrongMeasurement:
         config = dataclasses.replace(BASE, g=1.0, n_samples=100_000)
         seq = [10.0, 1.0, 0.1]
         corr = strong_measurement_correlation(seq, config)
-        fisher_se = 3.0 / math.sqrt(config.n_samples - 3)
         for r, delta_Q in zip(corr, seq):
-            rho = exact_strong_correlation(delta_Q, config)
-            assert abs(math.atanh(r) - math.atanh(rho)) < fisher_se
+            gate.assert_z(gate.fisher_z(r, exact_strong_correlation(delta_Q, config), config.n_samples))
 
     def test_singular_readout_covariance_draws(self):
         # at g = sigma = 1 and delta_Q <= 1e-9, R C R^T of (A, Q') is
@@ -1485,7 +1494,10 @@ class TestStrongMeasurement:
         (corr,) = strong_measurement_correlation([delta_Q], config)
         rho = exact_strong_correlation(delta_Q, config)
         assert rho == pytest.approx(1.0 if sigma > 1 else math.sqrt(0.5), rel=1e-15)
-        assert abs(corr - rho) <= 3.0 * (1.0 - rho * rho) / math.sqrt(config.n_samples) + 1e-15
+        if rho == 1.0:  # atanh(1) is infinite: a correlation of 1 is checked as one
+            assert corr == rho
+        else:
+            gate.assert_z(gate.fisher_z(corr, rho, config.n_samples))
 
     @pytest.mark.parametrize("g, delta_Q", [(1e160, 1.0), (-1e160, 1.0), (1e-170, 1e-170), (0.3, 1.0)])
     def test_exact_correlation_takes_no_power_of_g_or_delta_Q(self, g, delta_Q):
@@ -1502,7 +1514,7 @@ class TestStrongMeasurement:
     def test_zero_coupling_uncorrelated(self):
         config = dataclasses.replace(BASE, g=0.0, n_samples=100_000)
         (corr,) = strong_measurement_correlation([1.0], config)
-        assert abs(corr) < 4.0 / math.sqrt(config.n_samples)
+        gate.assert_z(gate.fisher_z(corr, 0.0, config.n_samples))
 
 
 class TestStreamingEngine:
