@@ -241,7 +241,8 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    workers, chunks = chunk_plan(echo["sampling"]["n_samples"])
+    # a run that never samples skips the plan, which may import multiprocessing
+    workers, chunks = chunk_plan(echo["sampling"]["n_samples"]) if runs else (0, 0)
     manifest = {
         "tool": "erlweak",
         "version": __version__,
@@ -250,7 +251,7 @@ def _write_outputs(args, header: str, rows, echo: dict, runs: int = 1, **extra) 
         "config": echo,
         "outputs": [csv_path.name],
         "run": {
-            "workers": workers if runs else 0,
+            "workers": workers,
             "chunks": runs * chunks,
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -103,12 +103,10 @@ def _push_moments(m: np.ndarray, mean: np.ndarray, cov: np.ndarray):
     return (m @ mean[..., None])[..., 0], 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
-def apply_to_points(
-    smap: SymplecticMap, pts: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def apply_to_points(smap: SymplecticMap, pts: np.ndarray) -> np.ndarray:
     """Vectorized image M @ pts of a (4, n) array of phase points, one
-    coordinate per row, written into `out` when it is given."""
-    return np.matmul(smap.matrix, pts, out=out)
+    coordinate per row."""
+    return smap.matrix @ pts
 
 
 def _symplectic_deviation(m: np.ndarray) -> float:
@@ -138,8 +136,8 @@ def _invariance_deviation(quad: Quadrature, pts, evolved, work) -> float:
     |c q| + |s p| + |c q'| + |s p'|, the rounding scale of the terms that
     cancel in it, 0/0 counting as 0 and NaN failing. `work` is (5, ...)
     scratch of the images' shape less their coordinate axis: the sampler
-    passes its chunk's (5, m) buffer, `verify` one (5, 16, 625) buffer that
-    it reuses across its angles."""
+    passes a new (5, m) array at each flush, `verify` one (5, 16, 625)
+    buffer that it reuses across its angles."""
     c, s = math.cos(quad.theta), math.sin(quad.theta)
     cq, sp, cq2, sp2, shift = work
     if np.any(np.subtract(evolved[..., 3, :], pts[3], out=shift)):

@@ -18,28 +18,25 @@ of `BLOCK` rows z of standard normals, and `_blocks` yields factor @ z^T +
 offset, for a factor that each sampler builds once per call from the
 Cholesky factor L of the joint state (see `_source`). `sample_state` takes
 the points themselves, through the identity read-out (factor L). The
-histogram, the correlation and the
-rejection sampler draw only the two coordinates they read, (p', P'), (A,
-Q') and (q', p'), in their own two dimensions: with R their 2 x 4
-read-out, which holds the coupling's rows, the factor is the 2 x 2
-square-root factor F of R C R^T, from a QR of (R L)^T, so each draw takes
-two normals, not four. The rejection sampler windows each block's (q', p')
-for every config that shares the draws, and completes only the accepted
-draws to points, from the same QR, with two fresh normals each: it then
-couples and checks them, so the draws that no estimate uses cost two
-normals each (`_experiment_chunk`). Every block of a chunk reuses the same
-buffers, so a yielded block is valid only until the next one. The
-histogram and the correlation reduce each block as it is drawn, so they
-hold one block per worker: the correlation merges the blocks' `_moments`,
-and the histogram counts each block's flat cell indices with one
-`bincount`. It bins by an arithmetic index, trusted where the edges'
-rounding margin proves it, and bins the draws next to an edge by numpy's
-own binary search of the edges (`_bins`), so its counts equal
-`np.histogram2d`'s exactly. The rejection sampler gathers each window's
-accepted draws in a one-block buffer, completed and reduced to one
-`_moments` part of their (Q', P', A) when full and at the end of the chunk,
-so it holds one block per window per worker. Only `sample_state`
-materialises n points.
+histogram, the correlation and the rejection sampler draw only the two
+coordinates they read, (p', P'), (A, Q') and (q', p'), in their own two
+dimensions: with R their 2 x 4 read-out, which holds the coupling's rows,
+the factor is the 2 x 2 square-root factor F of R C R^T, from a QR of
+(R L)^T, so each draw takes two normals, not four. The rejection sampler
+windows each block's (q', p') for every config that shares the draws, and
+completes only the accepted draws to points, from the same QR, with two
+fresh normals each: it then couples and checks them, so the draws that no
+estimate uses cost two normals each (`_experiment_chunk`). The histogram
+and the correlation reduce each block as it is drawn, so they hold one
+block per worker: the correlation merges the blocks' `_moments`, and the
+histogram counts each block's flat cell indices with one `bincount`. It
+bins by an arithmetic index, trusted where the edges' rounding margin
+proves it, and bins the draws next to an edge by numpy's own binary search
+of the edges (`_bins`), so its counts equal `np.histogram2d`'s exactly.
+The rejection sampler gathers each window's accepted draws in a one-block
+buffer, completed and reduced to one `_moments` part of their (Q', P', A)
+when full and at the end of the chunk, so it holds one block per window
+per worker. Only `sample_state` materialises n points.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ import dataclasses
 import functools
 import itertools  # already loaded by numpy (and at start-up): binding it costs no import
 import math
+import operator
 import os
 from typing import NamedTuple
 
@@ -301,39 +299,26 @@ def _source(
 
 def _normals(rng: np.random.Generator, rows: int, width: int):
     """The one sampling loop: yield `rows` rows of `width` standard normals
-    from `rng`, at most BLOCK rows at a time, each block drawn in one call.
-
-    Every block is drawn into the same buffer, so a yielded block is a view
-    that is valid only until the next one: copy what must outlive it.
-    """
-    z = np.empty((min(BLOCK, rows), width))
+    from `rng`, at most BLOCK rows at a time, each block a new array drawn
+    in one call."""
     for start in range(0, rows, BLOCK):
-        m = min(BLOCK, rows - start)
-        rng.standard_normal(out=z[:m])
-        yield z[:m]
+        yield rng.standard_normal((min(BLOCK, rows - start), width))
 
 
-def _affine(factor: np.ndarray, z: np.ndarray, offset: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """factor @ z^T + offset for an (m, width) block z, as a (d, m) view of
-    the flat buffer `buf`."""
-    d, m = factor.shape[0], z.shape[0]
-    out = np.matmul(factor, z.T, out=buf[: d * m].reshape(d, m))
-    out += offset
+def _affine(factor: np.ndarray, z: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """factor @ z^T + offset for an (m, width) block z, as a (d, m) array."""
+    out = factor @ z.T
+    out += offset  # in place: a second (d, m) array costs more than the sum
     return out
 
 
 def _blocks(source, k: int, rows: int):
     """Yield chunk k's `rows` i.i.d. draws from substream (seed, k), at most
     BLOCK at a time, as (d, draws) arrays factor @ z^T + offset (see
-    `_source`), z the `_normals` of the block.
-
-    Every block is drawn into the same two buffers, so a yielded block is a
-    view that is valid only until the next one: copy what must outlive it.
-    """
+    `_source`), z the `_normals` of the block."""
     offset, factor, seed, _ = source
-    buf = np.empty(min(BLOCK, rows) * factor.shape[0])
     for z in _normals(_chunk_rng(seed, k), rows, factor.shape[1]):
-        yield _affine(factor, z, offset, buf)
+        yield _affine(factor, z, offset)
 
 
 def _chunk_rows(n: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -424,7 +409,7 @@ def sample_state(
     Runs in this process: workers would only copy the points back."""
     source = _source(state, seed, np.eye(state.mean.size))  # the points themselves: factor L
     out = np.empty((state.mean.size, n))
-    start = 0  # the chunks' blocks in order, each copied out of its reused buffer
+    start = 0  # the chunks' blocks in order
     for k, rows in _chunk_rows(n, chunk_size):
         for block in _blocks(source, k, rows):
             out[:, start : start + block.shape[1]] = block
@@ -509,35 +494,25 @@ def _experiment_chunk(args, k: int, rows: int) -> list[tuple[int, np.ndarray, np
     wider than a block."""
     (offset, factor, seed, (mean, completion)), smap, theta_A, windows = args
     size = min(BLOCK, rows)
-    readout_buf, drawn_buf = np.empty(2 * size), np.empty((size, 4))
-    points_buf, evolved_buf, work_buf = np.empty(4 * size), np.empty(4 * size), np.empty((5, size))
     accepted = [np.empty((size, 2)) for _ in windows]  # the z of each accepted draw
     n_acc = [0] * len(windows)
     parts = [[] for _ in windows]
 
     def flush(i):
         n = n_acc[i]
-        drawn = drawn_buf[:n]  # [z, z'] of each draw
-        drawn[:, :2] = accepted[i][:n]
-        drawn[:, 2:] = next(_normals(_chunk_rng(seed, k, len(parts[i]) + 1), n, 2))
-        points = _affine(completion, drawn, mean, points_buf)
-        evolved = apply_to_points(smap, points, out=evolved_buf[: 4 * n].reshape(4, n))
-        if not _invariance_deviation(theta_A, points, evolved, work_buf[:, :n]) <= SYMPLECTIC_TOL:
+        fresh = next(_normals(_chunk_rng(seed, k, len(parts[i]) + 1), n, 2))
+        points = _affine(completion, np.hstack((accepted[i][:n], fresh)), mean)  # from [z, z']
+        evolved = apply_to_points(smap, points)
+        if not _invariance_deviation(theta_A, points, evolved, np.empty((5, n))) <= SYMPLECTIC_TOL:
             raise AssertionError("repeatability violated: A or P changed under coupling")
-        values = work_buf[:3, :n]  # the check is done with it
-        values[:2] = evolved[2:]
-        values[2] = theta_A.value(evolved[0], evolved[1])
+        values = np.vstack((evolved[2:], theta_A.value(evolved[0], evolved[1])))
         parts[i].append(_moments(values))
         n_acc[i] = 0
 
     for z in _normals(_chunk_rng(seed, k), rows, 2):
-        m = z.shape[0]
-        q, p = _affine(factor, z, offset, readout_buf)
+        q, p = _affine(factor, z, offset)
         for i, (theta_B, b, epsilon) in enumerate(windows):
-            b_val = np.multiply(q, math.cos(theta_B.theta), out=work_buf[0, :m])
-            b_val += np.multiply(p, math.sin(theta_B.theta), out=work_buf[1, :m])
-            distance = np.abs(np.subtract(b_val, b, out=b_val), out=b_val)
-            keep = np.flatnonzero(distance <= epsilon)
+            keep = np.flatnonzero(np.abs(theta_B.value(q, p) - b) <= epsilon)
             if n_acc[i] + keep.size > size:
                 flush(i)
             stop = n_acc[i] + keep.size
@@ -716,12 +691,16 @@ def joint_momentum_histogram(
     half-integer is exact, and only the other draws, next to an edge, take
     numpy's binary search (all where the margin is >= 1/4). Raises
     ValueError for the bins and range that `_histogram_edges` rejects, the
-    automatic box included, for bins < 2 and for a degenerate state.
+    automatic box included, for bins < 2 and for a degenerate state, and
+    TypeError for bins that are not an integer or a pair of integers
+    (numpy's included, as `operator.index` reads them).
     """
-    if isinstance(bins, int):
-        bins = (bins, bins)
-    if bins[0] < 2 or bins[1] < 2:
-        raise ValueError("bins must be >= 2 in each dimension")
+    try:  # an integer, numpy's included, or a pair of them
+        bins = tuple(map(operator.index, bins if np.iterable(bins) else (bins, bins)))
+    except TypeError as exc:
+        raise TypeError(f"bins must be an integer or a pair of integers, not {bins!r}") from exc
+    if len(bins) != 2 or min(bins) < 2:
+        raise ValueError("bins must be an integer >= 2 or a pair of them")
     if hist_range is None:
         mu, cov = config.evolved_joint().mean, config.evolved_joint().cov
         half_p = 5.0 * math.sqrt(cov[1, 1])
@@ -783,23 +762,22 @@ def _bin_margin(edges: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.array(margin).T[:, :, None]
 
 
-def _bins(x: np.ndarray, edges, margin: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _bins(x: np.ndarray, edges, margin: np.ndarray) -> np.ndarray:
     """np.histogram's bin index of each draw of the (d, m) array x, row i by
-    edges[i] and its `_bin_margin`, as whole floats in work[1] of the
-    (2, d, m) buffer `work`: 1..n are the bins (the last one closed), 0 is
-    below the first edge and n + 1 above the last edge or nan. The guess g
-    is clamped to top (nan and +inf), then to 0, and rounded to j. Where
-    |g - j| < trust, j is exact, as g is monotone: g(e_(j-1)) < g(x) <
-    g(e_j). Only the other draws, next to an edge (all where trust is 0),
-    are binned by `_searchsorted_index`, numpy's own rule."""
+    edges[i] and its `_bin_margin`, as whole floats: 1..n are the bins (the
+    last one closed), 0 is below the first edge and n + 1 above the last
+    edge or nan. The guess g is clamped to top (nan and +inf), then to 0,
+    and rounded to j. Where |g - j| < trust, j is exact, as g is monotone:
+    g(e_(j-1)) < g(x) < g(e_j). Only the other draws, next to an edge (all
+    where trust is 0), are binned by `_searchsorted_index`, numpy's own
+    rule."""
     s, o, top, trust = margin
-    guess, index = work
     with np.errstate(all="ignore"):  # overflow, or an untrusted margin's inf: clamped
-        np.multiply(x, s, out=guess)
+        guess = x * s
         guess += o
     np.fmin(guess, top, out=guess)  # before fmax, which would send nan to 0
     np.fmax(guess, 0.0, out=guess)
-    np.rint(guess, out=index)
+    index = np.rint(guess)
     guess -= index
     near = np.abs(guess, out=guess) >= trust
     if near.any():
@@ -820,22 +798,18 @@ def _histogram_chunk(args, k: int, rows: int) -> np.ndarray:
     """Chunk k of `joint_momentum_histogram`: its (p', P') counts, binned as
     `np.histogram2d` bins them by `_bins`, which trusts the arithmetic index
     where the margin proves it and bins only the draws next to an edge by
-    numpy's `searchsorted` rule, in one (2, 2, BLOCK) buffer. Each block's
-    flat cell indices go to one reused BLOCK-sized buffer and are counted
-    by one `bincount`, so the chunk holds no array longer than a block."""
+    numpy's `searchsorted` rule. Each block's flat cell indices are
+    counted by one `bincount`, so the chunk holds no array longer than a
+    block."""
     source, edges, margin = args
     width = edges[1].size + 1  # bins of P plus one below and one above
     cells = (edges[0].size + 1) * width
     counts = np.zeros(cells, dtype=np.int64)
-    flat = np.empty(min(rows, BLOCK), dtype=np.intp)
-    work = np.empty((2, 2, flat.size))
     for block in _blocks(source, k, rows):
-        m = block.shape[1]
-        index = _bins(block, edges, margin, work[:, :, :m])
+        index = _bins(block, edges, margin)
         index[0] *= width
-        index[0] += index[1]
-        flat[:m] = index[0]  # whole numbers below 2**53: exact
-        counts += np.bincount(flat[:m], minlength=cells)
+        index[0] += index[1]  # whole numbers below 2**53: exact
+        counts += np.bincount(index[0].astype(np.intp), minlength=cells)
     return counts.reshape(-1, width)[1:-1, 1:-1]
 
 

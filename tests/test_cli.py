@@ -1106,13 +1106,13 @@ class TestSharedSamplingPass:
             assert np.array_equal(cells, [est.mean_Q, est.se_Q, est.mean_P, est.se_P]), row
 
 
-def _loaded_by_import_of_cli(*prefixes):
-    """The modules under `prefixes` that `import erlweak.cli` loads in a
-    fresh interpreter."""
+def _loaded_by_import_of_cli(*prefixes, then=""):
+    """The modules under `prefixes` that `import erlweak.cli`, and then the
+    statement `then`, load in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, erlweak.cli; "
+        f"import sys, erlweak.cli\n{then}\n"
         f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     out = subprocess.run(
@@ -1129,6 +1129,17 @@ def test_import_loads_no_scipy():
     # nor multiprocessing: the chunk pool imports it on first use, which keeps
     # start-up short for the commands that never sample
     assert _loaded_by_import_of_cli("scipy", "multiprocessing") == "[]"
+
+
+def test_closed_form_sweep_loads_no_multiprocessing(tmp_path):
+    # a sweep of two chunks per point that never samples: its manifest's run
+    # block reads no workers and no chunks without asking the chunk pool
+    doc = base_config(sampling={"n_samples": 2 * montecarlo.DEFAULT_CHUNK})
+    doc["sweep"] = {"g": [0.1, 0.2]}
+    argv = ["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "--quiet"]
+    assert _loaded_by_import_of_cli("multiprocessing", then=f"erlweak.cli.main({argv!r})") == "[]"
+    run = json.loads((tmp_path / "out" / "manifest.json").read_text())["run"]
+    assert run == {"workers": 0, "chunks": 0, **VERSIONS}
 
 
 def test_import_loads_no_verify():

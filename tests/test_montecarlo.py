@@ -107,7 +107,8 @@ class TestSampling:
 
 class TestBlocks:
     """Inside a chunk, points are drawn in blocks of BLOCK rows from the
-    chunk's one Generator; they equal one draw of the whole chunk."""
+    chunk's one Generator; they equal one draw of the whole chunk, and each
+    block is an array of its own."""
 
     @pytest.mark.parametrize(
         "rows", [1000, montecarlo.BLOCK, 20_000, montecarlo.DEFAULT_CHUNK]
@@ -115,7 +116,7 @@ class TestBlocks:
     def test_blocks_equal_one_draw_per_chunk(self, rows):
         state = dataclasses.replace(BASE, omega=0.5, mu_P=0.3, mu_q=0.2, g=0.4).evolved_joint()
         lower = np.linalg.cholesky(state.cov)
-        blocks = [b.copy() for b in montecarlo._blocks(montecarlo._source(state, 11, np.eye(4)), 3, rows)]
+        blocks = list(montecarlo._blocks(montecarlo._source(state, 11, np.eye(4)), 3, rows))
         assert max(b.shape[1] for b in blocks) <= montecarlo.BLOCK
         z = montecarlo._chunk_rng(11, 3).standard_normal((rows, 4))
         np.testing.assert_array_equal(np.concatenate(blocks, axis=1).T, state.mean + z @ lower.T)
@@ -134,9 +135,15 @@ class TestBlocks:
                 assert factor.tobytes() == np.linalg.cholesky(state.cov).tobytes()
                 assert offset[:, 0].tobytes() == state.mean.tobytes()
 
-    def test_consumers_copy_out_of_the_reused_buffer(self):
-        # one chunk of several blocks: sample_state and the correlation must
-        # take each block's values before the next block overwrites them
+    def test_normals_blocks_share_no_memory(self):
+        # a block held past the next one keeps its values
+        normals = montecarlo._normals(montecarlo._chunk_rng(5, 0), 3 * montecarlo.BLOCK, 2)
+        first, second = next(normals), next(normals)
+        assert not np.shares_memory(first, second)
+
+    def test_multi_block_chunk_equals_its_one_draw_reference(self):
+        # one chunk of several blocks: sample_state's points and the
+        # correlation's merged moments equal those of one draw of the chunk
         config = dataclasses.replace(BASE, g=0.4, mu_P=0.3, theta_A=Quadrature(0.6), seed=9)
         joint = config.joint()
         rows = 3 * montecarlo.BLOCK + 123
@@ -494,9 +501,9 @@ class TestRunWeakExperiment:
         monkeypatch.setattr(montecarlo, "WORKERS", 1)  # in this process, to record them
         coupled, apply = [], montecarlo.apply_to_points
 
-        def recording(smap, pts, out=None):
-            evolved = apply(smap, pts, out=out)
-            coupled.append((pts.copy(), evolved.copy()))
+        def recording(smap, pts):
+            evolved = apply(smap, pts)
+            coupled.append((pts, evolved))
             return evolved
 
         monkeypatch.setattr(montecarlo, "apply_to_points", recording)
@@ -1103,6 +1110,16 @@ class TestHistogram:
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
             joint_momentum_histogram(BASE, bins=1)
+        for bins in (5.0, (5, 5.0), "ab", None):
+            with pytest.raises(TypeError, match="bins"):
+                joint_momentum_histogram(BASE, bins=bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        config = dataclasses.replace(BASE, n_samples=20_000)
+        counts, p_edges, P_edges = joint_momentum_histogram(config, bins=5)
+        for bins in (np.int64(5), (np.int64(5), np.int32(5)), np.array([5, 5])):
+            got = joint_momentum_histogram(config, bins=bins)
+            assert all(np.array_equal(a, b) for a, b in zip(got, (counts, p_edges, P_edges)))
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
@@ -1256,8 +1273,7 @@ class TestBinIndex:
     @staticmethod
     def _assert_matches_searchsorted(edges, x):
         expected = np.searchsorted(edges, x, "right") - (x == edges[-1])
-        work = np.empty((2, 1, x.size))
-        got = montecarlo._bins(x[None], (edges,), montecarlo._bin_margin((edges,)), work)[0]
+        got = montecarlo._bins(x[None], (edges,), montecarlo._bin_margin((edges,)))[0]
         np.testing.assert_array_equal(got, expected)
 
     @staticmethod
